@@ -15,7 +15,9 @@ import numpy as np
 from .errors import PruneError, TermNotFoundError
 from .gmm import DEFAULT_K_MAX, GmmFit, select_k_bic
 from .index import InvertedIndex
-from .timewindows import TimeWindow, intersect
+# `intersect` is unused here but stays importable as `aspects.intersect`,
+# a name that external call tracers patch.
+from .timewindows import TimeWindow, intersect, overlaps  # noqa: F401
 
 
 def round_half_up(x: float) -> int:
@@ -185,7 +187,7 @@ def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> Aspec
         mapped = {
             i
             for i, a in enumerate(aspects.aspects)
-            if not a.is_global and any(intersect(a.window, w) is not None for w in windows)
+            if not a.is_global and any(overlaps(a.window, w) for w in windows)
         }
         if not mapped and windows and aspects.kind == "dynamic" and centers:
             rep_days = [w.midpoint for w in windows]

@@ -63,41 +63,58 @@ def parse_corpus(path, fmt: str = "jsonl", stop_words: bool = True) -> Corpus:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     if fmt == "jsonl":
-        docs, bad = _parse_jsonl(text, stop_words)
+        docs, skipped = _parse_jsonl(text, stop_words)
     elif fmt == "trec":
-        docs, bad = _parse_trec_sgml(text, stop_words)
+        docs, skipped = _parse_trec_sgml(text, stop_words)
     else:
         raise CorpusFormatError(f"unknown corpus format {fmt!r}")
     if not docs:
-        raise CorpusFormatError(f"no parseable documents in {path}")
-    if bad:
-        log.warning("%s: %d malformed record(s) skipped", path, bad)
-    return Corpus(documents=docs, n_malformed=bad)
+        detail = f"; {len(skipped)} malformed record(s) skipped, first: {skipped[0]}" if skipped else ""
+        raise CorpusFormatError(f"no parseable documents in {path}{detail}")
+    if skipped:
+        log.warning("%s: %d malformed record(s) skipped, first: %s", path, len(skipped), skipped[0])
+    return Corpus(documents=docs, n_malformed=len(skipped))
 
 
-def _parse_jsonl(text: str, stop_words: bool) -> tuple[list[Document], int]:
+def _record_id(rec: dict):
+    """A JSONL record's `doc_id`, or its `id` as `write_corpus` emits it;
+    a record carrying both must give the same value in each."""
+    ids = [rec[key] for key in ("doc_id", "id") if key in rec]
+    if not ids:
+        raise KeyError("doc_id")
+    if len(ids) == 2 and ids[0] != ids[1]:
+        raise ValueError(f"doc_id {ids[0]!r} and id {ids[1]!r} disagree")
+    return ids[0]
+
+
+def _parse_jsonl(text: str, stop_words: bool) -> tuple[list[Document], list[str]]:
+    """Documents, and one reason per skipped record, in file order."""
     docs: list[Document] = []
     seen: set[str] = set()
-    bad = 0
-    for line in text.splitlines():
+    skipped: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            doc_id = rec["id"]
+            if not isinstance(rec, dict):
+                raise ValueError("record is not a JSON object")
+            doc_id = _record_id(rec)
             body = rec["text"]
             if not isinstance(doc_id, str) or not isinstance(body, str):
-                raise ValueError("id and text must be strings")
+                raise ValueError("doc_id and text must be strings")
             if doc_id in seen:
                 raise ValueError(f"duplicate doc id {doc_id!r}")
             windows = frozenset(TimeWindow.from_iso(w) for w in rec.get("time", []))
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-            bad += 1
-            log.debug("malformed jsonl record: %s", exc)
+        except KeyError as exc:
+            skipped.append(f"line {lineno}: missing key {exc}")
+            continue
+        except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            skipped.append(f"line {lineno}: {exc}")
             continue
         seen.add(doc_id)
         docs.append(Document(doc_id, tokenize(body, stop_words), windows))
-    return docs, bad
+    return docs, skipped
 
 
 _DOC_RE = re.compile(r"<DOC>(.*?)</DOC>", re.DOTALL)
@@ -137,19 +154,20 @@ def _parse_trec_date(raw: str) -> int | None:
     return None
 
 
-def _parse_trec_sgml(text: str, stop_words: bool) -> tuple[list[Document], int]:
+def _parse_trec_sgml(text: str, stop_words: bool) -> tuple[list[Document], list[str]]:
+    """Documents, and one reason per skipped <DOC> block, in file order."""
     docs: list[Document] = []
     seen: set[str] = set()
-    bad = 0
-    for block in _DOC_RE.findall(text):
+    skipped: list[str] = []
+    for n, block in enumerate(_DOC_RE.findall(text), start=1):
         docno = _TAG_RES["DOCNO"].search(block)
         body = _TAG_RES["TEXT"].search(block)
         if docno is None or body is None:
-            bad += 1
+            skipped.append(f"DOC {n}: missing DOCNO or TEXT")
             continue
         doc_id = docno.group(1).strip()
         if not doc_id or doc_id in seen:
-            bad += 1
+            skipped.append(f"DOC {n}: empty or duplicate DOCNO {doc_id!r}")
             continue
         raw = unescape(_INNER_TAG_RE.sub(" ", body.group(1)))
         tokens = tokenize(raw, stop_words)
@@ -162,7 +180,7 @@ def _parse_trec_sgml(text: str, stop_words: bool) -> tuple[list[Document], int]:
                 windows = frozenset({TimeWindow.instant(day)})
         seen.add(doc_id)
         docs.append(Document(doc_id, tokens, windows))
-    return docs, bad
+    return docs, skipped
 
 
 def write_corpus(corpus: Corpus, path) -> None:

@@ -26,6 +26,7 @@ from .prune import (
     JM_LAMBDA,
     TCP_K,
     PruneConfig,
+    discount,
     diversified_topk_prune,
     threshold_prune,
     threshold_values,
@@ -44,7 +45,7 @@ RATIO_TOLERANCE = 0.01
 
 def _discount_fn(name: str):
     if name == "ln":
-        return lambda j: 1.0 / math.log(1.0 + j)
+        return discount
     if name == "log2":
         return lambda j: 1.0 / math.log2(1.0 + j)
     raise ValueError(f"unknown discount {name!r}")

@@ -11,14 +11,19 @@ Four methods share the interface "index in, smaller index out":
   significant two-proportion z statistic.
 
 The greedy path has two evaluation routes that must agree: `criterion`
-re-evaluates the objective from its definition, while `next_best` scans the
-relevance list once with per-aspect cursors and displacement sums.  The
-incremental route is the one that runs; the direct route is its contract.
+re-evaluates the objective from its definition, while `next_best` runs lazy
+greedy, recomputing only the stale gains that reach the top of a max-heap.
+The lazy route is the one that runs; the direct route is its contract.  The
+earlier full-list scan with per-aspect cursors and displacement sums lives
+on in tests/oracles.py as the slow definition the lazy route must match
+pick for pick and gain for gain.
 """
 from __future__ import annotations
 
+import heapq
 import logging
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -93,67 +98,73 @@ def criterion(selected: Iterable[str], rel: RelevanceList, aspects: AspectSet) -
 
 @dataclass
 class SelectionState:
-    """Greedy bookkeeping for one term.
+    """Lazy-greedy bookkeeping for one term.
 
-    counts[w] is the number of selected docs mapped to aspect w; cursors[w]
-    and displacement[w] are rebuilt by each `next_best` scan (rank cursor
-    r_w and partial displacement sum over already-passed selected docs).
+    members[w] holds the selected positions mapped to aspect w, ascending.
+    heap holds (-gain, position, stamp) for every unselected position, the
+    gain computed when `stamp` positions had been selected; it is filled on
+    the first `next_best` call.  disc[j] == discount(j) for every rank the
+    term can reach.
     """
 
     n_aspects: int
-    counts: list[int] = field(init=False)
-    cursors: list[int] = field(init=False)
-    displacement: list[float] = field(init=False)
     selected_positions: set[int] = field(default_factory=set)
+    members: list[list[int]] = field(init=False)
+    heap: list[tuple[float, int, int]] | None = field(default=None, init=False)
+    disc: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        self.counts = [0] * self.n_aspects
-        self.cursors = [0] * self.n_aspects
-        self.displacement = [0.0] * self.n_aspects
+        self.members = [[] for _ in range(self.n_aspects)]
+
+
+def _gain(rel: RelevanceList, state: SelectionState, aspects: AspectSet, pos: int) -> float:
+    """Criterion increase from selecting `pos`.
+
+    Per mapped aspect, in doc_map order: the insertion term at the aspect
+    rank plus the displacement of the selected docs below, each sliding
+    from aspect rank j+1 to j+2, summed from the bottom up.  This is the
+    accumulation order of the full-list scan, so gains match it bit for bit.
+    """
+    scores = rel.scores
+    disc = state.disc
+    gain = 0.0
+    for w in aspects.doc_map[rel.doc_ids[pos]]:
+        members = state.members[w]
+        above = bisect_left(members, pos)
+        displacement = 0.0
+        for j in range(len(members) - 1, above - 1, -1):
+            displacement += (disc[j + 2] - disc[j + 1]) * scores[members[j]]
+        gain += aspects.aspects[w].weight * (disc[above + 1] * scores[pos] + displacement)
+    return gain
 
 
 def next_best(rel: RelevanceList, state: SelectionState, aspects: AspectSet) -> tuple[str, float]:
     """Unselected doc with the largest criterion increase, and that increase.
 
-    Single bottom-up pass over the relevance list.  Passing a selected doc
-    of aspect w advances the rank cursor and accrues its displacement cost
-    (it would slide one rank down under any better insertion); reaching a
-    candidate, the insertion gain at the cursor rank plus the accrued
-    displacement is exactly criterion-after minus criterion-before.  Ties
-    go to the higher-relevance doc, then to the ascending doc_id, which the
-    bottom-up scan order makes a plain >= comparison.
+    Lazy ("accelerated") greedy, Minoux 1978: the criterion is monotone
+    submodular, so a gain computed before later selections is an upper
+    bound on the current one.  The heap top is recomputed until a gain
+    computed at the current stamp surfaces; that candidate beats every
+    other.  Ties go to the higher-relevance doc, then to the ascending
+    doc_id, which is the list position in the heap key.
     """
-    n = len(rel)
-    state.cursors = [0] * state.n_aspects
-    state.displacement = [0.0] * state.n_aspects
-    best_pos = -1
-    best_gain = -math.inf
-    for pos in range(n - 1, -1, -1):
-        doc = rel.doc_ids[pos]
-        score = rel.scores[pos]
-        mapped = aspects.doc_map[doc]
-        if pos in state.selected_positions:
-            for w in mapped:
-                state.cursors[w] += 1
-                rank = state.counts[w] - state.cursors[w] + 1
-                state.displacement[w] += (discount(rank + 1) - discount(rank)) * score
-        else:
-            gain = 0.0
-            for w in mapped:
-                insert_rank = state.counts[w] - state.cursors[w] + 1
-                gain += aspects.aspects[w].weight * (
-                    discount(insert_rank) * score + state.displacement[w]
-                )
-            if gain >= best_gain:
-                best_gain = gain
-                best_pos = pos
-    if best_pos < 0:
+    if state.heap is None:
+        state.disc = [math.nan] + [discount(j) for j in range(1, len(rel) + 2)]
+        state.heap = [(-_gain(rel, state, aspects, pos), pos, 0) for pos in range(len(rel))]
+        heapq.heapify(state.heap)
+    heap = state.heap
+    stamp = len(state.selected_positions)
+    while heap and heap[0][2] != stamp:
+        pos = heap[0][1]
+        heapq.heapreplace(heap, (-_gain(rel, state, aspects, pos), pos, stamp))
+    if not heap:
         raise SelectionExhausted(f"every posting of {rel.term!r} is already selected")
+    neg_gain, best_pos, _ = heapq.heappop(heap)
     state.selected_positions.add(best_pos)
     chosen = rel.doc_ids[best_pos]
     for w in aspects.doc_map[chosen]:
-        state.counts[w] += 1
-    return chosen, best_gain
+        insort(state.members[w], best_pos)
+    return chosen, -neg_gain
 
 
 @dataclass

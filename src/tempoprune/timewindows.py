@@ -86,6 +86,11 @@ def intersect(a: TimeWindow, c: TimeWindow) -> TimeWindow | None:
     return TimeWindow(b_lo, b_hi, e_lo, e_hi)
 
 
+def overlaps(a: TimeWindow, c: TimeWindow) -> bool:
+    """`intersect(a, c) is not None`, without building the intersection."""
+    return max(a.b_lo, c.b_lo) <= min(a.e_hi, c.e_hi)
+
+
 def any_intersect(first, second) -> bool:
     """True when some window from `first` intersects some window from `second`."""
-    return any(intersect(a, b) is not None for a in first for b in second)
+    return any(overlaps(a, b) for a in first for b in second)

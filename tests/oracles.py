@@ -4,14 +4,18 @@ Everything here re-derives values from definitions: criterion sums are
 re-evaluated from scratch, optima come from exhaustive enumeration, and
 quantiles are computed by hand.  None of it shares code with the library's
 incremental or vectorized paths, so agreement is evidence, not tautology.
+
+`ScanState`/`scan_next_best` are the slow definition of the library's lazy
+greedy step: a full bottom-up pass over the relevance list per pick.
 """
 import math
 import random
 from datetime import date
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from tempoprune.aspects import Aspect, AspectSet
-from tempoprune.prune import RelevanceList
+from tempoprune.prune import RelevanceList, discount
 from tempoprune.timewindows import TimeWindow
 
 
@@ -66,6 +70,98 @@ def oracle_next_best(rel: RelevanceList, selected, aspects: AspectSet):
         return None
     neg_delta, _, doc = min(candidates)
     return doc, -neg_delta
+
+
+def make_tied_instance(seed: int, max_docs: int = 40, max_aspects: int = 6):
+    """Random (RelevanceList, AspectSet) pair built for ties: scores and
+    weights drawn from a few values, docs in zero to several aspects."""
+    rng = random.Random(seed)
+    n = rng.randint(1, max_docs)
+    m = rng.randint(1, max_aspects)
+    levels = rng.sample([0.05, 0.1, 0.2, 0.25, 0.4, 0.5, 1.0], rng.randint(1, 4))
+    entries = [(rng.choice(levels), f"doc{i:02d}") for i in range(n)]
+    entries.sort(key=lambda e: (-e[0], e[1]))
+    weights = [rng.choice([1.0, 2.0, 3.0]) for _ in range(m)]
+    total = sum(weights)
+    aspects = [
+        Aspect(window=TimeWindow.certain(10 * i, 10 * i + 9), weight=w / total)
+        for i, w in enumerate(weights)
+    ]
+    doc_map = {d: tuple(sorted(rng.sample(range(m), rng.randint(0, m)))) for _, d in entries}
+    rel = RelevanceList(term="tied", doc_ids=[d for _, d in entries], scores=[s for s, _ in entries])
+    aset = AspectSet(term="tied", aspects=aspects, doc_map=doc_map, kind="simple")
+    return rel, aset
+
+
+@dataclass
+class ScanState:
+    """Greedy bookkeeping for the scan: counts[w] selected docs per aspect;
+    cursors[w] and displacement[w] are rebuilt by each scan (rank cursor and
+    partial displacement sum over already-passed selected docs)."""
+
+    n_aspects: int
+    counts: list = field(init=False)
+    cursors: list = field(init=False)
+    displacement: list = field(init=False)
+    selected_positions: set = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        self.counts = [0] * self.n_aspects
+        self.cursors = [0] * self.n_aspects
+        self.displacement = [0.0] * self.n_aspects
+
+
+def scan_next_best(rel: RelevanceList, state: ScanState, aspects: AspectSet):
+    """(doc, gain) of one greedy step by a single bottom-up pass, or None
+    when every posting is selected.
+
+    Passing a selected doc of aspect w advances the rank cursor and accrues
+    its displacement cost (it would slide one rank down under any better
+    insertion); reaching a candidate, the insertion gain at the cursor rank
+    plus the accrued displacement is criterion-after minus criterion-before.
+    Ties go to the higher-relevance doc, then to the ascending doc_id, which
+    the bottom-up order makes a plain >= comparison.
+    """
+    state.cursors = [0] * state.n_aspects
+    state.displacement = [0.0] * state.n_aspects
+    best_pos = -1
+    best_gain = -math.inf
+    for pos in range(len(rel) - 1, -1, -1):
+        score = rel.scores[pos]
+        mapped = aspects.doc_map[rel.doc_ids[pos]]
+        if pos in state.selected_positions:
+            for w in mapped:
+                state.cursors[w] += 1
+                rank = state.counts[w] - state.cursors[w] + 1
+                state.displacement[w] += (discount(rank + 1) - discount(rank)) * score
+        else:
+            gain = 0.0
+            for w in mapped:
+                insert_rank = state.counts[w] - state.cursors[w] + 1
+                gain += aspects.aspects[w].weight * (
+                    discount(insert_rank) * score + state.displacement[w]
+                )
+            if gain >= best_gain:
+                best_gain = gain
+                best_pos = pos
+    if best_pos < 0:
+        return None
+    state.selected_positions.add(best_pos)
+    chosen = rel.doc_ids[best_pos]
+    for w in aspects.doc_map[chosen]:
+        state.counts[w] += 1
+    return chosen, best_gain
+
+
+def scan_diversify(rel: RelevanceList, aspects: AspectSet, k: int):
+    """(order, gains) of k scan steps, k at most the list length."""
+    state = ScanState(n_aspects=len(aspects.aspects))
+    order, gains = [], []
+    for _ in range(k):
+        doc, gain = scan_next_best(rel, state, aspects)
+        order.append(doc)
+        gains.append(gain)
+    return order, gains
 
 
 def oracle_optimum(rel: RelevanceList, aspects: AspectSet, k: int) -> float:

@@ -1,5 +1,7 @@
 """Tokenization and corpus parsing (JSONL and TREC SGML)."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -92,6 +94,45 @@ def test_parse_jsonl_bad_window_is_malformed(tmp_path):
     corpus = parse_corpus(path)
     assert [d.doc_id for d in corpus.documents] == ["d2"]
     assert corpus.n_malformed == 1
+
+
+def test_parse_jsonl_readme_example(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```jsonl\n(.*?)```", readme, re.DOTALL).group(1)
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(line.strip() for line in block.splitlines()) + "\n", encoding="utf-8")
+    corpus = parse_corpus(path)
+    assert corpus.n_malformed == 0
+    assert [d.doc_id for d in corpus.documents] == ["d1", "d2"]
+    assert corpus.documents[0].time_part == frozenset(
+        {TimeWindow.certain(parse_day("1991-01-17"), parse_day("1991-02-28"))}
+    )
+
+
+def test_parse_jsonl_doc_id_and_id_keys(tmp_path):
+    lines = [
+        json.dumps({"doc_id": "d1", "text": "alpha"}),
+        json.dumps({"id": "d2", "text": "beta"}),
+        json.dumps({"doc_id": "d3", "id": "d3", "text": "gamma"}),
+        json.dumps({"doc_id": "d4", "id": "dx", "text": "delta"}),
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = parse_corpus(path)
+    assert [d.doc_id for d in corpus.documents] == ["d1", "d2", "d3"]
+    assert corpus.n_malformed == 1
+
+
+def test_parse_corpus_error_names_skips_and_first_reason(tmp_path):
+    lines = [
+        json.dumps({"name": "d1", "text": "alpha"}),
+        "{broken",
+        json.dumps({"doc_id": "d3", "id": "d9", "text": "gamma"}),
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"3 malformed record\(s\) skipped, first: line 1: missing key 'doc_id'"):
+        parse_corpus(path)
 
 
 def test_parse_corpus_rejects_empty(tmp_path):

@@ -1,13 +1,23 @@
 """Diversified greedy pruning and the three threshold baselines."""
 import math
+import random
 
 import pytest
 
-from oracles import make_instance, oracle_criterion, oracle_next_best, oracle_optimum
-from tempoprune.aspects import Aspect, AspectSet
+from oracles import (
+    ScanState,
+    make_instance,
+    make_tied_instance,
+    oracle_criterion,
+    oracle_next_best,
+    oracle_optimum,
+    scan_diversify,
+    scan_next_best,
+)
+from tempoprune.aspects import Aspect, AspectSet, build_aspect_sets
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import PruneError, SelectionExhausted, TermNotFoundError
-from tempoprune.index import build_index, pruning_ratio
+from tempoprune.index import build_index, pruning_ratio, subset_index, write_index
 from tempoprune.prune import (
     PruneConfig,
     RelevanceList,
@@ -28,6 +38,7 @@ from tempoprune.prune import (
     threshold_prune,
     threshold_values,
 )
+from tempoprune.synth import random_corpus
 from tempoprune.timewindows import TimeWindow
 
 
@@ -183,6 +194,61 @@ def test_diversify_single_global_aspect_is_relevance_topk():
         k = max(1, len(rel) // 2)
         result = diversify(rel, aset, k)
         assert result.order == rel.doc_ids[:k]
+
+
+# --- lazy greedy against the full-list scan ----------------------------------
+
+
+def test_lazy_greedy_matches_scan_on_tied_instances():
+    rng = random.Random(0)
+    for seed in range(2000):
+        rel, aset = make_tied_instance(seed)
+        k = rng.randint(0, len(rel))
+        order, gains = scan_diversify(rel, aset, k)
+        result = diversify(rel, aset, k)
+        assert result.order == order, seed
+        assert result.gains == gains, seed
+
+
+def test_lazy_greedy_and_scan_exhaust_together():
+    for seed in range(50):
+        rel, aset = make_tied_instance(seed, max_docs=12)
+        lazy = SelectionState(n_aspects=len(aset.aspects))
+        scan = ScanState(n_aspects=len(aset.aspects))
+        for _ in range(len(rel)):
+            assert next_best(rel, lazy, aset) == scan_next_best(rel, scan, aset)
+        assert lazy.selected_positions == scan.selected_positions == set(range(len(rel)))
+        assert scan_next_best(rel, scan, aset) is None
+        with pytest.raises(SelectionExhausted):
+            next_best(rel, lazy, aset)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("model", ["simple", "sliding"])
+def test_lazy_prune_matches_scan_on_real_lists(seed, model, tmp_path):
+    index = build_index(random_corpus(n_docs=300, seed=seed, vocab_size=500))
+    aspect_sets = build_aspect_sets(index, model)
+    configs = [PruneConfig(mode="ratio", target_ratio=r) for r in (0.3, 0.7)]
+    scan_keep: list[dict[str, set[str]]] = [{} for _ in configs]
+    for term in index.terms():
+        rel = relevance_scores(index, term)
+        ks = [c.k_for(len(rel)) for c in configs]
+        # greedy picks do not depend on k: one scan serves both budgets
+        order, gains = scan_diversify(rel, aspect_sets[term], max(ks))
+        for keep, k in zip(scan_keep, ks):
+            result = diversify(rel, aspect_sets[term], k)
+            assert result.order == order[:k], term
+            assert result.gains == gains[:k], term
+            keep[term] = set(order[:k])
+    for config, keep in zip(configs, scan_keep):
+        lazy = diversified_topk_prune(index, aspect_sets, config)
+        scan = subset_index(index, keep)
+        assert {t: [p.doc_id for p in pl.postings] for t, pl in lazy.lists.items()} == {
+            t: [p.doc_id for p in pl.postings] for t, pl in scan.lists.items()
+        }
+        write_index(lazy, tmp_path / "lazy.bin")
+        write_index(scan, tmp_path / "scan.bin")
+        assert (tmp_path / "lazy.bin").read_bytes() == (tmp_path / "scan.bin").read_bytes()
 
 
 # --- prune config and driver -------------------------------------------------

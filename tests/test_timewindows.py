@@ -12,6 +12,7 @@ from tempoprune.timewindows import (
     day_number,
     day_to_date,
     intersect,
+    overlaps,
     parse_day,
 )
 
@@ -118,6 +119,18 @@ def test_intersect_hull_contained_in_both(a, c):
     lo, hi = r.hull
     assert a.hull[0] <= lo and hi <= a.hull[1]
     assert c.hull[0] <= lo and hi <= c.hull[1]
+
+
+@given(windows, windows)
+def test_overlaps_iff_intersection_exists(a, c):
+    assert overlaps(a, c) == (intersect(a, c) is not None)
+
+
+def test_overlaps_touching_and_disjoint():
+    assert overlaps(TimeWindow.certain(0, 4), TimeWindow.certain(4, 9))
+    assert not overlaps(TimeWindow.certain(0, 4), TimeWindow.certain(5, 9))
+    # vague start of `a` reaching past the end of `c` still overlaps
+    assert overlaps(TimeWindow(0, 20, 30, 30), TimeWindow.certain(-5, 0))
 
 
 @given(st.lists(windows, max_size=3), st.lists(windows, max_size=3))
