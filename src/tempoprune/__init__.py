@@ -17,6 +17,7 @@ from .aspects import (
     simple_windows,
     sliding_windows,
     smooth,
+    term_aspects,
     term_time_series,
 )
 from .corpus import Corpus, Document, parse_corpus, tokenize, write_corpus
@@ -39,6 +40,7 @@ from .evaluation import (
     evaluate_queries,
     generate_temporal_queries,
     ndcg,
+    prune_index,
     sweep,
     time_filtered_qrels,
     tune_epsilon,
@@ -67,7 +69,7 @@ from .prune import (
     tcp_prune,
     threshold_prune,
 )
-from .search import Query, RankedResult, bm25_score, parse_time_spec, run_query
+from .search import Query, RankedResult, parse_time_spec, run_query
 from .timewindows import TimeWindow, day_number, intersect
 
 __all__ = [name for name in dir() if not name.startswith("_")]

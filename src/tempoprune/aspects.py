@@ -198,6 +198,27 @@ def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> Aspec
     return replace(aspects, doc_map=doc_map)
 
 
+def term_aspects(
+    series: TermTimeSeries,
+    model: str,
+    lambda_w: float = 0.3,
+    seed: int = 0,
+    k_max: int = DEFAULT_K_MAX,
+) -> AspectSet:
+    """Smoothed aspect set of a non-empty series under `model`: simple or
+    sliding windows of the Freedman-Diaconis width, or dynamic windows from
+    the BIC-selected mixture."""
+    if model == "dynamic":
+        aset = dynamic_windows(series, k_max, seed)
+    elif model == "simple":
+        aset = simple_windows(series, fd_window_size(series))
+    elif model == "sliding":
+        aset = sliding_windows(series, fd_window_size(series))
+    else:
+        raise PruneError(f"unknown aspect model {model!r}")
+    return smooth(aset, lambda_w)
+
+
 def build_aspect_sets(
     index: InvertedIndex,
     model: str = "simple",
@@ -205,7 +226,6 @@ def build_aspect_sets(
     seed: int = 0,
     k_max: int = DEFAULT_K_MAX,
     presence_only: bool = False,
-    threads: int = 1,
 ) -> dict[str, AspectSet]:
     """Aspect sets for every indexed term.  Terms with no dated documents get
     a single global aspect so that pruning them degenerates to plain
@@ -213,34 +233,20 @@ def build_aspect_sets(
     if model not in ("simple", "sliding", "dynamic"):
         raise PruneError(f"unknown aspect model {model!r}")
     hull = index_time_hull(index)
-
-    def one(term: str) -> tuple[str, AspectSet]:
+    sets: dict[str, AspectSet] = {}
+    for term in index.terms():
         series = term_time_series(index, term, presence_only)
-        if not series.counts:
+        if series.counts:
+            aset = term_aspects(series, model, lambda_w, seed, k_max)
+        else:
             aset = AspectSet(
                 term=term,
                 aspects=[Aspect(window=TimeWindow.certain(*hull), weight=1.0, is_global=True)],
                 kind="global",
                 span=hull,
             )
-        else:
-            if model == "dynamic":
-                aset = dynamic_windows(series, k_max, seed)
-            else:
-                gamma = fd_window_size(series)
-                aset = simple_windows(series, gamma) if model == "simple" else sliding_windows(series, gamma)
-            aset = smooth(aset, lambda_w)
-        return term, doc_aspect_map(aset, index, term)
-
-    terms = index.terms()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(one, terms))
-    else:
-        pairs = [one(t) for t in terms]
-    return dict(sorted(pairs))
+        sets[term] = doc_aspect_map(aset, index, term)
+    return sets
 
 
 def index_time_hull(index: InvertedIndex) -> tuple[int, int]:

@@ -11,18 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from . import __version__
 from .aspects import (
     build_aspect_sets,
-    dynamic_windows,
     fd_window_size,
     index_time_hull,
-    simple_windows,
-    sliding_windows,
-    smooth,
+    term_aspects,
     term_time_series,
 )
 from .corpus import parse_corpus, tokenize
@@ -30,15 +26,17 @@ from .errors import TempopruneError
 from .evaluation import (
     METHODS,
     all_relevant_qrels,
+    check_prune_args,
     evaluate_queries,
     evaluate_results,
     generate_temporal_queries,
+    prune_index,
     read_qrels,
     read_queries,
     read_run,
     read_topics,
     sweep,
-    tune_epsilon,
+    tune_epsilon,  # noqa: F401
     write_qrels,
     write_queries,
 )
@@ -50,22 +48,12 @@ from .index import (
     verify_index,
     write_index,
 )
-from .prune import (
-    PruneConfig,
-    diversified_topk_prune,
-    threshold_prune,
-)
+# Unused here, like `tune_epsilon`: bench/spans.py patches them as cli names.
+from .prune import diversified_topk_prune, threshold_prune  # noqa: F401
 from .search import Query, parse_time_spec, run_query, trec_run_lines
 from .timewindows import day_to_date
 
 log = logging.getLogger(__name__)
-
-_THRESHOLD_CLI = {"tcp": "tcp", "ipu": "ipu", "2n2p": "n2p2"}
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("TEMPOPRUNE_THREADS", "1"))
-
 
 def _write_manifest(out_path: str, subcommand: str, args: argparse.Namespace, **extra) -> None:
     payload = {
@@ -112,16 +100,9 @@ def _cmd_windows(args) -> int:
         "series": [[day, series.counts[day]] for day in sorted(series.counts)],
     }
     if series.counts:
-        if args.model == "dynamic":
-            aset = dynamic_windows(series, args.k_max, args.seed)
-        else:
-            gamma = fd_window_size(series)
-            record["gamma"] = gamma
-            if args.model == "simple":
-                aset = simple_windows(series, gamma)
-            else:
-                aset = sliding_windows(series, gamma)
-        aset = smooth(aset, args.lambda_w)
+        if args.model != "dynamic":
+            record["gamma"] = fd_window_size(series)
+        aset = term_aspects(series, args.model, args.lambda_w, args.seed, args.k_max)
         record["aspects"] = [
             {
                 "window": [a.window.b_lo, a.window.b_hi, a.window.e_lo, a.window.e_hi],
@@ -151,37 +132,18 @@ def _cmd_windows(args) -> int:
 
 def _cmd_prune(args) -> int:
     index = read_index(args.infile)
-    extra: dict = {"method": args.method}
-    if args.method in _THRESHOLD_CLI:
-        internal = _THRESHOLD_CLI[args.method]
-        if args.epsilon is None and args.ratio is None:
-            raise TempopruneError(f"{args.method} needs --epsilon or --ratio")
-        if args.epsilon is not None:
-            epsilon = args.epsilon
-        else:
-            tuned = tune_epsilon(index, internal, args.ratio, args.zk, args.jm_lambda)
-            epsilon = tuned.epsilon
-            extra["tuned"] = {
-                "target_ratio": args.ratio,
-                "epsilon": tuned.epsilon,
-                "flagged": tuned.flagged,
-            }
-        pruned = threshold_prune(index, internal, epsilon, args.zk, args.jm_lambda)
-        extra["epsilon"] = epsilon
-    else:
-        model = args.method.removeprefix("div-")
-        if (args.k is None) == (args.ratio is None):
-            raise TempopruneError(f"{args.method} needs exactly one of --k / --ratio")
+    level = {"ratio": args.ratio, "k": args.k, "epsilon": args.epsilon}
+    check_prune_args(args.method, **level)
+    aspect_sets = None
+    if args.method.startswith("div-"):
         aspect_sets = build_aspect_sets(
-            index, model, args.lambda_w, args.seed, args.k_max, args.presence_only, args.threads
+            index, args.method.removeprefix("div-"), args.lambda_w, args.seed, args.k_max,
+            args.presence_only,
         )
-        if args.k is not None:
-            config = PruneConfig(mode="fixed_k", k=args.k, lambda_w=args.lambda_w,
-                                 aspect_model=model, lam=args.jm_lambda)
-        else:
-            config = PruneConfig(mode="ratio", target_ratio=args.ratio, lambda_w=args.lambda_w,
-                                 aspect_model=model, lam=args.jm_lambda)
-        pruned = diversified_topk_prune(index, aspect_sets, config)
+    pruned, extra = prune_index(
+        index, args.method, **level, aspect_sets=aspect_sets, zk=args.zk, lam=args.jm_lambda
+    )
+    extra["method"] = args.method
     if args.recompute_stats:
         pruned = recompute_lengths(pruned)
         extra["recomputed_stats"] = True
@@ -262,7 +224,7 @@ def _cmd_sweep(args) -> int:
         index, queries, qrels, methods, ratios,
         lambda_w=args.lambda_w, lam=args.jm_lambda, zk=args.zk, seed=args.seed,
         depth=args.depth, discount=args.discount, k_max=args.k_max,
-        presence_only=args.presence_only, threads=args.threads,
+        presence_only=args.presence_only,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.to_csv_lines()) + "\n")
@@ -275,8 +237,6 @@ def _cmd_sweep(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="worker threads (env TEMPOPRUNE_THREADS)")
 
 
 def build_parser() -> argparse.ArgumentParser:

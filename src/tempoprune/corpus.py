@@ -40,22 +40,10 @@ class Document:
 @dataclass
 class Corpus:
     documents: list[Document]
-    day_epoch: str = "1970-01-01"
     n_malformed: int = 0
 
     def by_id(self) -> dict[str, Document]:
         return {d.doc_id: d for d in self.documents}
-
-    def window_hull(self) -> tuple[int, int] | None:
-        """Smallest [day, day] span covering every document window, if any."""
-        lo = hi = None
-        for doc in self.documents:
-            for w in doc.time_part:
-                lo = w.b_lo if lo is None else min(lo, w.b_lo)
-                hi = w.e_hi if hi is None else max(hi, w.e_hi)
-        if lo is None:
-            return None
-        return lo, hi
 
 
 def parse_corpus(path, fmt: str = "jsonl", stop_words: bool = True) -> Corpus:

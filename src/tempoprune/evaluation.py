@@ -7,7 +7,8 @@ the reported query count.
 
 Threshold pruners are parameterized by epsilon while sweep figures are
 plotted by pruning ratio; `tune_epsilon` bisects the per-posting statistic
-arrays to land within a point of the target.
+arrays to land within a point of the target.  `prune_index` is the one
+place that turns a method name and a pruning level into a pruned index.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .aspects import build_aspect_sets
 from .corpus import Corpus, tokenize
-from .errors import QueryError
+from .errors import PruneError, QueryError
 from .index import InvertedIndex, pruning_ratio
 from .prune import (
     JM_LAMBDA,
@@ -37,7 +38,6 @@ from .timewindows import TimeWindow, any_intersect
 log = logging.getLogger(__name__)
 
 METHODS = ("tcp", "ipu", "2n2p", "div-simple", "div-sliding", "div-dynamic")
-_THRESHOLD_METHODS = {"tcp": "tcp", "ipu": "ipu", "2n2p": "n2p2"}
 INTERVAL_DAYS = {"daily": 1, "weekly": 7, "monthly": 30}
 ATTEMPTS_PER_TOPIC = 100
 RATIO_TOLERANCE = 0.01
@@ -411,6 +411,55 @@ def tune_epsilon(
     return best
 
 
+def check_prune_args(
+    method: str, *, ratio: float | None = None, k: int | None = None, epsilon: float | None = None
+) -> None:
+    """Raise PruneError unless `method` is known and gets the pruning level
+    it needs: `epsilon` or `ratio` for tcp/ipu/2n2p (`epsilon` wins when
+    both are given), exactly one of `k` / `ratio` for div-*."""
+    if method not in METHODS:
+        raise PruneError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not method.startswith("div-"):
+        if epsilon is None and ratio is None:
+            raise PruneError(f"{method} needs --epsilon or --ratio")
+    elif (k is None) == (ratio is None):
+        raise PruneError(f"{method} needs exactly one of --k / --ratio")
+
+
+def prune_index(
+    index: InvertedIndex,
+    method: str,
+    *,
+    ratio: float | None = None,
+    k: int | None = None,
+    epsilon: float | None = None,
+    aspect_sets: dict | None = None,
+    zk: int = TCP_K,
+    lam: float = JM_LAMBDA,
+) -> tuple[InvertedIndex, dict]:
+    """Prune `index` with one of METHODS at the level `check_prune_args`
+    accepts.  div-* methods need the `aspect_sets` of their aspect model;
+    threshold methods ignore them.
+
+    The returned dict is empty for div-*.  For threshold methods it holds
+    the `epsilon` applied and, when epsilon was tuned to `ratio`, a `tuned`
+    record of the target, the epsilon and the unreachable-target flag.
+    """
+    check_prune_args(method, ratio=ratio, k=k, epsilon=epsilon)
+    if method.startswith("div-"):
+        if aspect_sets is None:
+            raise PruneError(f"{method} needs aspect sets")
+        config = PruneConfig(k=k, target_ratio=ratio, lam=lam)
+        return diversified_topk_prune(index, aspect_sets, config), {}
+    info: dict = {}
+    if epsilon is None:
+        tuned = tune_epsilon(index, method, ratio, zk, lam)
+        epsilon = tuned.epsilon
+        info["tuned"] = {"target_ratio": ratio, "epsilon": epsilon, "flagged": tuned.flagged}
+    info["epsilon"] = epsilon
+    return threshold_prune(index, method, epsilon, zk, lam), info
+
+
 @dataclass
 class SweepRow:
     method: str
@@ -468,20 +517,19 @@ def sweep(
     discount: str = "ln",
     k_max: int = 10,
     presence_only: bool = False,
-    threads: int = 1,
 ) -> EvalReport:
     """MAP/NDCG as a function of pruning level, one row per method x ratio.
 
-    Ratio 0 rows evaluate the unpruned index.  Aspect sets are built once
-    per aspect model and reused across ratios.
+    Ratio 0 rows evaluate the unpruned index.  A div-* method builds its
+    aspect sets once and reuses them across ratios.
     """
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
     baseline: tuple[float, float, int] | None = None
-    aspect_cache: dict[str, dict] = {}
     report = EvalReport()
     for method in sorted(set(methods)):
+        aspect_sets = None
         for ratio in sorted(set(ratios)):
             if not 0.0 <= ratio < 1.0:
                 raise ValueError(f"ratio must be in [0, 1), got {ratio}")
@@ -491,28 +539,17 @@ def sweep(
                 map_, ndcg_, n = baseline
                 report.rows.append(SweepRow(method, ratio, map_, ndcg_, n))
                 continue
-            if method in _THRESHOLD_METHODS:
-                internal = _THRESHOLD_METHODS[method]
-                tune = tune_epsilon(index, internal, ratio, zk, lam)
-                pruned = threshold_prune(index, internal, tune.epsilon, zk, lam)
-                epsilon = tune.epsilon
-                flagged = tune.flagged
-            else:
-                model = method.removeprefix("div-")
-                if model not in aspect_cache:
-                    aspect_cache[model] = build_aspect_sets(
-                        index, model, lambda_w, seed, k_max, presence_only, threads
-                    )
-                config = PruneConfig(
-                    mode="ratio", target_ratio=ratio, lambda_w=lambda_w,
-                    aspect_model=model, lam=lam,
+            if aspect_sets is None and method.startswith("div-"):
+                aspect_sets = build_aspect_sets(
+                    index, method.removeprefix("div-"), lambda_w, seed, k_max, presence_only
                 )
-                pruned = diversified_topk_prune(index, aspect_cache[model], config)
-                epsilon = None
-                flagged = False
+            pruned, info = prune_index(
+                index, method, ratio=ratio, aspect_sets=aspect_sets, zk=zk, lam=lam
+            )
             achieved = pruning_ratio(index, pruned)
             map_, ndcg_, n = evaluate_queries(pruned, queries, qrels, depth, discount)
+            flagged = info.get("tuned", {}).get("flagged", False)
             report.rows.append(
-                SweepRow(method, ratio, map_, ndcg_, n, achieved, epsilon, flagged)
+                SweepRow(method, ratio, map_, ndcg_, n, achieved, info.get("epsilon"), flagged)
             )
     return report

@@ -199,7 +199,10 @@ class _Reader:
             raise IndexFormatError("truncated index payload")
         raw = self.data[self.pos : self.pos + n]
         self.pos += n
-        return raw.decode("utf-8")
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"string is not UTF-8: {exc}") from exc
 
 
 def write_index(index: InvertedIndex, path) -> None:
@@ -263,8 +266,10 @@ def read_index(path) -> InvertedIndex:
         n_win = r.uv()
         wins = []
         for _ in range(n_win):
-            b_lo, b_hi, e_lo, e_hi = (r.sv() for _ in range(4))
-            wins.append(TimeWindow(b_lo, b_hi, e_lo, e_hi))
+            try:
+                wins.append(TimeWindow(*(r.sv() for _ in range(4))))
+            except ValueError as exc:
+                raise IndexFormatError(f"document {doc_id!r}: {exc}") from exc
         docs.append(doc_id)
         if wins:
             doc_times[doc_id] = frozenset(wins)
@@ -285,6 +290,8 @@ def read_index(path) -> InvertedIndex:
             raise IndexFormatError("posting references unknown document")
         postings = [Posting(docs[num], r.uv()) for num in nums]
         lists[term] = PostingList(term, postings)
+    if r.pos != len(payload):
+        raise IndexFormatError(f"{path}: {len(payload) - r.pos} trailing payload bytes")
     total = sum(doc_len.values())
     stats = CollectionStats(
         n_docs=len(doc_len),

@@ -7,7 +7,7 @@ Four methods share the interface "index in, smaller index out":
   of usage keeps representation even when one burst dominates relevance;
 * tcp: keep postings scoring near the term's k-th best tf-idf;
 * ipu: keep postings whose entropy contribution clears a uniform threshold;
-* n2p2: keep postings whose document/collection proportions differ by a
+* 2n2p: keep postings whose document/collection proportions differ by a
   significant two-proportion z statistic.
 
 The greedy path has two evaluation routes that must agree: `criterion`
@@ -198,25 +198,23 @@ def diversify(rel: RelevanceList, aspects: AspectSet, k: int) -> DiversifyResult
 
 @dataclass
 class PruneConfig:
-    mode: str = "fixed_k"  # fixed_k | ratio
+    """Per-term budget of the diversified pruner: a fixed depth `k` or a
+    `target_ratio` of each list to remove.  Exactly one is set."""
+
     k: int | None = None
     target_ratio: float | None = None
-    lambda_w: float = 0.3
-    aspect_model: str = "simple"
     lam: float = JM_LAMBDA
 
     def __post_init__(self) -> None:
-        if self.mode == "fixed_k":
-            if self.k is None or self.k < 1:
-                raise PruneError(f"fixed_k mode needs k >= 1, got {self.k}")
-        elif self.mode == "ratio":
-            if self.target_ratio is None or not 0.0 < self.target_ratio < 1.0:
-                raise PruneError(f"ratio mode needs 0 < target_ratio < 1, got {self.target_ratio}")
-        else:
-            raise PruneError(f"unknown prune mode {self.mode!r}")
+        if (self.k is None) == (self.target_ratio is None):
+            raise PruneError("exactly one of k / target_ratio must be set")
+        if self.k is not None and self.k < 1:
+            raise PruneError(f"k must be >= 1, got {self.k}")
+        if self.target_ratio is not None and not 0.0 < self.target_ratio < 1.0:
+            raise PruneError(f"target_ratio must be in (0, 1), got {self.target_ratio}")
 
     def k_for(self, list_len: int) -> int:
-        if self.mode == "fixed_k":
+        if self.k is not None:
             return min(self.k, list_len)
         return max(1, round_half_up((1.0 - self.target_ratio) * list_len))
 
@@ -295,7 +293,7 @@ def n2p2_values(index: InvertedIndex, term: str) -> list[float]:
         else:
             out.append((p.tf / dlen - ctf / coll) / err)
     if degenerate:
-        log.warning("n2p2(%r): kept %d postings with degenerate z statistic", term, degenerate)
+        log.warning("2n2p(%r): kept %d postings with degenerate z statistic", term, degenerate)
     return out
 
 
@@ -316,7 +314,7 @@ def threshold_values(
                 values[term] = [s / z for s in scores]
         elif method == "ipu":
             values[term] = ipu_values(index, term, lam)
-        elif method == "n2p2":
+        elif method == "2n2p":
             values[term] = n2p2_values(index, term)
         else:
             raise PruneError(f"unknown threshold method {method!r}")
@@ -356,4 +354,4 @@ def ipu_prune(index: InvertedIndex, epsilon: float, lam: float = JM_LAMBDA) -> I
 
 def n2p2_prune(index: InvertedIndex, epsilon: float) -> InvertedIndex:
     """Remove postings whose z statistic is strictly below epsilon."""
-    return threshold_prune(index, "n2p2", epsilon)
+    return threshold_prune(index, "2n2p", epsilon)

@@ -55,25 +55,6 @@ def _tf_part(tf: int, dlen: int, avgdl: float) -> float:
     return tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dlen / avgdl))
 
 
-def bm25_score(index: InvertedIndex, terms: list[str], doc_id: str) -> float:
-    """BM25 with k1=2.0, b=0.75.  Query terms count with multiplicity;
-    terms missing from the document (or the whole index) contribute 0."""
-    if doc_id not in index.stats.doc_len:
-        raise QueryError(f"unknown document {doc_id!r}")
-    dlen = index.stats.doc_len[doc_id]
-    avgdl = index.stats.avgdl
-    score = 0.0
-    for term, count in sorted(Counter(terms).items()):
-        plist = index.lists.get(term)
-        if plist is None:
-            continue
-        tf = next((p.tf for p in plist.postings if p.doc_id == doc_id), 0)
-        if tf == 0:
-            continue
-        score += count * _idf(index, term) * _tf_part(tf, dlen, avgdl)
-    return score
-
-
 def temporal_match(index: InvertedIndex, doc_id: str, constraint: frozenset[TimeWindow]) -> bool:
     windows = index.doc_times.get(doc_id, frozenset())
     return any_intersect(constraint, windows)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from tempoprune.aspects import Aspect, AspectSet
+from tempoprune.errors import QueryError
 from tempoprune.prune import RelevanceList, discount
 from tempoprune.timewindows import TimeWindow
 
@@ -207,3 +208,24 @@ def oracle_average_precision(ranked_ids, relevant: set, n_relevant: int) -> floa
             hits += 1
             acc += hits / rank
     return acc / n_relevant if n_relevant else 0.0
+
+
+def bm25_score(index, terms, doc_id: str, k1: float = 2.0, b: float = 0.75) -> float:
+    """BM25 of one document, scored pointwise: the reference for the
+    term-at-a-time accumulation in `search.run_query`.  Query terms count
+    with multiplicity; idf is the unfloored ln((N - df + 0.5) / (df + 0.5));
+    terms missing from the document (or the whole index) contribute 0."""
+    if doc_id not in index.stats.doc_len:
+        raise QueryError(f"unknown document {doc_id!r}")
+    n_docs = index.stats.n_docs
+    norm = 1.0 - b + b * index.stats.doc_len[doc_id] / index.stats.avgdl
+    score = 0.0
+    for term in sorted(set(terms)):
+        plist = index.lists.get(term)
+        tf = next((p.tf for p in plist.postings if p.doc_id == doc_id), 0) if plist else 0
+        if tf == 0:
+            continue
+        df = index.stats.df[term]
+        idf = math.log((n_docs - df + 0.5) / (df + 0.5))
+        score += terms.count(term) * idf * tf * (k1 + 1.0) / (tf + k1 * norm)
+    return score

@@ -130,8 +130,8 @@ def test_05_baseline_retained_sets_match_spreadsheet(toy5_index, baseline_oracle
         ("tcp", 0.8, 10, "tcp_keep_k10_eps08"),
         ("tcp", 0.8, 2, "tcp_keep_k2_eps08"),
         ("ipu", 0.36, 10, "ipu_keep_eps036"),
-        ("n2p2", 0.5, 10, "n2p2_keep_eps05"),
-        ("n2p2", 1.0, 10, "n2p2_keep_eps10"),
+        ("2n2p", 0.5, 10, "n2p2_keep_eps05"),
+        ("2n2p", 1.0, 10, "n2p2_keep_eps10"),
     ]
     for method, epsilon, zk, column in cases:
         pruned = threshold_prune(toy5_index, method, epsilon, zk)
@@ -145,7 +145,7 @@ def test_06_threshold_monotonicity(rand_index):
     grids = {
         "tcp": [round(0.1 * i, 1) for i in range(1, 11)],
         "ipu": [0.0, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2],
-        "n2p2": [0.0, 0.5, 1.0, 2.0, 5.0],
+        "2n2p": [0.0, 0.5, 1.0, 2.0, 5.0],
     }
     pairs = 0
     for method, grid in grids.items():
@@ -216,8 +216,7 @@ def test_09_two_burst_diversity_beats_tcp_at_matched_ratio(burst_setup):
     for ratio in (0.3, 0.5, 0.7):
         tuned = tune_epsilon(index, "tcp", ratio)
         tcp_pruned = threshold_prune(index, "tcp", tuned.epsilon)
-        config = PruneConfig(mode="ratio", target_ratio=ratio,
-                             lambda_w=0.0, aspect_model="simple")
+        config = PruneConfig(target_ratio=ratio)
         div_pruned = diversified_topk_prune(index, aspect_sets, config)
         results[ratio] = {
             "tcp_achieved": pruning_ratio(index, tcp_pruned),

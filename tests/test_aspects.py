@@ -19,6 +19,7 @@ from tempoprune.aspects import (
     simple_windows,
     sliding_windows,
     smooth,
+    term_aspects,
     term_time_series,
 )
 from tempoprune.corpus import Corpus, Document
@@ -397,15 +398,9 @@ def test_build_aspect_sets_rejects_unknown_model(rand_index):
         build_aspect_sets(rand_index, model="fourier")
 
 
-def test_build_aspect_sets_threaded_matches_serial(rand_index):
-    serial = build_aspect_sets(rand_index, model="dynamic", seed=4, k_max=3)
-    threaded = build_aspect_sets(rand_index, model="dynamic", seed=4, k_max=3, threads=4)
-    assert serial.keys() == threaded.keys()
-    for term in serial:
-        a, b = serial[term], threaded[term]
-        assert a.doc_map == b.doc_map
-        assert [x.window for x in a.aspects] == [x.window for x in b.aspects]
-        assert [x.weight for x in a.aspects] == pytest.approx([x.weight for x in b.aspects])
+def test_term_aspects_rejects_unknown_model(rand_index):
+    with pytest.raises(PruneError):
+        term_aspects(term_time_series(rand_index, "disaster"), "fourier")
 
 
 def test_index_time_hull(toy5_index):

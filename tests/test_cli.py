@@ -301,6 +301,19 @@ def test_prune_flag_conflicts_exit_one(cli_dir, tmp_path, capsys):
     assert "exactly one of" in capsys.readouterr().err
 
 
+def test_prune_flag_conflict_fails_before_aspect_build(cli_dir, tmp_path, capsys, monkeypatch):
+    from tempoprune import cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("aspect sets built for a rejected request")
+
+    monkeypatch.setattr(cli, "build_aspect_sets", no_build)
+    argv = ["prune", "--in", str(cli_dir / "idx.bin"), "--out", str(tmp_path / "x.bin"),
+            "--method", "div-dynamic", "--k", "2", "--ratio", "0.5"]
+    assert main(argv) == 1
+    assert "exactly one of" in capsys.readouterr().err
+
+
 def test_bad_usage_exits_two(cli_dir, capsys):
     for argv in (
         [],

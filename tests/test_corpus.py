@@ -196,7 +196,3 @@ def test_write_then_parse_roundtrip(tmp_path, toy5_corpus):
     for a, b in zip(back.documents, toy5_corpus.documents):
         assert a.tokens == b.tokens
         assert a.time_part == b.time_part
-
-
-def test_window_hull(toy5_corpus):
-    assert toy5_corpus.window_hull() == (100, 500)

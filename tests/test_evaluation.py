@@ -5,7 +5,8 @@ import random
 import pytest
 
 from oracles import oracle_average_precision
-from tempoprune.errors import QueryError
+from tempoprune.aspects import build_aspect_sets, index_time_hull
+from tempoprune.errors import PruneError, QueryError
 from tempoprune.evaluation import (
     EvalReport,
     Qrels,
@@ -15,6 +16,7 @@ from tempoprune.evaluation import (
     evaluate_results,
     generate_temporal_queries,
     ndcg,
+    prune_index,
     read_qrels,
     read_queries,
     read_run,
@@ -26,7 +28,7 @@ from tempoprune.evaluation import (
     write_queries,
 )
 from tempoprune.index import build_index, pruning_ratio
-from tempoprune.prune import threshold_prune, threshold_values
+from tempoprune.prune import PruneConfig, diversified_topk_prune, threshold_prune, threshold_values
 from tempoprune.search import Query, RankedResult, run_query, temporal_match, trec_run_lines
 from tempoprune.synth import random_corpus
 from tempoprune.timewindows import TimeWindow, parse_day
@@ -176,13 +178,9 @@ TOPICS = [
 ]
 
 
-def _span(corpus):
-    return corpus.window_hull()
-
-
 def test_genqueries_deterministic(rand_corpus, rand_index):
-    a = generate_temporal_queries(TOPICS, _span(rand_corpus), "weekly", 8, 7, rand_index)
-    b = generate_temporal_queries(TOPICS, _span(rand_corpus), "weekly", 8, 7, rand_index)
+    a = generate_temporal_queries(TOPICS, index_time_hull(rand_index), "weekly", 8, 7, rand_index)
+    b = generate_temporal_queries(TOPICS, index_time_hull(rand_index), "weekly", 8, 7, rand_index)
     assert a == b
     assert a
 
@@ -190,7 +188,7 @@ def test_genqueries_deterministic(rand_corpus, rand_index):
 def test_genqueries_window_length_and_hits(rand_corpus, rand_index):
     for interval, days in (("daily", 1), ("weekly", 7), ("monthly", 30)):
         queries = generate_temporal_queries(
-            TOPICS, _span(rand_corpus), interval, 6, 3, rand_index
+            TOPICS, index_time_hull(rand_index), interval, 6, 3, rand_index
         )
         assert queries
         for q in queries:
@@ -207,7 +205,9 @@ def test_genqueries_qid_scheme_and_long_variants(rand_corpus, rand_index):
         Topic(qid="ta", title="w000", description="w001 archive"),
         Topic(qid="tb", title="w001"),
     ]
-    queries = generate_temporal_queries(topics, _span(rand_corpus), "weekly", 6, 5, rand_index)
+    queries = generate_temporal_queries(
+        topics, index_time_hull(rand_index), "weekly", 6, 5, rand_index
+    )
     shorts = [q for q in queries if q.qid.endswith("-s")]
     longs = [q for q in queries if q.qid.endswith("-l")]
     assert len(shorts) == 6
@@ -227,7 +227,9 @@ def test_genqueries_qid_scheme_and_long_variants(rand_corpus, rand_index):
 
 
 def test_genqueries_round_robin_covers_topics(rand_corpus, rand_index):
-    queries = generate_temporal_queries(TOPICS, _span(rand_corpus), "monthly", 8, 1, rand_index)
+    queries = generate_temporal_queries(
+        TOPICS, index_time_hull(rand_index), "monthly", 8, 1, rand_index
+    )
     topics_seen = {q.qid.split("-")[0] for q in queries}
     assert topics_seen == {"t1", "t2"}
 
@@ -235,20 +237,22 @@ def test_genqueries_round_robin_covers_topics(rand_corpus, rand_index):
 def test_genqueries_gives_up_after_attempt_budget(rand_corpus, rand_index):
     missing = [Topic(qid="tx", title="notaword")]
     queries = generate_temporal_queries(
-        missing, _span(rand_corpus), "weekly", 5, 0, rand_index
+        missing, index_time_hull(rand_index), "weekly", 5, 0, rand_index
     )
     assert queries == []
 
 
 def test_genqueries_validation(rand_corpus, rand_index):
     with pytest.raises(QueryError):
-        generate_temporal_queries(TOPICS, _span(rand_corpus), "hourly", 5, 0, rand_index)
+        generate_temporal_queries(TOPICS, index_time_hull(rand_index), "hourly", 5, 0, rand_index)
     with pytest.raises(QueryError):
         generate_temporal_queries(TOPICS, (10, 5), "weekly", 5, 0, rand_index)
 
 
 def test_query_file_roundtrip(tmp_path, rand_corpus, rand_index):
-    queries = generate_temporal_queries(TOPICS, _span(rand_corpus), "weekly", 5, 2, rand_index)
+    queries = generate_temporal_queries(
+        TOPICS, index_time_hull(rand_index), "weekly", 5, 2, rand_index
+    )
     path = tmp_path / "q.jsonl"
     write_queries(queries, path)
     assert read_queries(path) == queries
@@ -272,7 +276,9 @@ def test_read_topics(tmp_path):
 
 
 def test_all_relevant_qrels_brute_force(rand_corpus, rand_index):
-    queries = generate_temporal_queries(TOPICS, _span(rand_corpus), "monthly", 5, 4, rand_index)
+    queries = generate_temporal_queries(
+        TOPICS, index_time_hull(rand_index), "monthly", 5, 4, rand_index
+    )
     qrels = all_relevant_qrels(queries, rand_index)
     for q in queries:
         expected = set()
@@ -328,7 +334,7 @@ def quake_fixture():
 # --- epsilon tuning --------------------------------------------------------
 
 
-@pytest.mark.parametrize("method", ["ipu", "n2p2"])
+@pytest.mark.parametrize("method", ["ipu", "2n2p"])
 @pytest.mark.parametrize("target", [0.3, 0.5, 0.7])
 def test_tune_epsilon_hits_target(rand_index, method, target):
     tune = tune_epsilon(rand_index, method, target)
@@ -362,10 +368,49 @@ def sweep_setup():
     index = build_index(corpus)
     topics = [Topic(qid="t1", title="disaster"), Topic(qid="t2", title="w000")]
     queries = generate_temporal_queries(
-        topics, corpus.window_hull(), "monthly", 6, 5, index
+        topics, index_time_hull(index), "monthly", 6, 5, index
     )
     qrels = all_relevant_qrels(queries, index)
     return index, queries, qrels
+
+
+def _postings(index):
+    return {(t, p.doc_id) for t, pl in index.lists.items() for p in pl.postings}
+
+
+def test_prune_index_matches_the_pruner_it_dispatches_to(sweep_setup):
+    index = sweep_setup[0]
+    tuned = tune_epsilon(index, "2n2p", 0.4)
+    pruned, info = prune_index(index, "2n2p", ratio=0.4)
+    assert info == {
+        "epsilon": tuned.epsilon,
+        "tuned": {"target_ratio": 0.4, "epsilon": tuned.epsilon, "flagged": tuned.flagged},
+    }
+    assert _postings(pruned) == _postings(threshold_prune(index, "2n2p", tuned.epsilon))
+    pruned, info = prune_index(index, "ipu", epsilon=1e-3, ratio=0.9)  # epsilon wins
+    assert info == {"epsilon": 1e-3}
+    assert _postings(pruned) == _postings(threshold_prune(index, "ipu", 1e-3))
+    aspect_sets = build_aspect_sets(index, "sliding")
+    for k, ratio in ((2, None), (None, 0.5)):
+        pruned, info = prune_index(index, "div-sliding", k=k, ratio=ratio, aspect_sets=aspect_sets)
+        config = PruneConfig(k=k, target_ratio=ratio)
+        assert info == {}
+        assert _postings(pruned) == _postings(diversified_topk_prune(index, aspect_sets, config))
+
+
+@pytest.mark.parametrize(
+    "method, level, message",
+    [
+        ("pagerank", {"ratio": 0.5}, "unknown method"),
+        ("tcp", {}, "needs --epsilon or --ratio"),
+        ("div-simple", {"k": 2, "ratio": 0.5}, "exactly one of"),
+        ("div-simple", {}, "exactly one of"),
+        ("div-simple", {"k": 2}, "needs aspect sets"),
+    ],
+)
+def test_prune_index_rejects_bad_requests(sweep_setup, method, level, message):
+    with pytest.raises(PruneError, match=message):
+        prune_index(sweep_setup[0], method, **level)
 
 
 def test_sweep_rows_ordered_and_complete(sweep_setup):

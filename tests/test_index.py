@@ -1,9 +1,15 @@
 """Index construction, structural verification, binary round-trip."""
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import CorpusFormatError, IndexConsistencyError, IndexFormatError
 from tempoprune.index import (
+    _HEADER,
+    InvertedIndex,
     Posting,
     build_index,
     pruning_ratio,
@@ -116,6 +122,83 @@ def test_read_rejects_flipped_payload_byte(tmp_path, toy5_index):
     path.write_bytes(bytes(data))
     with pytest.raises(IndexFormatError):
         read_index(path)
+
+
+def _payload(blob: bytes) -> bytes:
+    return blob[_HEADER.size : -32]
+
+
+def _rehashed(blob: bytes, payload: bytes) -> bytes:
+    """`blob` with its payload replaced and the length and checksum redone,
+    so that only the reader's payload checks stand between it and the data."""
+    magic, version, flags, _ = _HEADER.unpack_from(blob)
+    header = _HEADER.pack(magic, version, flags, len(payload))
+    return header + payload + hashlib.sha256(payload).digest()
+
+
+@pytest.fixture(scope="module")
+def toy5_blob(tmp_path_factory, toy5_index) -> bytes:
+    path = tmp_path_factory.mktemp("blob") / "toy5.idx"
+    write_index(toy5_index, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"\x02d1", b"\x02\xffd"),  # doc id d1 becomes invalid UTF-8
+        (bytes([0xC8, 1] * 4), bytes([0xCA, 1] + [0xC8, 1] * 3)),  # d1: b_lo 101 > b_hi 100
+        (b"", b"\x00"),  # one trailing payload byte
+    ],
+    ids=["bad-utf8-doc-id", "inconsistent-window", "trailing-bytes"],
+)
+def test_read_rejects_rehashed_bad_payload(tmp_path, toy5_blob, old, new):
+    payload = _payload(toy5_blob)
+    if old:
+        assert payload.count(old) == 1
+        payload = payload.replace(old, new)
+    else:
+        payload += new
+    path = tmp_path / "bad.idx"
+    path.write_bytes(_rehashed(toy5_blob, payload))
+    with pytest.raises(IndexFormatError):
+        read_index(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["set", "insert", "delete"]),
+            st.integers(min_value=0, max_value=10**6),
+            st.integers(min_value=0, max_value=255),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_read_rehashed_mutations_give_index_or_format_error(tmp_path_factory, toy5_blob, edits):
+    payload = bytearray(_payload(toy5_blob))
+    for op, pos, value in edits:
+        pos %= len(payload) + 1
+        if op == "insert":
+            payload.insert(pos, value)
+        elif pos < len(payload):
+            if op == "set":
+                payload[pos] = value
+            else:
+                del payload[pos]
+    path = tmp_path_factory.mktemp("fuzz") / "m.idx"
+    path.write_bytes(_rehashed(toy5_blob, bytes(payload)))
+    try:
+        index = read_index(path)
+    except IndexFormatError:
+        return
+    assert isinstance(index, InvertedIndex)
+    try:
+        verify_index(index)
+    except IndexConsistencyError:
+        pass
 
 
 def test_subset_keeps_stats_frozen(toy5_index):

@@ -228,7 +228,7 @@ def test_lazy_greedy_and_scan_exhaust_together():
 def test_lazy_prune_matches_scan_on_real_lists(seed, model, tmp_path):
     index = build_index(random_corpus(n_docs=300, seed=seed, vocab_size=500))
     aspect_sets = build_aspect_sets(index, model)
-    configs = [PruneConfig(mode="ratio", target_ratio=r) for r in (0.3, 0.7)]
+    configs = [PruneConfig(target_ratio=r) for r in (0.3, 0.7)]
     scan_keep: list[dict[str, set[str]]] = [{} for _ in configs]
     for term in index.terms():
         rel = relevance_scores(index, term)
@@ -256,26 +256,26 @@ def test_lazy_prune_matches_scan_on_real_lists(seed, model, tmp_path):
 
 def test_prune_config_validation():
     with pytest.raises(PruneError):
-        PruneConfig(mode="fixed_k")  # k missing
+        PruneConfig()  # no budget
     with pytest.raises(PruneError):
-        PruneConfig(mode="fixed_k", k=0)
+        PruneConfig(k=0)
     with pytest.raises(PruneError):
-        PruneConfig(mode="ratio", target_ratio=0.0)
+        PruneConfig(target_ratio=0.0)
     with pytest.raises(PruneError):
-        PruneConfig(mode="ratio", target_ratio=1.0)
+        PruneConfig(target_ratio=1.0)
     with pytest.raises(PruneError):
-        PruneConfig(mode="percentile", k=3)
+        PruneConfig(k=3, target_ratio=0.5)  # both budgets
 
 
 def test_prune_config_budgets():
-    fixed = PruneConfig(mode="fixed_k", k=10)
+    fixed = PruneConfig(k=10)
     assert fixed.k_for(25) == 10
     assert fixed.k_for(4) == 4
-    ratio = PruneConfig(mode="ratio", target_ratio=0.5)
+    ratio = PruneConfig(target_ratio=0.5)
     assert ratio.k_for(5) == 3  # 2.5 rounds half up
     assert ratio.k_for(4) == 2
-    assert PruneConfig(mode="ratio", target_ratio=0.9).k_for(3) == 1
-    assert PruneConfig(mode="ratio", target_ratio=0.4).k_for(4) == 2
+    assert PruneConfig(target_ratio=0.9).k_for(3) == 1
+    assert PruneConfig(target_ratio=0.4).k_for(4) == 2
 
 
 def test_diversified_topk_prune_fixed_k(toy5_index):
@@ -283,7 +283,7 @@ def test_diversified_topk_prune_fixed_k(toy5_index):
         t: global_only_aspects(t, [p.doc_id for p in pl.postings])
         for t, pl in toy5_index.lists.items()
     }
-    pruned = diversified_topk_prune(toy5_index, aspect_sets, PruneConfig(mode="fixed_k", k=2))
+    pruned = diversified_topk_prune(toy5_index, aspect_sets, PruneConfig(k=2))
     for term, pl in pruned.lists.items():
         rel = relevance_scores(toy5_index, term)
         assert {p.doc_id for p in pl.postings} == set(rel.doc_ids[:2])
@@ -297,7 +297,7 @@ def test_diversified_topk_prune_ratio(toy5_index):
         t: global_only_aspects(t, [p.doc_id for p in pl.postings])
         for t, pl in toy5_index.lists.items()
     }
-    config = PruneConfig(mode="ratio", target_ratio=0.5)
+    config = PruneConfig(target_ratio=0.5)
     pruned = diversified_topk_prune(toy5_index, aspect_sets, config)
     for term, pl in pruned.lists.items():
         assert len(pl.postings) == config.k_for(toy5_index.stats.df[term])
@@ -306,7 +306,7 @@ def test_diversified_topk_prune_ratio(toy5_index):
 
 def test_diversified_topk_prune_requires_all_aspect_sets(toy5_index):
     with pytest.raises(PruneError):
-        diversified_topk_prune(toy5_index, {}, PruneConfig(mode="fixed_k", k=2))
+        diversified_topk_prune(toy5_index, {}, PruneConfig(k=2))
 
 
 # --- threshold baselines -----------------------------------------------------
@@ -407,7 +407,7 @@ def test_threshold_monotone_in_epsilon(rand_index):
     grids = {
         "tcp": [0.1, 0.3, 0.5, 0.7, 0.9, 1.0],
         "ipu": [0.0, 1e-5, 1e-4, 1e-3, 1e-2],
-        "n2p2": [0.0, 0.5, 1.0, 2.0, 5.0],
+        "2n2p": [0.0, 0.5, 1.0, 2.0, 5.0],
     }
     for method, grid in grids.items():
         previous = None

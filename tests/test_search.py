@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from oracles import bm25_score
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import QueryError
 from tempoprune.index import build_index
@@ -10,7 +11,6 @@ from tempoprune.prune import tcp_prune
 from tempoprune.search import (
     Query,
     RankedResult,
-    bm25_score,
     parse_time_spec,
     run_query,
     temporal_match,
