@@ -14,8 +14,9 @@ import csv
 from pathlib import Path
 
 from tempoprune.aspects import build_aspect_sets
-from tempoprune.evaluation import evaluate_queries, prune_index
+from tempoprune.evaluation import evaluate_queries
 from tempoprune.index import build_index, pruning_ratio
+from tempoprune.prune import prune_index
 from tempoprune.synth import two_burst_corpus, two_burst_queries
 
 

@@ -23,6 +23,7 @@ from .aspects import (
 from .corpus import Corpus, Document, parse_corpus, tokenize, write_corpus
 from .errors import (
     CorpusFormatError,
+    FitError,
     IndexConsistencyError,
     IndexFormatError,
     PruneError,
@@ -40,10 +41,8 @@ from .evaluation import (
     evaluate_queries,
     generate_temporal_queries,
     ndcg,
-    prune_index,
     sweep,
     time_filtered_qrels,
-    tune_epsilon,
 )
 from .gmm import GmmFit, fit_gmm, select_k_bic
 from .index import (
@@ -57,17 +56,17 @@ from .index import (
     write_index,
 )
 from .prune import (
+    METHODS,
     PruneConfig,
     RelevanceList,
-    criterion,
+    check_prune_args,
     diversified_topk_prune,
     diversify,
-    ipu_prune,
-    n2p2_prune,
     next_best,
+    prune_index,
     relevance_scores,
-    tcp_prune,
     threshold_prune,
+    tune_epsilon,
 )
 from .search import Query, RankedResult, parse_time_spec, run_query
 from .timewindows import TimeWindow, day_number, intersect

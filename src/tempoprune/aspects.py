@@ -20,6 +20,10 @@ from .index import InvertedIndex
 from .timewindows import TimeWindow, intersect, overlaps  # noqa: F401
 
 
+ASPECT_MODELS = ("simple", "sliding", "dynamic")
+DEFAULT_LAMBDA_W = 0.3  # weight of the smoothing global aspect
+
+
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -201,7 +205,7 @@ def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> Aspec
 def term_aspects(
     series: TermTimeSeries,
     model: str,
-    lambda_w: float = 0.3,
+    lambda_w: float = DEFAULT_LAMBDA_W,
     seed: int = 0,
     k_max: int = DEFAULT_K_MAX,
 ) -> AspectSet:
@@ -222,7 +226,7 @@ def term_aspects(
 def build_aspect_sets(
     index: InvertedIndex,
     model: str = "simple",
-    lambda_w: float = 0.3,
+    lambda_w: float = DEFAULT_LAMBDA_W,
     seed: int = 0,
     k_max: int = DEFAULT_K_MAX,
     presence_only: bool = False,
@@ -230,7 +234,7 @@ def build_aspect_sets(
     """Aspect sets for every indexed term.  Terms with no dated documents get
     a single global aspect so that pruning them degenerates to plain
     relevance ranking."""
-    if model not in ("simple", "sliding", "dynamic"):
+    if model not in ASPECT_MODELS:
         raise PruneError(f"unknown aspect model {model!r}")
     hull = index_time_hull(index)
     sets: dict[str, AspectSet] = {}

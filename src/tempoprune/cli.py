@@ -15,6 +15,8 @@ import sys
 
 from . import __version__
 from .aspects import (
+    ASPECT_MODELS,
+    DEFAULT_LAMBDA_W,
     build_aspect_sets,
     fd_window_size,
     index_time_hull,
@@ -24,22 +26,21 @@ from .aspects import (
 from .corpus import parse_corpus, tokenize
 from .errors import TempopruneError
 from .evaluation import (
-    METHODS,
+    DISCOUNTS,
+    INTERVAL_DAYS,
     all_relevant_qrels,
-    check_prune_args,
     evaluate_queries,
     evaluate_results,
     generate_temporal_queries,
-    prune_index,
     read_qrels,
     read_queries,
     read_run,
     read_topics,
     sweep,
-    tune_epsilon,  # noqa: F401
     write_qrels,
     write_queries,
 )
+from .gmm import DEFAULT_K_MAX
 from .index import (
     build_index,
     pruning_ratio,
@@ -48,9 +49,10 @@ from .index import (
     verify_index,
     write_index,
 )
-# Unused here, like `tune_epsilon`: bench/spans.py patches them as cli names.
-from .prune import diversified_topk_prune, threshold_prune  # noqa: F401
-from .search import Query, parse_time_spec, run_query, trec_run_lines
+from .prune import JM_LAMBDA, METHODS, TCP_K, check_prune_args, prune_index
+# Unused here: bench/spans.py patches them as cli names.
+from .prune import diversified_topk_prune, threshold_prune, tune_epsilon  # noqa: F401
+from .search import DEFAULT_DEPTH, Query, parse_time_spec, run_query, trec_run_lines
 from .timewindows import day_to_date
 
 log = logging.getLogger(__name__)
@@ -133,12 +135,11 @@ def _cmd_windows(args) -> int:
 def _cmd_prune(args) -> int:
     index = read_index(args.infile)
     level = {"ratio": args.ratio, "k": args.k, "epsilon": args.epsilon}
-    check_prune_args(args.method, **level)
+    model = check_prune_args(args.method, **level).aspect_model
     aspect_sets = None
-    if args.method.startswith("div-"):
+    if model is not None:
         aspect_sets = build_aspect_sets(
-            index, args.method.removeprefix("div-"), args.lambda_w, args.seed, args.k_max,
-            args.presence_only,
+            index, model, args.lambda_w, args.seed, args.k_max, args.presence_only
         )
     pruned, extra = prune_index(
         index, args.method, **level, aspect_sets=aspect_sets, zk=args.zk, lam=args.jm_lambda
@@ -235,8 +236,21 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+
+
+def _add_aspect_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lambda-w", type=float, default=DEFAULT_LAMBDA_W, dest="lambda_w")
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
+    p.add_argument("--presence-only", action="store_true")
+    _add_seed(p)
+
+
+def _add_method_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--zk", type=int, default=TCP_K, help="tcp cutoff depth")
+    p.add_argument("--jm-lambda", type=float, default=JM_LAMBDA, dest="jm_lambda")
+    _add_aspect_args(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,13 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("windows", help="dump a term's time series and aspects")
     p.add_argument("--index", required=True)
     p.add_argument("--term", required=True)
-    p.add_argument("--model", choices=("simple", "sliding", "dynamic"), default="simple")
-    p.add_argument("--lambda-w", type=float, default=0.3, dest="lambda_w")
-    p.add_argument("--k-max", type=int, default=10, dest="k_max")
-    p.add_argument("--presence-only", action="store_true")
+    p.add_argument("--model", choices=ASPECT_MODELS, default="simple")
     p.add_argument("--out", help="JSON output path (default: stdout)")
     p.add_argument("--hist-csv", help="optional plot-ready day histogram CSV")
-    _add_common(p)
+    _add_aspect_args(p)
     p.set_defaults(func=_cmd_windows)
 
     p = sub.add_parser("prune", help="statically prune an index")
@@ -278,14 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="fixed per-term depth (div-*)")
     p.add_argument("--ratio", type=float, help="target pruning ratio")
     p.add_argument("--epsilon", type=float, help="direct threshold (tcp/ipu/2n2p)")
-    p.add_argument("--zk", type=int, default=10, help="tcp cutoff depth")
-    p.add_argument("--lambda-w", type=float, default=0.3, dest="lambda_w")
-    p.add_argument("--jm-lambda", type=float, default=0.6, dest="jm_lambda")
-    p.add_argument("--k-max", type=int, default=10, dest="k_max")
-    p.add_argument("--presence-only", action="store_true")
     p.add_argument("--recompute-stats", action="store_true",
                    help="recompute doc lengths from the pruned lists (experiment)")
-    _add_common(p)
+    _add_method_args(p)
     p.set_defaults(func=_cmd_prune)
 
     p = sub.add_parser("query", help="run one query, TREC run output")
@@ -293,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="query text")
     p.add_argument("--time", help="window: 'b_lo,b_hi,e_lo,e_hi' or YYYY[-MM[-DD]]")
     p.add_argument("--kind", choices=("inclusive", "exclusive"))
-    p.add_argument("--depth", type=int, default=1000)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--qid", default="q1")
     p.add_argument("--tag", default="tempoprune")
     p.add_argument("--keep-stopwords", action="store_true")
@@ -303,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genqueries", help="generate exclusive temporal queries")
     p.add_argument("--index", required=True)
     p.add_argument("--topics", required=True, help="JSONL: qid, title, description")
-    p.add_argument("--interval", choices=("daily", "weekly", "monthly"), default="weekly")
+    p.add_argument("--interval", choices=INTERVAL_DAYS, default="weekly")
     p.add_argument("--n", type=int, default=100, help="kept draws target")
     p.add_argument("--span", help="day range lo,hi (default: index hull)")
     p.add_argument("--out", required=True)
     p.add_argument("--qrels-out", dest="qrels_out",
                    help="also write all-relevant judgments")
     p.add_argument("--keep-stopwords", action="store_true")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=_cmd_genqueries)
 
     p = sub.add_parser("eval", help="MAP/NDCG for queries or a run file")
@@ -318,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries")
     p.add_argument("--run", help="evaluate an existing TREC run file instead")
     p.add_argument("--qrels", required=True)
-    p.add_argument("--depth", type=int, default=1000)
-    p.add_argument("--discount", choices=("ln", "log2"), default="ln")
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--discount", choices=DISCOUNTS, default="ln")
     p.add_argument("--out", help="optional JSON output")
     p.set_defaults(func=_cmd_eval)
 
@@ -330,14 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", required=True, help=f"comma list from {','.join(METHODS)}")
     p.add_argument("--ratios", required=True, help="comma list of target ratios")
     p.add_argument("--out", required=True)
-    p.add_argument("--depth", type=int, default=1000)
-    p.add_argument("--discount", choices=("ln", "log2"), default="ln")
-    p.add_argument("--zk", type=int, default=10)
-    p.add_argument("--lambda-w", type=float, default=0.3, dest="lambda_w")
-    p.add_argument("--jm-lambda", type=float, default=0.6, dest="jm_lambda")
-    p.add_argument("--k-max", type=int, default=10, dest="k_max")
-    p.add_argument("--presence-only", action="store_true")
-    _add_common(p)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--discount", choices=DISCOUNTS, default="ln")
+    _add_method_args(p)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -29,5 +29,9 @@ class SelectionExhausted(PruneError):
     """next_best called with every posting already selected."""
 
 
+class FitError(TempopruneError):
+    """A mixture fit broke an EM invariant: the log-likelihood decreased."""
+
+
 class QueryError(TempopruneError):
     """Malformed query (no terms, missing time constraint, bad time spec)."""

@@ -5,10 +5,9 @@ same 1/ln(1+j) discount the pruning criterion uses, switchable to log2.
 Queries with no relevant document are excluded from both means and from
 the reported query count.
 
-Threshold pruners are parameterized by epsilon while sweep figures are
-plotted by pruning ratio; `tune_epsilon` bisects the per-posting statistic
-arrays to land within a point of the target.  `prune_index` is the one
-place that turns a method name and a pruning level into a pruned index.
+A sweep prunes through `prune.prune_index` at each target ratio and
+measures the result; which methods exist and what levels they take is
+`prune.METHODS`'s business.
 """
 from __future__ import annotations
 
@@ -16,39 +15,24 @@ import json
 import logging
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .aspects import build_aspect_sets
+from .aspects import DEFAULT_LAMBDA_W, build_aspect_sets
 from .corpus import Corpus, tokenize
-from .errors import PruneError, QueryError
+from .errors import QueryError
+from .gmm import DEFAULT_K_MAX
 from .index import InvertedIndex, pruning_ratio
-from .prune import (
-    JM_LAMBDA,
-    TCP_K,
-    PruneConfig,
-    discount,
-    diversified_topk_prune,
-    threshold_prune,
-    threshold_values,
-)
+from .prune import JM_LAMBDA, METHODS, TCP_K, discount, prune_index
+# Unused here: bench/spans.py patches it as an evaluation name.
+from .prune import threshold_values  # noqa: F401
 from .search import DEFAULT_DEPTH, Query, RankedResult, run_query, temporal_match
 from .timewindows import TimeWindow, any_intersect
 
 log = logging.getLogger(__name__)
 
-METHODS = ("tcp", "ipu", "2n2p", "div-simple", "div-sliding", "div-dynamic")
 INTERVAL_DAYS = {"daily": 1, "weekly": 7, "monthly": 30}
 ATTEMPTS_PER_TOPIC = 100
-RATIO_TOLERANCE = 0.01
-
-
-def _discount_fn(name: str):
-    if name == "ln":
-        return discount
-    if name == "log2":
-        return lambda j: 1.0 / math.log2(1.0 + j)
-    raise ValueError(f"unknown discount {name!r}")
+DISCOUNTS = {"ln": discount, "log2": lambda j: 1.0 / math.log2(1.0 + j)}
 
 
 class Qrels:
@@ -128,7 +112,9 @@ def ndcg(
 ) -> float:
     """Graded NDCG at `depth`; 0 when the ideal DCG is 0."""
     qid = result.qid if qid is None else qid
-    c = _discount_fn(discount)
+    if discount not in DISCOUNTS:
+        raise ValueError(f"unknown discount {discount!r}")
+    c = DISCOUNTS[discount]
     dcg = 0.0
     for rank, (doc, _) in enumerate(result.hits[:depth], start=1):
         g = qrels.grade(qid, doc)
@@ -356,109 +342,7 @@ def read_run(path) -> list[RankedResult]:
     return results
 
 
-# --- epsilon tuning and sweeps ---------------------------------------------
-
-@dataclass
-class TuneResult:
-    epsilon: float
-    achieved: float
-    flagged: bool
-
-
-def tune_epsilon(
-    index: InvertedIndex,
-    method: str,
-    target_ratio: float,
-    zk: int = TCP_K,
-    lam: float = JM_LAMBDA,
-    iters: int = 30,
-) -> TuneResult:
-    """Bisect epsilon so the pruned-posting fraction lands within a point of
-    the target; best probe wins when the exact target is unreachable
-    (values tie in bulk, or the method's range is capped)."""
-    values = threshold_values(index, method, zk, lam)
-    flat = sorted(v for vals in values.values() for v in vals)
-    total = len(flat)
-    finite = [v for v in flat if v != math.inf]
-    if total == 0 or not finite:
-        return TuneResult(0.0, 0.0, abs(target_ratio) > RATIO_TOLERANCE)
-
-    def achieved(eps: float) -> float:
-        return bisect_left(flat, eps) / total
-
-    lo = 0.0
-    hi = 1.0 if method == "tcp" else finite[-1] + 1.0
-    best = TuneResult(lo, achieved(lo), False)
-    for eps in (lo, hi):
-        r = achieved(eps)
-        if abs(r - target_ratio) < abs(best.achieved - target_ratio):
-            best = TuneResult(eps, r, False)
-    for _ in range(iters):
-        mid = (lo + hi) / 2.0
-        r = achieved(mid)
-        if abs(r - target_ratio) < abs(best.achieved - target_ratio):
-            best = TuneResult(mid, r, False)
-        if r < target_ratio:
-            lo = mid
-        else:
-            hi = mid
-    best.flagged = abs(best.achieved - target_ratio) > RATIO_TOLERANCE
-    if best.flagged:
-        log.warning(
-            "%s: target ratio %.3f unreachable, best achieved %.3f at eps=%.6g",
-            method, target_ratio, best.achieved, best.epsilon,
-        )
-    return best
-
-
-def check_prune_args(
-    method: str, *, ratio: float | None = None, k: int | None = None, epsilon: float | None = None
-) -> None:
-    """Raise PruneError unless `method` is known and gets the pruning level
-    it needs: `epsilon` or `ratio` for tcp/ipu/2n2p (`epsilon` wins when
-    both are given), exactly one of `k` / `ratio` for div-*."""
-    if method not in METHODS:
-        raise PruneError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not method.startswith("div-"):
-        if epsilon is None and ratio is None:
-            raise PruneError(f"{method} needs --epsilon or --ratio")
-    elif (k is None) == (ratio is None):
-        raise PruneError(f"{method} needs exactly one of --k / --ratio")
-
-
-def prune_index(
-    index: InvertedIndex,
-    method: str,
-    *,
-    ratio: float | None = None,
-    k: int | None = None,
-    epsilon: float | None = None,
-    aspect_sets: dict | None = None,
-    zk: int = TCP_K,
-    lam: float = JM_LAMBDA,
-) -> tuple[InvertedIndex, dict]:
-    """Prune `index` with one of METHODS at the level `check_prune_args`
-    accepts.  div-* methods need the `aspect_sets` of their aspect model;
-    threshold methods ignore them.
-
-    The returned dict is empty for div-*.  For threshold methods it holds
-    the `epsilon` applied and, when epsilon was tuned to `ratio`, a `tuned`
-    record of the target, the epsilon and the unreachable-target flag.
-    """
-    check_prune_args(method, ratio=ratio, k=k, epsilon=epsilon)
-    if method.startswith("div-"):
-        if aspect_sets is None:
-            raise PruneError(f"{method} needs aspect sets")
-        config = PruneConfig(k=k, target_ratio=ratio, lam=lam)
-        return diversified_topk_prune(index, aspect_sets, config), {}
-    info: dict = {}
-    if epsilon is None:
-        tuned = tune_epsilon(index, method, ratio, zk, lam)
-        epsilon = tuned.epsilon
-        info["tuned"] = {"target_ratio": ratio, "epsilon": epsilon, "flagged": tuned.flagged}
-    info["epsilon"] = epsilon
-    return threshold_prune(index, method, epsilon, zk, lam), info
-
+# --- sweeps ----------------------------------------------------------------
 
 @dataclass
 class SweepRow:
@@ -509,13 +393,13 @@ def sweep(
     qrels: Qrels,
     methods: list[str],
     ratios: list[float],
-    lambda_w: float = 0.3,
+    lambda_w: float = DEFAULT_LAMBDA_W,
     lam: float = JM_LAMBDA,
     zk: int = TCP_K,
     seed: int = 0,
     depth: int = DEFAULT_DEPTH,
     discount: str = "ln",
-    k_max: int = 10,
+    k_max: int = DEFAULT_K_MAX,
     presence_only: bool = False,
 ) -> EvalReport:
     """MAP/NDCG as a function of pruning level, one row per method x ratio.
@@ -525,10 +409,11 @@ def sweep(
     """
     for m in methods:
         if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+            raise ValueError(f"unknown method {m!r}; expected one of {tuple(METHODS)}")
     baseline: tuple[float, float, int] | None = None
     report = EvalReport()
     for method in sorted(set(methods)):
+        model = METHODS[method].aspect_model
         aspect_sets = None
         for ratio in sorted(set(ratios)):
             if not 0.0 <= ratio < 1.0:
@@ -539,10 +424,8 @@ def sweep(
                 map_, ndcg_, n = baseline
                 report.rows.append(SweepRow(method, ratio, map_, ndcg_, n))
                 continue
-            if aspect_sets is None and method.startswith("div-"):
-                aspect_sets = build_aspect_sets(
-                    index, method.removeprefix("div-"), lambda_w, seed, k_max, presence_only
-                )
+            if aspect_sets is None and model is not None:
+                aspect_sets = build_aspect_sets(index, model, lambda_w, seed, k_max, presence_only)
             pruned, info = prune_index(
                 index, method, ratio=ratio, aspect_sets=aspect_sets, zk=zk, lam=lam
             )

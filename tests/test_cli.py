@@ -314,6 +314,33 @@ def test_prune_flag_conflict_fails_before_aspect_build(cli_dir, tmp_path, capsys
     assert "exactly one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        (["--method", "ipu", "--epsilon", "0.001", "--ratio", "0.2"], "exactly one of"),
+        (["--method", "tcp", "--ratio", "0.5", "--k", "3"], "exactly one of"),
+        (["--method", "div-simple", "--ratio", "0.5", "--epsilon", "0.2"], "exactly one of"),
+        (["--method", "tcp", "--ratio", "1.5"], "ratio must be in (0, 1)"),
+        (["--method", "tcp", "--ratio", "-0.3"], "ratio must be in (0, 1)"),
+        (["--method", "tcp", "--epsilon", "1.5"], "tcp epsilon must be <= 1"),
+        (["--method", "div-sliding", "--k", "0"], "k must be >= 1"),
+    ],
+)
+def test_prune_rejects_a_level_the_method_does_not_take(
+    cli_dir, tmp_path, capsys, monkeypatch, level, message
+):
+    from tempoprune import cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("aspect sets built for a rejected request")
+
+    monkeypatch.setattr(cli, "build_aspect_sets", no_build)
+    out = tmp_path / "x.bin"
+    assert main(["prune", "--in", str(cli_dir / "idx.bin"), "--out", str(out), *level]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_usage_exits_two(cli_dir, capsys):
     for argv in (
         [],
@@ -327,3 +354,4 @@ def test_bad_usage_exits_two(cli_dir, capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+

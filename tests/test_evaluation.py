@@ -16,19 +16,24 @@ from tempoprune.evaluation import (
     evaluate_results,
     generate_temporal_queries,
     ndcg,
-    prune_index,
     read_qrels,
     read_queries,
     read_run,
     read_topics,
     sweep,
     time_filtered_qrels,
-    tune_epsilon,
     write_qrels,
     write_queries,
 )
 from tempoprune.index import build_index, pruning_ratio
-from tempoprune.prune import PruneConfig, diversified_topk_prune, threshold_prune, threshold_values
+from tempoprune.prune import (
+    PruneConfig,
+    diversified_topk_prune,
+    prune_index,
+    threshold_prune,
+    threshold_values,
+    tune_epsilon,
+)
 from tempoprune.search import Query, RankedResult, run_query, temporal_match, trec_run_lines
 from tempoprune.synth import random_corpus
 from tempoprune.timewindows import TimeWindow, parse_day
@@ -387,7 +392,9 @@ def test_prune_index_matches_the_pruner_it_dispatches_to(sweep_setup):
         "tuned": {"target_ratio": 0.4, "epsilon": tuned.epsilon, "flagged": tuned.flagged},
     }
     assert _postings(pruned) == _postings(threshold_prune(index, "2n2p", tuned.epsilon))
-    pruned, info = prune_index(index, "ipu", epsilon=1e-3, ratio=0.9)  # epsilon wins
+    with pytest.raises(PruneError, match="exactly one of"):
+        prune_index(index, "ipu", epsilon=1e-3, ratio=0.9)
+    pruned, info = prune_index(index, "ipu", epsilon=1e-3)
     assert info == {"epsilon": 1e-3}
     assert _postings(pruned) == _postings(threshold_prune(index, "ipu", 1e-3))
     aspect_sets = build_aspect_sets(index, "sliding")
@@ -406,6 +413,14 @@ def test_prune_index_matches_the_pruner_it_dispatches_to(sweep_setup):
         ("div-simple", {"k": 2, "ratio": 0.5}, "exactly one of"),
         ("div-simple", {}, "exactly one of"),
         ("div-simple", {"k": 2}, "needs aspect sets"),
+        ("ipu", {"epsilon": 0.001, "ratio": 0.2}, "exactly one of"),
+        ("tcp", {"ratio": 0.5, "k": 3}, "exactly one of"),
+        ("div-simple", {"ratio": 0.5, "epsilon": 0.2}, "exactly one of"),
+        ("tcp", {"ratio": 1.5}, r"ratio must be in \(0, 1\)"),
+        ("tcp", {"ratio": -0.3}, r"ratio must be in \(0, 1\)"),
+        ("tcp", {"epsilon": 1.5}, "tcp epsilon must be <= 1"),
+        ("2n2p", {"epsilon": -0.5}, "epsilon must be >= 0"),
+        ("div-dynamic", {"k": 0}, "k must be >= 1"),
     ],
 )
 def test_prune_index_rejects_bad_requests(sweep_setup, method, level, message):

@@ -125,3 +125,8 @@ def test_k_max_validation():
     series = TermTimeSeries(term="t", counts={5: 1})
     with pytest.raises(ValueError):
         select_k_bic(series, k_max=0, seed=0)
+
+
+def test_select_k_bic_rejects_empty_series():
+    with pytest.raises(ValueError, match="'quiet' is empty"):
+        select_k_bic(TermTimeSeries(term="quiet", counts={}), k_max=3, seed=0)

@@ -22,21 +22,19 @@ from tempoprune.prune import (
     PruneConfig,
     RelevanceList,
     SelectionState,
-    criterion,
     discount,
     diversified_topk_prune,
     diversify,
-    ipu_prune,
     ipu_values,
-    n2p2_prune,
     n2p2_values,
     next_best,
+    prune_index,
     relevance_scores,
     tcp_cutoff,
     tcp_posting_scores,
-    tcp_prune,
     threshold_prune,
     threshold_values,
+    tune_epsilon,
 )
 from tempoprune.synth import random_corpus
 from tempoprune.timewindows import TimeWindow
@@ -101,24 +99,12 @@ def test_criterion_single_doc_single_aspect():
         aspects=[Aspect(window=TimeWindow.certain(0, 9), weight=1.0)],
         doc_map={"d1": (0,)},
     )
-    assert criterion({"d1"}, rel, aset) == pytest.approx(0.5 / math.log(2.0))
+    assert oracle_criterion({"d1"}, rel, aset) == pytest.approx(0.5 / math.log(2.0))
 
 
 def test_criterion_empty_selection_is_zero():
     rel, aset = make_instance(0)
-    assert criterion(set(), rel, aset) == 0.0
-
-
-def test_criterion_matches_oracle():
-    import random
-
-    for seed in range(40):
-        rel, aset = make_instance(seed)
-        rng = random.Random(seed + 1000)
-        selected = {d for d in rel.doc_ids if rng.random() < 0.5}
-        got = criterion(selected, rel, aset)
-        want = oracle_criterion(selected, rel, aset)
-        assert got == pytest.approx(want, abs=1e-12)
+    assert oracle_criterion(set(), rel, aset) == 0.0
 
 
 def test_next_best_matches_oracle():
@@ -126,7 +112,7 @@ def test_next_best_matches_oracle():
         rel, aset = make_instance(seed)
         state = SelectionState(n_aspects=len(aset.aspects))
         selected: set[str] = set()
-        pos = rel.position_of()
+        pos = {d: i for i, d in enumerate(rel.doc_ids)}
         for _ in range(len(rel)):
             want_doc, want_gain = oracle_next_best(rel, selected, aset)
             got_doc, got_gain = next_best(rel, state, aset)
@@ -158,7 +144,7 @@ def test_diversify_gains_telescope_and_diminish():
     for seed in range(25):
         rel, aset = make_instance(seed)
         result = diversify(rel, aset, len(rel))
-        assert result.value == pytest.approx(criterion(result.order, rel, aset), abs=1e-9)
+        assert result.value == pytest.approx(oracle_criterion(result.order, rel, aset), abs=1e-9)
         for a, b in zip(result.gains, result.gains[1:]):
             assert b <= a + 1e-12
         assert sorted(result.order) == sorted(rel.doc_ids)
@@ -356,7 +342,7 @@ def test_n2p2_matches_oracle_csv(toy5_index, baseline_oracle):
 def test_n2p2_degenerate_error_kept():
     idx = build_index(Corpus(documents=[Document("d1", ["t", "t"])]))
     assert n2p2_values(idx, "t") == [math.inf]
-    pruned = n2p2_prune(idx, epsilon=99.0)
+    pruned = threshold_prune(idx, "2n2p", 99.0)
     assert [p.doc_id for p in pruned.lists["t"].postings] == ["d1"]
 
 
@@ -368,11 +354,11 @@ def _retained(index, term):
 
 def test_baseline_retained_sets_match_oracle(toy5_index, baseline_oracle):
     cases = [
-        (tcp_prune(toy5_index, k=10, epsilon=0.8), "tcp_keep_k10_eps08"),
+        (threshold_prune(toy5_index, "tcp", 0.8, zk=10), "tcp_keep_k10_eps08"),
         (threshold_prune(toy5_index, "tcp", 0.8, zk=2), "tcp_keep_k2_eps08"),
-        (ipu_prune(toy5_index, 0.36), "ipu_keep_eps036"),
-        (n2p2_prune(toy5_index, 0.5), "n2p2_keep_eps05"),
-        (n2p2_prune(toy5_index, 1.0), "n2p2_keep_eps10"),
+        (threshold_prune(toy5_index, "ipu", 0.36), "ipu_keep_eps036"),
+        (threshold_prune(toy5_index, "2n2p", 0.5), "n2p2_keep_eps05"),
+        (threshold_prune(toy5_index, "2n2p", 1.0), "n2p2_keep_eps10"),
     ]
     for pruned, column in cases:
         for term in toy5_index.terms():
@@ -399,7 +385,7 @@ def test_tcp_all_kept_when_cutoff_nonpositive():
     idx = build_index(Corpus(documents=[Document("d1", ["t", "u"])]))
     values = threshold_values(idx, "tcp")
     assert values["t"] == [math.inf]
-    pruned = tcp_prune(idx, epsilon=1.0)
+    pruned = threshold_prune(idx, "tcp", 1.0)
     assert _retained(pruned, "t") == {"d1"}
 
 
@@ -422,12 +408,42 @@ def test_threshold_monotone_in_epsilon(rand_index):
             previous = retained
 
 
+@pytest.mark.parametrize("method", ["tcp", "ipu", "2n2p"])
+@pytest.mark.parametrize("corpus", ["two-burst", "random"])
+def test_ratio_prune_computes_threshold_values_once(
+    burst_setup, rand_index, monkeypatch, method, corpus
+):
+    from tempoprune import prune
+
+    index = burst_setup[2] if corpus == "two-burst" else rand_index
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return threshold_values(*args, **kwargs)
+
+    for ratio in (0.3, 0.5, 0.7):
+        want = threshold_prune(index, method, tune_epsilon(index, method, ratio).epsilon)
+        with monkeypatch.context() as m:
+            m.setattr(prune, "threshold_values", counted)
+            pruned, info = prune_index(index, method, ratio=ratio)
+        assert calls == [method]
+        calls.clear()
+        assert _postings(pruned) == _postings(want)
+        assert info["epsilon"] == info["tuned"]["epsilon"]
+
+
+def _postings(index):
+    return {(t, p.doc_id) for t, pl in index.lists.items() for p in pl.postings}
+
+
 def test_threshold_prune_validation(toy5_index):
     with pytest.raises(PruneError):
         threshold_prune(toy5_index, "unknown", 0.5)
-    with pytest.raises(PruneError):
-        tcp_prune(toy5_index, epsilon=0.0)
-    with pytest.raises(PruneError):
-        tcp_prune(toy5_index, epsilon=1.5)
-    with pytest.raises(PruneError):
-        ipu_prune(toy5_index, epsilon=-0.1)
+    for method in ("tcp", "ipu", "2n2p"):
+        with pytest.raises(PruneError, match="epsilon must be >= 0"):
+            threshold_prune(toy5_index, method, -0.1)
+    with pytest.raises(PruneError, match="tcp epsilon must be <= 1"):
+        threshold_prune(toy5_index, "tcp", 1.5)
+    # epsilon 0 prunes nothing; tune_epsilon may return it for tcp
+    assert pruning_ratio(toy5_index, threshold_prune(toy5_index, "tcp", 0.0)) == 0.0

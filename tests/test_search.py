@@ -7,7 +7,7 @@ from oracles import bm25_score
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import QueryError
 from tempoprune.index import build_index
-from tempoprune.prune import tcp_prune
+from tempoprune.prune import threshold_prune
 from tempoprune.search import (
     Query,
     RankedResult,
@@ -140,7 +140,7 @@ def test_exclusive_subset_of_inclusive(rand_index):
 
 
 def test_pruned_hits_retrievable_from_original(rand_index):
-    pruned = tcp_prune(rand_index, k=10, epsilon=0.8)
+    pruned = threshold_prune(rand_index, "tcp", 0.8, zk=10)
     for terms in (["disaster"], ["w003", "w007"], ["disaster", "w010"]):
         q = Query(qid="q", terms=terms)
         pruned_ids = set(run_query(pruned, q).doc_ids())
