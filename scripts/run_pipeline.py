@@ -12,6 +12,7 @@ from pathlib import Path
 
 from tempoprune.cli import main as cli
 from tempoprune.corpus import write_corpus
+from tempoprune.evaluation import INTERVAL_DAYS
 from tempoprune.synth import random_corpus
 
 
@@ -29,7 +30,7 @@ def main() -> None:
     ap.add_argument("--vocab", type=int, default=60)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--n-queries", type=int, default=40)
-    ap.add_argument("--interval", default="weekly", choices=("daily", "weekly", "monthly"))
+    ap.add_argument("--interval", default="weekly", choices=INTERVAL_DAYS)
     ap.add_argument("--methods", default="tcp,ipu,2n2p,div-simple,div-sliding")
     ap.add_argument("--ratios", default="0.0,0.3,0.5,0.7")
     args = ap.parse_args()

@@ -45,7 +45,6 @@ from .index import (
     build_index,
     pruning_ratio,
     read_index,
-    recompute_lengths,
     verify_index,
     write_index,
 )
@@ -145,9 +144,6 @@ def _cmd_prune(args) -> int:
         index, args.method, **level, aspect_sets=aspect_sets, zk=args.zk, lam=args.jm_lambda
     )
     extra["method"] = args.method
-    if args.recompute_stats:
-        pruned = recompute_lengths(pruned)
-        extra["recomputed_stats"] = True
     achieved = pruning_ratio(index, pruned)
     write_index(pruned, args.out)
     _write_manifest(args.out, "prune", args, achieved_ratio=achieved, **extra)
@@ -289,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="fixed per-term depth (div-*)")
     p.add_argument("--ratio", type=float, help="target pruning ratio")
     p.add_argument("--epsilon", type=float, help="direct threshold (tcp/ipu/2n2p)")
-    p.add_argument("--recompute-stats", action="store_true",
-                   help="recompute doc lengths from the pruned lists (experiment)")
     _add_method_args(p)
     p.set_defaults(func=_cmd_prune)
 
@@ -345,17 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.subcommand == "eval" and not (args.run or (args.index and args.queries)):
+        parser.error("eval needs --run, or both --index and --queries")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
         return args.func(args)
-    except TempopruneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (TempopruneError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -285,41 +285,62 @@ def write_queries(queries: list[Query], path) -> None:
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def read_queries(path) -> list[Query]:
-    queries = []
+def _jsonl_objects(path):
+    """("path:line", record) for each non-blank line; QueryError on a line
+    that is not a JSON object."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            windows = frozenset(TimeWindow(*w) for w in record.get("windows", []))
-            queries.append(
-                Query(
-                    qid=record["qid"],
-                    terms=list(record["terms"]),
-                    time_constraint=windows or None,
-                    kind=record.get("kind", "inclusive"),
-                )
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise QueryError(f"{where}: not JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise QueryError(f"{where}: expected a JSON object, got {line:.60}")
+            yield where, record
+
+
+def _is_day_quadruple(w) -> bool:
+    return isinstance(w, list) and len(w) == 4 and all(type(d) is int for d in w)
+
+
+def read_queries(path) -> list[Query]:
+    """Queries JSONL: string `qid`, `terms` a list of strings, optional
+    `kind` and `windows` (four integer days each).  A record of another
+    shape raises QueryError naming path:line."""
+    queries = []
+    for where, record in _jsonl_objects(path):
+        qid, terms, windows = record.get("qid"), record.get("terms"), record.get("windows", [])
+        if not isinstance(qid, str):
+            raise QueryError(f"{where}: qid must be a string, got {qid!r:.60}")
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise QueryError(f"{where}: terms must be a list of strings, got {terms!r:.60}")
+        if not isinstance(windows, list) or not all(_is_day_quadruple(w) for w in windows):
+            raise QueryError(
+                f"{where}: windows must be lists of four integer days, got {windows!r:.60}"
             )
+        try:
+            constraint = frozenset(TimeWindow(*w) for w in windows) or None
+            queries.append(Query(qid, terms, constraint, record.get("kind", "inclusive")))
+        except (QueryError, ValueError) as exc:
+            raise QueryError(f"{where}: {exc}") from exc
     return queries
 
 
 def read_topics(path) -> list[Topic]:
+    """Topics JSONL: `qid`, string `title`, optional string `description`.
+    A record of another shape raises QueryError naming path:line."""
     topics = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            topics.append(
-                Topic(
-                    qid=str(record["qid"]),
-                    title=record["title"],
-                    description=record.get("description", ""),
-                )
-            )
+    for where, record in _jsonl_objects(path):
+        title, description = record.get("title"), record.get("description", "")
+        if "qid" not in record:
+            raise QueryError(f"{where}: missing qid")
+        if not isinstance(title, str) or not isinstance(description, str):
+            raise QueryError(f"{where}: title and description must be strings")
+        topics.append(Topic(qid=str(record["qid"]), title=title, description=description))
     return topics
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus
@@ -323,21 +323,3 @@ def subset_index(index: InvertedIndex, keep: dict[str, set[str] | None]) -> Inve
         if retained:
             lists[term] = PostingList(term, retained)
     return InvertedIndex(lists=lists, stats=index.stats, doc_times=index.doc_times, pruned=True)
-
-
-def recompute_lengths(index: InvertedIndex) -> InvertedIndex:
-    """Optional experiment mode: doc lengths / avgdl recounted from current lists."""
-    doc_len = {d: 0 for d in index.stats.doc_len}
-    for pl in index.lists.values():
-        for p in pl.postings:
-            doc_len[p.doc_id] += p.tf
-    total = sum(doc_len.values())
-    stats = CollectionStats(
-        n_docs=index.stats.n_docs,
-        doc_len=doc_len,
-        total_len=total,
-        avgdl=total / index.stats.n_docs,
-        df=dict(index.stats.df),
-        ctf=dict(index.stats.ctf),
-    )
-    return replace(index, stats=stats)

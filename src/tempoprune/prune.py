@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from .aspects import AspectSet, round_half_up
@@ -73,23 +73,24 @@ class RelevanceList:
         return len(self.doc_ids)
 
 
-def relevance_scores(index: InvertedIndex, term: str, lam: float = JM_LAMBDA) -> RelevanceList:
-    """P(d|t) = (1-lam) * tf/|d| + lam * ctf/|C| (Jelinek-Mercer)."""
+def _jm_scores(index: InvertedIndex, term: str, lam: float) -> list[float]:
+    """P(d|t) = (1-lam) * tf/|d| + lam * ctf/|C| (Jelinek-Mercer), posting order."""
     if term not in index.lists:
         raise TermNotFoundError(term)
     stats = index.stats
-    ctf = stats.ctf[term]
-    background = lam * ctf / stats.total_len
-    entries = []
-    for p in index.lists[term].postings:
-        dlen = stats.doc_len[p.doc_id]
-        entries.append(((1.0 - lam) * p.tf / dlen + background, p.doc_id))
-    entries.sort(key=lambda e: (-e[0], e[1]))
-    return RelevanceList(
-        term=term,
-        doc_ids=[d for _, d in entries],
-        scores=[s for s, _ in entries],
-    )
+    background = lam * stats.ctf[term] / stats.total_len
+    return [
+        (1.0 - lam) * p.tf / stats.doc_len[p.doc_id] + background
+        for p in index.lists[term].postings
+    ]
+
+
+def relevance_scores(index: InvertedIndex, term: str, lam: float = JM_LAMBDA) -> RelevanceList:
+    """Jelinek-Mercer scores of the term's postings, best first, doc_id tiebreak."""
+    scores = _jm_scores(index, term, lam)
+    doc_ids = (p.doc_id for p in index.lists[term].postings)
+    entries = sorted(zip(scores, doc_ids), key=lambda e: (-e[0], e[1]))
+    return RelevanceList(term, [d for _, d in entries], [s for s, _ in entries])
 
 
 @dataclass
@@ -251,16 +252,9 @@ def ipu_values(index: InvertedIndex, term: str, lam: float = JM_LAMBDA) -> list[
 
     Aligned with posting order.
     """
-    if term not in index.lists:
-        raise TermNotFoundError(term)
-    rel = relevance_scores(index, term, lam)
-    by_doc = dict(zip(rel.doc_ids, rel.scores))
-    total = math.fsum(rel.scores)
-    out = []
-    for p in index.lists[term].postings:
-        q = by_doc[p.doc_id] / total
-        out.append(-q * math.log(q))
-    return out
+    scores = _jm_scores(index, term, lam)
+    total = math.fsum(scores)
+    return [-q * math.log(q) for q in (s / total for s in scores)]
 
 
 def n2p2_values(index: InvertedIndex, term: str) -> list[float]:
@@ -344,48 +338,41 @@ class TuneResult:
 
 
 def tune_epsilon(
-    index: InvertedIndex,
-    method: str,
-    target_ratio: float,
-    zk: int = TCP_K,
-    lam: float = JM_LAMBDA,
-    iters: int = 30,
+    index: InvertedIndex, method: str, target_ratio: float, zk: int = TCP_K, lam: float = JM_LAMBDA
 ) -> TuneResult:
-    """Bisect epsilon so the pruned-posting fraction lands within a point of
-    the target; best probe wins when the exact target is unreachable
-    (values tie in bulk, or the method's range is capped)."""
-    return _tune(threshold_values(index, method, zk, lam), method, target_ratio, iters)
+    """The epsilon whose pruned-posting fraction is closest to the target.
+
+    Exact: an epsilon prunes the postings whose statistic lies below it,
+    so the choice is over the counts that epsilons in [0, upper] can prune,
+    upper being tcp's cap of 1 or one past the largest finite statistic.
+    A tie goes to the smaller count.  The epsilon returned is the smallest
+    one pruning the chosen count: 0, the statistic of the lowest-valued
+    kept posting, or the upper bound.  `flagged` marks a best count still
+    more than RATIO_TOLERANCE from the target (values tie in bulk, or the
+    method's range is capped).
+    """
+    return _tune(threshold_values(index, method, zk, lam), method, target_ratio)
 
 
-def _tune(
-    values: dict[str, list[float]], method: str, target_ratio: float, iters: int = 30
-) -> TuneResult:
+def _tune(values: dict[str, list[float]], method: str, target_ratio: float) -> TuneResult:
     flat = sorted(v for vals in values.values() for v in vals)
     total = len(flat)
-    finite = [v for v in flat if v != math.inf]
-    if total == 0 or not finite:
+    if total == 0 or flat[0] == math.inf:
         return TuneResult(0.0, 0.0, abs(target_ratio) > RATIO_TOLERANCE)
-
-    def achieved(eps: float) -> float:
-        return bisect_left(flat, eps) / total
-
     lo = 0.0
     cap = METHODS[method].epsilon_cap
-    hi = cap if cap is not None else finite[-1] + 1.0
-    best = TuneResult(lo, achieved(lo), False)
-    for eps in (lo, hi):
-        r = achieved(eps)
+    hi = cap if cap is not None else flat[bisect_left(flat, math.inf) - 1] + 1.0
+    # flat[i] prunes at most target * total postings and the next larger
+    # statistic (or hi) more, so one of the two, clamped to [lo, hi], is
+    # the best epsilon unless lo prunes as many.
+    i = min(int(min(max(target_ratio, 0.0), 1.0) * total), total - 1)
+    above = bisect_right(flat, flat[i])
+    bracket = (flat[i], flat[above] if above < total else hi)
+    best = TuneResult(lo, bisect_left(flat, lo) / total, False)
+    for eps in sorted({min(max(e, lo), hi) for e in bracket}):
+        r = bisect_left(flat, eps) / total
         if abs(r - target_ratio) < abs(best.achieved - target_ratio):
             best = TuneResult(eps, r, False)
-    for _ in range(iters):
-        mid = (lo + hi) / 2.0
-        r = achieved(mid)
-        if abs(r - target_ratio) < abs(best.achieved - target_ratio):
-            best = TuneResult(mid, r, False)
-        if r < target_ratio:
-            lo = mid
-        else:
-            hi = mid
     best.flagged = abs(best.achieved - target_ratio) > RATIO_TOLERANCE
     if best.flagged:
         log.warning(

@@ -229,3 +229,55 @@ def bm25_score(index, terms, doc_id: str, k1: float = 2.0, b: float = 0.75) -> f
         idf = math.log((n_docs - df + 0.5) / (df + 0.5))
         score += terms.count(term) * idf * tf * (k1 + 1.0) / (tf + k1 * norm)
     return score
+
+
+def oracle_tune(values: dict, method: str, target: float) -> tuple[float, float]:
+    """(epsilon, achieved ratio) closest to `target`, by trying every
+    candidate epsilon: 0, the upper bound (1 for tcp, else one past the
+    largest finite statistic, and at least 0) and every distinct finite
+    statistic between them.  An epsilon prunes the statistics below it; a
+    tie keeps the smaller epsilon.  No finite statistic: (0, 0)."""
+    flat = [v for vals in values.values() for v in vals]
+    finite = [v for v in flat if v != math.inf]
+    if not finite:
+        return 0.0, 0.0
+    upper = 1.0 if method == "tcp" else max(0.0, max(finite) + 1.0)
+    best = None
+    for eps in sorted({0.0, upper} | {v for v in finite if 0.0 < v < upper}):
+        achieved = sum(1 for v in flat if v < eps) / len(flat)
+        if best is None or abs(achieved - target) < abs(best[1] - target):
+            best = (eps, achieved)
+    return best
+
+
+def make_tune_instance(seed: int):
+    """(values, method, target) for epsilon tuning, built for ties: per-term
+    statistics drawn from a few levels of the method's range (two of them one
+    ulp apart), with +inf, negative (at times all negative) 2n2p statistics,
+    tcp values around its cap of 1, and targets that are exact count fractions, out of range or random."""
+    rng = random.Random(seed)
+    third = 1.0 / 3.0
+    levels = {
+        "tcp": [0.0, 0.25, third, math.nextafter(third, 1.0), 0.5, 1.0, 1.5, 3.0, math.inf],
+        "ipu": [0.0, 0.01, 0.05, 0.05, 0.2, 0.36, math.inf],
+        "2n2p": [-4.0, -1.5, -0.5, 0.0, third, math.nextafter(third, 1.0), 2.0, math.inf],
+    }
+    method = rng.choice(sorted(levels))
+    pool = rng.sample(levels[method], rng.randint(1, len(levels[method])))
+    if rng.random() < 0.3:
+        pool.append(rng.uniform(-2.0, 2.0) if method == "2n2p" else rng.uniform(0.0, 2.0))
+    if method == "2n2p" and rng.random() < 0.2:
+        pool = [v - 5.0 for v in pool]  # every finite statistic below -1
+    values = {
+        f"t{j}": [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        for j in range(rng.randint(1, 5))
+    }
+    total = sum(len(v) for v in values.values())
+    roll = rng.random()
+    if roll < 0.4 and total:
+        target = rng.randint(0, total) / total
+    elif roll < 0.5:
+        target = rng.choice([-0.2, 0.0, 1.0, 1.5])
+    else:
+        target = rng.random()
+    return values, method, target

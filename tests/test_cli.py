@@ -132,6 +132,23 @@ def test_prune_threshold_tuned_manifest(cli_dir, tmp_path, capsys):
     assert abs(manifest["achieved_ratio"] - 0.4) <= 0.01 or manifest["tuned"]["flagged"]
 
 
+def test_prune_unreachable_target_exits_zero_and_flags(cli_dir, tmp_path, capsys, caplog):
+    # tcp keeps every posting at or above its cutoff, so 0.9 is out of reach
+    out = tmp_path / "tcp.bin"
+    rc = main([
+        "prune", "--in", str(cli_dir / "idx.bin"), "--out", str(out),
+        "--method", "tcp", "--ratio", "0.9",
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    assert "target ratio 0.900 unreachable" in caplog.text
+    manifest = json.loads((tmp_path / "tcp.bin.manifest.json").read_text())
+    assert manifest["tuned"]["flagged"] is True
+    assert manifest["tuned"]["epsilon"] == 1.0
+    assert manifest["achieved_ratio"] < 0.89
+    assert "recompute_stats" not in manifest["parameters"]
+
+
 def test_prune_direct_epsilon(cli_dir, tmp_path, capsys):
     out = tmp_path / "ipu.bin"
     rc = main([
@@ -144,21 +161,6 @@ def test_prune_direct_epsilon(cli_dir, tmp_path, capsys):
     assert manifest["epsilon"] == 0.001
     assert "tuned" not in manifest
     verify_index(read_index(out))
-
-
-def test_prune_recompute_stats_flag(cli_dir, tmp_path, capsys):
-    out = tmp_path / "rl.bin"
-    rc = main([
-        "prune", "--in", str(cli_dir / "idx.bin"), "--out", str(out),
-        "--method", "div-simple", "--k", "3", "--recompute-stats",
-    ])
-    capsys.readouterr()
-    assert rc == 0
-    manifest = json.loads((tmp_path / "rl.bin.manifest.json").read_text())
-    assert manifest["recomputed_stats"] is True
-    original = read_index(cli_dir / "idx.bin")
-    pruned = read_index(out)
-    assert pruned.stats.total_len < original.stats.total_len
 
 
 def test_query_stdout_trec_lines(cli_dir, capsys):
@@ -355,3 +357,27 @@ def test_bad_usage_exits_two(cli_dir, capsys):
         assert exc.value.code == 2
         capsys.readouterr()
 
+
+@pytest.mark.parametrize(
+    "given",
+    [[], ["--index", "idx.bin"], ["--queries", "queries.jsonl"]],
+    ids=["nothing", "index-only", "queries-only"],
+)
+def test_eval_without_inputs_is_a_usage_error(capsys, given):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--qrels", "qrels.txt", *given])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--run" in err and "--index" in err and "--queries" in err
+
+
+def test_eval_malformed_queries_exit_one(cli_dir, tmp_path, capsys):
+    queries = tmp_path / "bad.jsonl"
+    queries.write_text('{"qid": "q1", "terms": "w001"}\n', encoding="utf-8")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q1 0 d0001 1\n", encoding="utf-8")
+    rc = main(["eval", "--index", str(cli_dir / "idx.bin"), "--queries", str(queries),
+               "--qrels", str(qrels)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{queries}:1: terms must be a list of strings" in err

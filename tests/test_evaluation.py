@@ -1,6 +1,7 @@
 """Metrics, query generation, qrels plumbing, epsilon tuning, sweeps."""
 import math
 import random
+import re
 
 import pytest
 
@@ -275,6 +276,52 @@ def test_read_topics(tmp_path):
         Topic(qid="t1", title="Iraq war", description="gulf conflict"),
         Topic(qid="t2", title="earthquake"),
     ]
+
+
+GOOD_QUERY = '{"qid": "q0", "terms": ["a"], "kind": "exclusive", "windows": [[1, 2, 3, 4]]}'
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"qid": "q1", "terms": "w001"}', "terms must be a list of strings"),
+        ('{"qid": "q1"}', "terms must be a list of strings"),
+        ('{"qid": "q1", "terms": ["a", 7]}', "terms must be a list of strings"),
+        ('{"terms": ["a"]}', "qid must be a string"),
+        ('{"qid": 1, "terms": ["a"]}', "qid must be a string"),
+        ('{"qid": "q1", "terms": ["a"], "windows": [[1, 2, 3]]}', "four integer days"),
+        ('{"qid": "q1", "terms": ["a"], "windows": [1, 2, 3, 4]}', "four integer days"),
+        ('{"qid": "q1", "terms": ["a"], "windows": [["1", 2, 3, 4]]}', "four integer days"),
+        ('{"qid": "q1", "terms": ["a"], "windows": {"b": 1}}', "four integer days"),
+        ('{"qid": "q1", "terms": ["a"], "windows": [[5, 2, 3, 4]]}', "inconsistent window"),
+        ('{"qid": "q1", "terms": ["a"], "kind": "exclusive"}', "needs a time constraint"),
+        ('{"qid": "q1", "terms": ["a"], "kind": "sideways"}', "unknown query kind"),
+        ('["q1", ["a"]]', "expected a JSON object"),
+        ('{"qid": "q1", "terms": [', "not JSON"),
+    ],
+)
+def test_read_queries_rejects_malformed_records(tmp_path, line, reason):
+    path = tmp_path / "q.jsonl"
+    path.write_text(f"{GOOD_QUERY}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(QueryError, match=rf"q\.jsonl:3: .*{re.escape(reason)}"):
+        read_queries(path)
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"qid": "t1"}', "title and description must be strings"),
+        ('{"qid": "t1", "title": 5}', "title and description must be strings"),
+        ('{"qid": "t1", "title": "x", "description": ["y"]}', "title and description"),
+        ('{"title": "x"}', "missing qid"),
+        ('"t1"', "expected a JSON object"),
+    ],
+)
+def test_read_topics_rejects_malformed_records(tmp_path, line, reason):
+    path = tmp_path / "topics.jsonl"
+    path.write_text(f'{{"qid": "t0", "title": "a"}}\n{line}\n', encoding="utf-8")
+    with pytest.raises(QueryError, match=rf"topics\.jsonl:2: .*{re.escape(reason)}"):
+        read_topics(path)
 
 
 # --- derived qrels --------------------------------------------------------

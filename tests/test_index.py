@@ -14,7 +14,6 @@ from tempoprune.index import (
     build_index,
     pruning_ratio,
     read_index,
-    recompute_lengths,
     subset_index,
     verify_index,
     write_index,
@@ -250,16 +249,6 @@ def test_verify_pruned_index_allows_frozen_overcount(toy5_index):
     sub.pruned = False
     with pytest.raises(IndexConsistencyError):
         verify_index(sub)
-
-
-def test_recompute_lengths_recounts_from_lists(toy5_index):
-    sub = subset_index(toy5_index, {"apple": {"d1", "d3"}})
-    recounted = recompute_lengths(sub)
-    assert recounted.stats.doc_len["d1"] == 2
-    assert recounted.stats.doc_len["d2"] == 0
-    assert recounted.stats.total_len == 4
-    # original build stats untouched
-    assert toy5_index.stats.doc_len["d1"] == 4
 
 
 def test_pruned_flag_survives_roundtrip(tmp_path, toy5_index):

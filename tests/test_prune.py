@@ -8,9 +8,11 @@ from oracles import (
     ScanState,
     make_instance,
     make_tied_instance,
+    make_tune_instance,
     oracle_criterion,
     oracle_next_best,
     oracle_optimum,
+    oracle_tune,
     scan_diversify,
     scan_next_best,
 )
@@ -19,6 +21,7 @@ from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import PruneError, SelectionExhausted, TermNotFoundError
 from tempoprune.index import build_index, pruning_ratio, subset_index, write_index
 from tempoprune.prune import (
+    RATIO_TOLERANCE,
     PruneConfig,
     RelevanceList,
     SelectionState,
@@ -35,6 +38,7 @@ from tempoprune.prune import (
     threshold_prune,
     threshold_values,
     tune_epsilon,
+    _tune,
 )
 from tempoprune.synth import random_corpus
 from tempoprune.timewindows import TimeWindow
@@ -447,3 +451,55 @@ def test_threshold_prune_validation(toy5_index):
         threshold_prune(toy5_index, "tcp", 1.5)
     # epsilon 0 prunes nothing; tune_epsilon may return it for tcp
     assert pruning_ratio(toy5_index, threshold_prune(toy5_index, "tcp", 0.0)) == 0.0
+
+
+# --- exact epsilon tuning ------------------------------------------------------
+
+
+def test_tune_matches_oracle_on_tied_instances():
+    for seed in range(2500):
+        values, method, target = make_tune_instance(seed)
+        got = _tune(values, method, target)
+        assert (got.epsilon, got.achieved) == oracle_tune(values, method, target), seed
+        assert got.flagged == (abs(got.achieved - target) > RATIO_TOLERANCE), seed
+
+
+@pytest.mark.parametrize("method", ["tcp", "ipu", "2n2p"])
+def test_tune_epsilon_matches_oracle_on_a_real_index(seed4_index, method):
+    values = threshold_values(seed4_index, method)
+    for target in (0.1, 0.2, 0.5, 0.7):
+        got = tune_epsilon(seed4_index, method, target)
+        assert (got.epsilon, got.achieved) == oracle_tune(values, method, target), target
+
+
+@pytest.fixture(scope="module")
+def seed4_index():
+    return build_index(random_corpus(n_docs=80, seed=4, vocab_size=15))
+
+
+def test_tune_epsilon_lands_between_statistics_one_ulp_apart(seed4_index):
+    # 31 tcp statistics sit at 0.3333333333333333, one ulp below
+    # 0.33333333333333337; a float bisection cannot split them and missed
+    # the 0.2 target (196/1108 = 0.177, flagged).
+    flat = sorted(v for vals in threshold_values(seed4_index, "tcp").values() for v in vals)
+    assert (len(flat), flat.count(1.0 / 3.0)) == (1108, 31)
+    tuned = tune_epsilon(seed4_index, "tcp", 0.2)
+    assert tuned.achieved == 227 / 1108
+    assert not tuned.flagged
+    assert tuned.epsilon == math.nextafter(1.0 / 3.0, 1.0)
+    pruned = threshold_prune(seed4_index, "tcp", tuned.epsilon)
+    assert pruning_ratio(seed4_index, pruned) == pytest.approx(227 / 1108, abs=1e-12)
+
+
+def test_ipu_values_equal_the_relevance_list_definition(rand_index):
+    # ipu_values reads JM scores in posting order; the definition goes
+    # through the sorted relevance list and maps scores back by doc_id.
+    for term in rand_index.terms():
+        rel = relevance_scores(rand_index, term)
+        by_doc = dict(zip(rel.doc_ids, rel.scores))
+        total = math.fsum(rel.scores)
+        want = [
+            -(by_doc[p.doc_id] / total) * math.log(by_doc[p.doc_id] / total)
+            for p in rand_index.lists[term].postings
+        ]
+        assert ipu_values(rand_index, term) == want, term
