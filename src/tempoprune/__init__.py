@@ -23,6 +23,7 @@ from .aspects import (
 from .corpus import Corpus, Document, parse_corpus, tokenize, write_corpus
 from .errors import (
     CorpusFormatError,
+    EvalFormatError,
     FitError,
     IndexConsistencyError,
     IndexFormatError,

@@ -7,18 +7,21 @@ dynamic aspects come from a BIC-selected Gaussian mixture.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import PruneError, TermNotFoundError
-from .gmm import DEFAULT_K_MAX, GmmFit, select_k_bic
+from .gmm import DEFAULT_K_MAX, EM_MAX_ITER, GmmFit, select_k_bic
 from .index import InvertedIndex
 # `intersect` is unused here but stays importable as `aspects.intersect`,
 # a name that external call tracers patch.
 from .timewindows import TimeWindow, intersect, overlaps  # noqa: F401
 
+
+log = logging.getLogger(__name__)
 
 ASPECT_MODELS = ("simple", "sliding", "dynamic")
 DEFAULT_LAMBDA_W = 0.3  # weight of the smoothing global aspect
@@ -60,6 +63,7 @@ class AspectSet:
     doc_map: dict[str, tuple[int, ...]] = field(default_factory=dict)
     kind: str = "simple"  # simple | sliding | dynamic | global
     span: tuple[int, int] | None = None
+    converged: bool = True  # False when a dynamic set's mixture fit stopped at max_iter
 
     @property
     def global_index(self) -> int | None:
@@ -67,9 +71,6 @@ class AspectSet:
             if a.is_global:
                 return i
         return None
-
-    def weight_sum(self) -> float:
-        return sum(a.weight for a in self.aspects)
 
 
 def term_time_series(index: InvertedIndex, term: str, presence_only: bool = False) -> TermTimeSeries:
@@ -151,7 +152,8 @@ def dynamic_windows(series: TermTimeSeries, k_max: int = DEFAULT_K_MAX, seed: in
     total = sum(a.weight for a in aspects)
     for a in aspects:
         a.weight /= total
-    return AspectSet(term=series.term, aspects=aspects, kind="dynamic", span=series.span)
+    return AspectSet(term=series.term, aspects=aspects, kind="dynamic", span=series.span,
+                     converged=fit.converged)
 
 
 def smooth(aspects: AspectSet, lambda_w: float) -> AspectSet:
@@ -233,7 +235,8 @@ def build_aspect_sets(
 ) -> dict[str, AspectSet]:
     """Aspect sets for every indexed term.  Terms with no dated documents get
     a single global aspect so that pruning them degenerates to plain
-    relevance ranking."""
+    relevance ranking.  Logs one warning naming the dynamic terms whose
+    BIC-chosen mixture fit stopped at max_iter."""
     if model not in ASPECT_MODELS:
         raise PruneError(f"unknown aspect model {model!r}")
     hull = index_time_hull(index)
@@ -250,6 +253,12 @@ def build_aspect_sets(
                 span=hull,
             )
         sets[term] = doc_aspect_map(aset, index, term)
+    capped = [term for term, aset in sets.items() if not aset.converged]
+    if capped:
+        log.warning(
+            "dynamic aspects: %d term(s) whose mixture fit stopped at max_iter=%d without converging: %s%s",
+            len(capped), EM_MAX_ITER, ", ".join(capped[:5]), ", ..." if len(capped) > 5 else "",
+        )
     return sets
 
 

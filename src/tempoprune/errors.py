@@ -35,3 +35,7 @@ class FitError(TempopruneError):
 
 class QueryError(TempopruneError):
     """Malformed query (no terms, missing time constraint, bad time spec)."""
+
+
+class EvalFormatError(TempopruneError, ValueError):
+    """Malformed qrels or run file line (still a ValueError, as before)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .aspects import DEFAULT_LAMBDA_W, build_aspect_sets
 from .corpus import Corpus, tokenize
-from .errors import QueryError
+from .errors import EvalFormatError, QueryError
 from .gmm import DEFAULT_K_MAX
 from .index import InvertedIndex, pruning_ratio
 from .prune import JM_LAMBDA, METHODS, TCP_K, discount, prune_index
@@ -63,22 +63,43 @@ class Qrels:
         return [f"{q} 0 {d} {g}" for (q, d), g in sorted(self.grades.items())]
 
     @classmethod
-    def from_lines(cls, lines) -> "Qrels":
-        grades = {}
-        for line in lines:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"bad qrels line: {line!r}")
-            qid, _, doc, g = parts
-            grades[(qid, doc)] = int(g)
+    def from_lines(cls, lines, path: str = "<qrels>") -> "Qrels":
+        """`qid iter doc grade` lines: a non-negative integer grade, each
+        (qid, doc) pair once.  A bad line raises EvalFormatError naming path:line."""
+        grades: dict[tuple[str, str], int] = {}
+        for lineno, (qid, _, doc, g) in _split_lines(lines, path, 4):
+            try:
+                grade = int(g)
+            except ValueError:
+                raise EvalFormatError(f"{path}:{lineno}: grade must be an integer, got {g!r:.60}") from None
+            if grade < 0:
+                raise EvalFormatError(f"{path}:{lineno}: grade must be >= 0, got {grade}")
+            key = (qid, doc)
+            if key in grades:
+                raise EvalFormatError(
+                    f"{path}:{lineno}: duplicate judgment for query {qid!r:.60}, doc {doc!r:.60}"
+                )
+            grades[key] = grade
         return cls(grades)
+
+
+def _split_lines(lines, path, n_fields: int):
+    """(line number, fields) for each non-blank line; EvalFormatError naming
+    path:line unless the line has exactly `n_fields` whitespace-separated fields."""
+    for lineno, line in enumerate(lines, 1):
+        fields = line.split()
+        if len(fields) != n_fields:
+            if not fields:
+                continue
+            raise EvalFormatError(
+                f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}: {line.strip():.60}"
+            )
+        yield lineno, fields
 
 
 def read_qrels(path) -> Qrels:
     with open(path, encoding="utf-8") as fh:
-        return Qrels.from_lines(fh)
+        return Qrels.from_lines(fh, path)
 
 
 def write_qrels(qrels: Qrels, path) -> None:
@@ -345,17 +366,19 @@ def read_topics(path) -> list[Topic]:
 
 
 def read_run(path) -> list[RankedResult]:
-    """TREC run file -> per-qid results, rank order restored from scores."""
+    """TREC run file (`qid Q0 doc rank score tag`, a finite score) ->
+    per-qid results, rank order restored from scores.  A bad line raises
+    EvalFormatError naming path:line."""
     by_qid: dict[str, list[tuple[str, float]]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(f"bad run line: {line!r}")
-            qid, _, doc, _, score, _ = parts
-            by_qid.setdefault(qid, []).append((doc, float(score)))
+        for lineno, (qid, _, doc, _, s, _) in _split_lines(fh, path, 6):
+            try:
+                score = float(s)
+            except ValueError:
+                raise EvalFormatError(f"{path}:{lineno}: score must be a number, got {s!r:.60}") from None
+            if not math.isfinite(score):
+                raise EvalFormatError(f"{path}:{lineno}: score must be finite, got {s!r:.60}")
+            by_qid.setdefault(qid, []).append((doc, score))
     results = []
     for qid in sorted(by_qid):
         hits = sorted(by_qid[qid], key=lambda e: (-e[1], e[0]))

@@ -381,3 +381,19 @@ def test_eval_malformed_queries_exit_one(cli_dir, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{queries}:1: terms must be a list of strings" in err
+
+
+@pytest.mark.parametrize(
+    "qrels_line, run_line, message",
+    [
+        ("q1 0 d0001 x", "q1 Q0 d0001 1 2.0 tag", "qrels.txt:1: grade must be an integer, got 'x'"),
+        ("q1 0 d0001 1", "q1 Q0 d0001 1 notanumber tag", "run.txt:1: score must be a number, got 'notanumber'"),
+    ],
+    ids=["bad-grade", "bad-score"],
+)
+def test_eval_malformed_qrels_or_run_exit_one(tmp_path, capsys, qrels_line, run_line, message):
+    qrels, run = tmp_path / "qrels.txt", tmp_path / "run.txt"
+    qrels.write_text(qrels_line + "\n", encoding="utf-8")
+    run.write_text(run_line + "\n", encoding="utf-8")
+    assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 1
+    assert f"{tmp_path}/{message}" in capsys.readouterr().err

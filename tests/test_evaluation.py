@@ -7,7 +7,7 @@ import pytest
 
 from oracles import oracle_average_precision
 from tempoprune.aspects import build_aspect_sets, index_time_hull
-from tempoprune.errors import PruneError, QueryError
+from tempoprune.errors import EvalFormatError, PruneError, QueryError, TempopruneError
 from tempoprune.evaluation import (
     EvalReport,
     Qrels,
@@ -173,6 +173,42 @@ def test_read_run_roundtrip(tmp_path):
     assert len(back) == 1
     assert back[0].qid == "q1"
     assert back[0].doc_ids() == ["a", "b"]
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("q1 0 d0001", "expected 4 fields, got 3"),
+        ("q1 0 d0001 1 extra", "expected 4 fields, got 5"),
+        ("q1 0 d0001 x", "grade must be an integer, got 'x'"),
+        ("q1 0 d0001 1.5", "grade must be an integer, got '1.5'"),
+        ("q1 0 d0001 -1", "grade must be >= 0, got -1"),
+        ("q1 0 d0002 2", "duplicate judgment for query 'q1', doc 'd0002'"),
+    ],
+)
+def test_read_qrels_rejects_malformed_lines(tmp_path, line, reason):
+    path = tmp_path / "qrels.txt"
+    path.write_text(f"q1 0 d0002 1\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(EvalFormatError, match=re.escape(f"{path}:3: {reason}")):
+        read_qrels(path)
+    with pytest.raises(TempopruneError, match=re.escape(f"<qrels>:3: {reason}")):
+        Qrels.from_lines(["q1 0 d0002 1", "", line])
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("q1 Q0 d1 1 2.5", "expected 6 fields, got 5"),
+        ("q1 Q0 d1 1 notanumber tag", "score must be a number, got 'notanumber'"),
+        ("q1 Q0 d1 1 nan tag", "score must be finite, got 'nan'"),
+        ("q1 Q0 d1 1 -inf tag", "score must be finite, got '-inf'"),
+    ],
+)
+def test_read_run_rejects_malformed_lines(tmp_path, line, reason):
+    path = tmp_path / "run.txt"
+    path.write_text(f"q1 Q0 d0 1 3.0 tag\n{line}\n", encoding="utf-8")
+    with pytest.raises(EvalFormatError, match=re.escape(f"{path}:2: {reason}")):
+        read_run(path)
 
 
 # --- query generation ----------------------------------------------------
