@@ -43,7 +43,6 @@ from .evaluation import (
     generate_temporal_queries,
     ndcg,
     sweep,
-    time_filtered_qrels,
 )
 from .gmm import GmmFit, fit_gmm, select_k_bic
 from .index import (

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import PruneError, TermNotFoundError
 from .gmm import DEFAULT_K_MAX, EM_MAX_ITER, GmmFit, select_k_bic
 from .index import InvertedIndex
 # `intersect` is unused here but stays importable as `aspects.intersect`,
 # a name that external call tracers patch.
-from .timewindows import TimeWindow, intersect, overlaps  # noqa: F401
+from .timewindows import TimeWindow, intersect  # noqa: F401
 
 
 log = logging.getLogger(__name__)
@@ -92,20 +92,26 @@ def fd_window_size(series: TermTimeSeries) -> int:
     """Freedman-Diaconis width ceil(2 * IQR * n^(-1/3)), floored at one day.
 
     Quartiles use the averaged-inverted-CDF convention over the day
-    multiset (each day repeated by its count).
+    multiset (each day repeated by its count), read off the cumulative
+    counts: the quartile at p is the ceil(n*p)-th smallest day, or the
+    mean of the (n*p)-th and the next one when n*p is an integer.
     """
     if not series.counts:
         raise ValueError(f"series for {series.term!r} is empty")
-    day_items = sorted(series.counts.items())
-    data = np.repeat(
-        np.array([d for d, _ in day_items], dtype=float),
-        np.array([c for _, c in day_items], dtype=np.int64),
-    )
-    q1, q3 = np.percentile(data, [25.0, 75.0], method="averaged_inverted_cdf")
-    iqr = float(q3 - q1)
+    days = sorted(series.counts)
+    cum = list(accumulate(series.counts[d] for d in days))
+    n = cum[-1]
+
+    def quartile(q: int) -> float:
+        # quartile at p = q / 4; the day at 0-based position k is days[bisect_right(cum, k)]
+        j, rem = divmod(n * q, 4)
+        upper = days[bisect_right(cum, j)]
+        return float(upper) if rem else (days[bisect_right(cum, j - 1)] + upper) / 2.0
+
+    iqr = quartile(3) - quartile(1)
     if iqr <= 0.0:
         return 1
-    return max(1, math.ceil(2.0 * iqr * len(data) ** (-1.0 / 3.0)))
+    return max(1, math.ceil(2.0 * iqr * n ** (-1.0 / 3.0)))
 
 
 def _tiled_aspects(series: TermTimeSeries, gamma: int, step: int, kind: str) -> AspectSet:
@@ -114,7 +120,8 @@ def _tiled_aspects(series: TermTimeSeries, gamma: int, step: int, kind: str) -> 
     starts = []
     start = lo
     while start <= hi:
-        if any(start <= d < start + gamma for d in days):
+        i = bisect_left(days, start)
+        if i < len(days) and days[i] < start + gamma:
             starts.append(start)
         start += step
     aspects = [Aspect(window=TimeWindow.certain(s, s + gamma - 1), weight=1.0 / len(starts)) for s in starts]
@@ -179,10 +186,21 @@ def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> Aspec
     """Map every document of the term to the aspects whose windows intersect
     its time part; the global aspect (when present) maps everything.
     Under dynamic windows an uncovered dated document falls back to the
-    component with the nearest mean."""
+    component with the nearest mean.
+
+    Windows meet when each starts no later than the other ends.  With the
+    aspects sorted by start and `reach` the running maximum of their ends,
+    the aspects a document window [lo, hi] can meet are the slice from the
+    first reach >= lo to the last start <= hi; the slice is then filtered
+    by end >= lo.  That holds for any aspect list, overlapping or not."""
     if term not in index.lists:
         raise TermNotFoundError(term)
     gi = aspects.global_index
+    local = sorted(
+        (a.window.b_lo, a.window.e_hi, i) for i, a in enumerate(aspects.aspects) if not a.is_global
+    )
+    starts = [s for s, _, _ in local]
+    reach = list(accumulate((e for _, e, _ in local), max))
     centers = [
         (i, a.center) for i, a in enumerate(aspects.aspects)
         if not a.is_global and a.center is not None
@@ -191,9 +209,10 @@ def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> Aspec
     for p in index.lists[term].postings:
         windows = index.doc_times.get(p.doc_id, frozenset())
         mapped = {
-            i
-            for i, a in enumerate(aspects.aspects)
-            if not a.is_global and any(overlaps(a.window, w) for w in windows)
+            local[j][2]
+            for w in windows
+            for j in range(bisect_left(reach, w.b_lo), bisect_right(starts, w.e_hi))
+            if local[j][1] >= w.b_lo
         }
         if not mapped and windows and aspects.kind == "dynamic" and centers:
             rep_days = [w.midpoint for w in windows]

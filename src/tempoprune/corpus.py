@@ -42,9 +42,6 @@ class Corpus:
     documents: list[Document]
     n_malformed: int = 0
 
-    def by_id(self) -> dict[str, Document]:
-        return {d.doc_id: d for d in self.documents}
-
 
 def parse_corpus(path, fmt: str = "jsonl", stop_words: bool = True) -> Corpus:
     """Parse a corpus file.  Malformed records are counted, not dropped silently."""

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from .aspects import DEFAULT_LAMBDA_W, build_aspect_sets
-from .corpus import Corpus, tokenize
+from .corpus import tokenize
 from .errors import EvalFormatError, QueryError
 from .gmm import DEFAULT_K_MAX
 from .index import InvertedIndex, pruning_ratio
@@ -26,7 +26,7 @@ from .prune import JM_LAMBDA, METHODS, TCP_K, discount, prune_index
 # Unused here: bench/spans.py patches it as an evaluation name.
 from .prune import threshold_values  # noqa: F401
 from .search import DEFAULT_DEPTH, Query, RankedResult, run_query, temporal_match
-from .timewindows import TimeWindow, any_intersect
+from .timewindows import TimeWindow
 
 log = logging.getLogger(__name__)
 
@@ -269,24 +269,6 @@ def all_relevant_qrels(queries: list[Query], index: InvertedIndex) -> Qrels:
         for doc in candidates:
             if temporal_match(index, doc, q.time_constraint):
                 grades[(q.qid, doc)] = 1
-    return Qrels(grades)
-
-
-def time_filtered_qrels(original: Qrels, queries: list[Query], corpus: Corpus) -> Qrels:
-    """Original grades restricted to documents whose time part intersects the
-    query window; everything else drops to grade 0 (omitted)."""
-    by_id = corpus.by_id()
-    by_qid = {q.qid: q for q in queries}
-    grades: dict[tuple[str, str], int] = {}
-    for (qid, doc_id), g in original.grades.items():
-        q = by_qid.get(qid)
-        if q is None or g == 0:
-            continue
-        doc = by_id.get(doc_id)
-        if doc is None or not doc.time_part:
-            continue
-        if any_intersect(q.time_constraint, doc.time_part):
-            grades[(qid, doc_id)] = g
     return Qrels(grades)
 
 

@@ -10,6 +10,13 @@ greedy step: a full bottom-up pass over the relevance list per pick.
 
 `oracle_fit_gmm`/`oracle_select_k_bic` are the slow definition of the
 library's batched EM: one K at a time, one (days, K) array per fit.
+
+`oracle_doc_aspect_map` and `oracle_tile_starts` are the slow definitions
+of the library's bisect document map and tiling: every aspect tested
+against every document window, every tile tested against every day.
+
+`time_filtered_qrels` and `corpus_by_id` are qrels plumbing that only the
+tests use.
 """
 import math
 import random
@@ -20,10 +27,13 @@ from itertools import combinations
 import numpy as np
 
 from tempoprune.aspects import Aspect, AspectSet, TermTimeSeries
+from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import FitError, QueryError
+from tempoprune.evaluation import Qrels
 from tempoprune.gmm import DEFAULT_K_MAX, VAR_FLOOR, GmmFit
 from tempoprune.prune import RelevanceList, discount
-from tempoprune.timewindows import TimeWindow
+from tempoprune.search import Query
+from tempoprune.timewindows import TimeWindow, any_intersect, overlaps
 
 
 def make_instance(seed: int, max_docs: int = 10, max_aspects: int = 4):
@@ -199,6 +209,68 @@ def oracle_fd_width(days) -> int:
     if iqr <= 0:
         return 1
     return max(1, math.ceil(2.0 * iqr * len(xs) ** (-1.0 / 3.0)))
+
+
+def oracle_tile_starts(series: TermTimeSeries, gamma: int, step: int) -> list[int]:
+    """Starts lo, lo + step, ... up to the last day whose tile
+    [start, start + gamma) holds a day of the series, by scanning every day."""
+    lo, hi = series.span
+    days = sorted(series.counts)
+    starts = []
+    start = lo
+    while start <= hi:
+        if any(start <= d < start + gamma for d in days):
+            starts.append(start)
+        start += step
+    return starts
+
+
+def oracle_doc_aspect_map(aspects: AspectSet, index, term: str) -> dict[str, tuple[int, ...]]:
+    """Document map by testing every non-global aspect against every window
+    of the document; the global aspect maps everything, and a dynamic set
+    sends an uncovered dated document to the component of nearest mean."""
+    gi = aspects.global_index
+    centers = [
+        (i, a.center) for i, a in enumerate(aspects.aspects)
+        if not a.is_global and a.center is not None
+    ]
+    doc_map: dict[str, tuple[int, ...]] = {}
+    for p in index.lists[term].postings:
+        windows = index.doc_times.get(p.doc_id, frozenset())
+        mapped = {
+            i
+            for i, a in enumerate(aspects.aspects)
+            if not a.is_global and any(overlaps(a.window, w) for w in windows)
+        }
+        if not mapped and windows and aspects.kind == "dynamic" and centers:
+            rep_days = [w.midpoint for w in windows]
+            mapped = {min(centers, key=lambda ic: (min(abs(d - ic[1]) for d in rep_days), ic[0]))[0]}
+        if gi is not None:
+            mapped.add(gi)
+        doc_map[p.doc_id] = tuple(sorted(mapped))
+    return doc_map
+
+
+def corpus_by_id(corpus: Corpus) -> dict[str, Document]:
+    return {d.doc_id: d for d in corpus.documents}
+
+
+def time_filtered_qrels(original: Qrels, queries: list[Query], corpus: Corpus) -> Qrels:
+    """Original grades restricted to documents whose time part intersects the
+    query window; everything else drops to grade 0 (omitted)."""
+    by_id = corpus_by_id(corpus)
+    by_qid = {q.qid: q for q in queries}
+    grades: dict[tuple[str, str], int] = {}
+    for (qid, doc_id), g in original.grades.items():
+        q = by_qid.get(qid)
+        if q is None or g == 0:
+            continue
+        doc = by_id.get(doc_id)
+        if doc is None or not doc.time_part:
+            continue
+        if any_intersect(q.time_constraint, doc.time_part):
+            grades[(qid, doc_id)] = g
+    return Qrels(grades)
 
 
 def oracle_day_number(y: int, m: int, d: int) -> int:

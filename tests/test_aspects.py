@@ -1,11 +1,12 @@
 """Time series extraction, FD widths, and the three aspect models."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import oracle_fd_width
+from oracles import hf2_quantile, oracle_doc_aspect_map, oracle_fd_width, oracle_tile_starts
 from tempoprune.aspects import (
+    ASPECT_MODELS,
     Aspect,
     AspectSet,
     TermTimeSeries,
@@ -25,6 +26,7 @@ from tempoprune.aspects import (
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import PruneError, TermNotFoundError
 from tempoprune.index import build_index
+from tempoprune.synth import random_corpus
 from tempoprune.timewindows import TimeWindow, intersect
 
 
@@ -128,7 +130,19 @@ def test_fd_uniform_sample_matches_oracle():
     assert fd_window_size(series) == oracle_fd_width(days.tolist())
 
 
-@given(st.lists(st.integers(-500, 500), min_size=1, max_size=60))
+_TIED_DAYS = st.lists(st.integers(-3, 3), min_size=1, max_size=48)
+
+
+@given(st.one_of(
+    st.lists(st.integers(-500, 500), min_size=1, max_size=60),
+    _TIED_DAYS,
+    # n a multiple of 4, so both quartiles average two neighbouring days
+    _TIED_DAYS.map(lambda days: days + days[:1] * (-len(days) % 4)),
+))
+@example([0, 0, 5, 5])
+@example([0, 5, 5, 5])
+@example([0, 0, 0, 1, 9, 9, 9, 9])
+@example([0] + [1] * 7)
 def test_fd_matches_oracle(days):
     counts: dict[int, int] = {}
     for d in days:
@@ -137,6 +151,10 @@ def test_fd_matches_oracle(days):
     got = fd_window_size(series)
     assert got == oracle_fd_width(days)
     assert got >= 1
+    # the oracle's quartiles are numpy's averaged-inverted-CDF ones
+    xs = sorted(days)
+    assert [hf2_quantile(xs, 0.25), hf2_quantile(xs, 0.75)] == np.percentile(
+        xs, [25.0, 75.0], method="averaged_inverted_cdf").tolist()
 
 
 # --- tiled aspect models -----------------------------------------------------
@@ -208,6 +226,19 @@ def test_sliding_tiling_properties(counts, gamma):
     for day in counts:
         hits = [a for a in aset.aspects if a.window.b_lo <= day <= a.window.e_hi]
         assert 1 <= len(hits) <= max(1, (gamma + step - 1) // step)
+
+
+@given(
+    st.dictionaries(st.integers(-50, 400), st.integers(1, 3), min_size=1, max_size=30),
+    st.integers(1, 40),
+)
+def test_tile_starts_match_scan_oracle(counts, gamma):
+    series = TermTimeSeries(term="t", counts=counts)
+    simple = simple_windows(series, gamma)
+    sliding = sliding_windows(series, gamma)
+    assert [a.window.b_lo for a in simple.aspects] == oracle_tile_starts(series, gamma, gamma)
+    assert [a.window.b_lo for a in sliding.aspects] == oracle_tile_starts(
+        series, gamma, max(1, gamma // 2))
 
 
 def test_tiled_windows_reject_bad_gamma():
@@ -358,6 +389,99 @@ def test_doc_map_matches_brute_force(rand_index):
             if gi is not None:
                 expected.add(gi)
             assert aset.doc_map[p.doc_id] == tuple(sorted(expected))
+
+
+@st.composite
+def _windows(draw, lo, hi):
+    """A window with its start in [lo, hi]; start and end ranges are
+    uncertain about half of the time."""
+    b_lo = draw(st.integers(lo, hi))
+    e_hi = b_lo + draw(st.integers(0, 20))
+    b_hi = b_lo + draw(st.sampled_from([0, 0, 1, 6]))
+    e_lo = e_hi - draw(st.sampled_from([0, 0, 1, 6]))
+    return TimeWindow(b_lo, b_hi, e_lo, e_hi)
+
+
+@st.composite
+def _hand_built_aspect_set(draw):
+    """Aspects in any order, overlapping or not, ends not monotone in the
+    start; dynamic sets carry centres (with ties) for the nearest-centre
+    fallback; a global aspect at any position, or none."""
+    kind = draw(st.sampled_from(ASPECT_MODELS))
+    windows = draw(st.lists(_windows(0, 60), max_size=6))
+    aspects = [
+        Aspect(window=w, weight=1.0,
+               center=draw(st.integers(0, 160)) / 2.0 if kind == "dynamic" else None)
+        for w in windows
+    ]
+    gi = draw(st.none() | st.integers(0, len(aspects)))
+    if gi is not None:
+        aspects.insert(gi, Aspect(window=TimeWindow.certain(0, 80), weight=1.0, is_global=True))
+    return AspectSet(term="x", aspects=aspects, kind=kind, span=(0, 80))
+
+
+@given(
+    _hand_built_aspect_set(),
+    # documents may lie outside the aspects' span; no window means undated
+    st.lists(st.lists(_windows(-15, 75), max_size=3), min_size=1, max_size=8),
+)
+def test_doc_map_matches_scan_oracle(aset, doc_windows):
+    docs = [Document(f"d{i}", ["x"], frozenset(ws)) for i, ws in enumerate(doc_windows)]
+    idx = build_index(Corpus(documents=docs))
+    assert doc_aspect_map(aset, idx, "x").doc_map == oracle_doc_aspect_map(aset, idx, "x")
+
+
+def test_doc_map_touching_and_uncertain_windows():
+    aset = smooth(_two_aspect_set(), 0.3)  # [0, 9], [10, 19], global [0, 19]
+    docs = [
+        Document("touch_end", ["x"], frozenset({TimeWindow.certain(9, 9)})),
+        Document("touch_both", ["x"], frozenset({TimeWindow.certain(9, 10)})),
+        Document("before", ["x"], frozenset({TimeWindow.certain(-5, -1)})),
+        Document("touch_start", ["x"], frozenset({TimeWindow.certain(-5, 0)})),
+        Document("vague", ["x"], frozenset({TimeWindow(-3, 12, 15, 30)})),
+        Document("after", ["x"], frozenset({TimeWindow.instant(20)})),
+    ]
+    idx = build_index(Corpus(documents=docs))
+    expected = {
+        "touch_end": (0, 2), "touch_both": (0, 1, 2), "before": (2,),
+        "touch_start": (0, 2), "vague": (0, 1, 2), "after": (2,),
+    }
+    assert doc_aspect_map(aset, idx, "x").doc_map == expected
+    assert oracle_doc_aspect_map(aset, idx, "x") == expected
+
+
+def test_doc_map_unsorted_windows_with_nested_ends():
+    # a long window followed by shorter ones it contains: the ends are not
+    # monotone in the start, so a document in a gap meets only the long one
+    aset = AspectSet(
+        term="x",
+        aspects=[
+            Aspect(window=TimeWindow.certain(30, 40), weight=0.25, center=35.0),
+            Aspect(window=TimeWindow.certain(0, 100), weight=0.5, center=50.0),
+            Aspect(window=TimeWindow.certain(10, 20), weight=0.25, center=15.0),
+        ],
+        kind="dynamic",
+        span=(0, 100),
+    )
+    docs = [_dated("gap", ["x"], 25), _dated("inner", ["x"], 12), _dated("far", ["x"], 150),
+            _dated("left", ["x"], -4)]
+    idx = build_index(Corpus(documents=docs))
+    expected = {"gap": (1,), "inner": (1, 2), "far": (1,), "left": (2,)}
+    assert doc_aspect_map(aset, idx, "x").doc_map == expected
+    assert oracle_doc_aspect_map(aset, idx, "x") == expected
+
+
+@pytest.fixture(scope="module", params=[1, 7], ids=lambda seed: f"seed{seed}")
+def seeded_index(request):
+    return request.param, build_index(random_corpus(n_docs=300, seed=request.param, vocab_size=50))
+
+
+@pytest.mark.parametrize("model", ASPECT_MODELS)
+def test_doc_map_matches_scan_oracle_on_random_corpus(seeded_index, model):
+    seed, index = seeded_index
+    sets = build_aspect_sets(index, model, seed=seed, k_max=5)
+    for term, aset in sets.items():
+        assert aset.doc_map == oracle_doc_aspect_map(aset, index, term)
 
 
 # --- whole-index construction ------------------------------------------------

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from oracles import oracle_average_precision
+from oracles import oracle_average_precision, time_filtered_qrels
 from tempoprune.aspects import build_aspect_sets, index_time_hull
 from tempoprune.errors import EvalFormatError, PruneError, QueryError, TempopruneError
 from tempoprune.evaluation import (
@@ -22,7 +22,6 @@ from tempoprune.evaluation import (
     read_run,
     read_topics,
     sweep,
-    time_filtered_qrels,
     write_qrels,
     write_queries,
 )
