@@ -57,15 +57,15 @@ from .index import (
 )
 from .prune import (
     METHODS,
-    PruneConfig,
     RelevanceList,
     check_prune_args,
-    diversified_topk_prune,
+    cut,
     diversify,
+    k_for,
     next_best,
+    posting_order,
     prune_index,
     relevance_scores,
-    threshold_prune,
     tune_epsilon,
 )
 from .search import Query, RankedResult, parse_time_spec, run_query

@@ -5,9 +5,9 @@ same 1/ln(1+j) discount the pruning criterion uses, switchable to log2.
 Queries with no relevant document are excluded from both means and from
 the reported query count.
 
-A sweep prunes through `prune.prune_index` at each target ratio and
-measures the result; which methods exist and what levels they take is
-`prune.METHODS`'s business.
+A sweep builds one `prune.posting_order` per method, as deep as its
+smallest ratio keeps, and measures its `prune.cut` at every ratio; which
+methods exist and what levels they take is `prune.METHODS`'s business.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .corpus import tokenize
 from .errors import EvalFormatError, QueryError
 from .gmm import DEFAULT_K_MAX
 from .index import InvertedIndex, pruning_ratio
-from .prune import JM_LAMBDA, METHODS, TCP_K, discount, prune_index
+from .prune import JM_LAMBDA, METHODS, TCP_K, cut, discount, k_for, posting_order
 # Unused here: bench/spans.py patches it as an evaluation name.
 from .prune import threshold_values  # noqa: F401
 from .search import DEFAULT_DEPTH, Query, RankedResult, run_query, temporal_match
@@ -430,31 +430,33 @@ def sweep(
 ) -> EvalReport:
     """MAP/NDCG as a function of pruning level, one row per method x ratio.
 
-    Ratio 0 rows evaluate the unpruned index.  A div-* method builds its
-    aspect sets once and reuses them across ratios.
+    Ratio 0 rows evaluate the unpruned index.  The others cut one
+    `posting_order` per method, as deep as its smallest positive ratio keeps.
     """
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {tuple(METHODS)}")
+    for ratio in ratios:
+        if not 0.0 <= ratio < 1.0:
+            raise ValueError(f"ratio must be in [0, 1), got {ratio}")
     baseline: tuple[float, float, int] | None = None
     report = EvalReport()
     for method in sorted(set(methods)):
-        model = METHODS[method].aspect_model
-        aspect_sets = None
+        order = None
         for ratio in sorted(set(ratios)):
-            if not 0.0 <= ratio < 1.0:
-                raise ValueError(f"ratio must be in [0, 1), got {ratio}")
             if ratio == 0.0:
                 if baseline is None:
                     baseline = evaluate_queries(index, queries, qrels, depth, discount)
                 map_, ndcg_, n = baseline
                 report.rows.append(SweepRow(method, ratio, map_, ndcg_, n))
                 continue
-            if aspect_sets is None and model is not None:
-                aspect_sets = build_aspect_sets(index, model, lambda_w, seed, k_max, presence_only)
-            pruned, info = prune_index(
-                index, method, ratio=ratio, aspect_sets=aspect_sets, zk=zk, lam=lam
-            )
+            if order is None:
+                model = METHODS[method].aspect_model
+                aspect_sets = None
+                if model is not None:
+                    aspect_sets = build_aspect_sets(index, model, lambda_w, seed, k_max, presence_only)
+                order = posting_order(index, method, aspect_sets, lambda n: k_for(n, ratio=ratio), zk, lam)
+            pruned, info = cut(index, method, order, ratio=ratio)
             achieved = pruning_ratio(index, pruned)
             map_, ndcg_, n = evaluate_queries(pruned, queries, qrels, depth, discount)
             flagged = info.get("tuned", {}).get("flagged", False)

@@ -10,8 +10,10 @@
   significant two-proportion z statistic.
 
 `METHODS` says which levels each method takes and which aspect model a
-div-* method needs; `check_prune_args` is the one level rule and
-`prune_index` the one dispatch.  `next_best` runs lazy greedy; its slow
+div-* method needs; `check_prune_args` is the one level rule.  Each level
+is a `cut` of one `posting_order` per method: the first `k_for` greedy
+picks of each term (div-*), or the postings whose statistic is not below
+epsilon (tcp/ipu/2n2p).  `next_best` runs lazy greedy; its slow
 definitions (the criterion from scratch, the full-list scan) live in
 tests/oracles.py.
 """
@@ -21,6 +23,7 @@ import heapq
 import logging
 import math
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .aspects import AspectSet, round_half_up
@@ -193,41 +196,6 @@ def diversify(rel: RelevanceList, aspects: AspectSet, k: int) -> DiversifyResult
     )
 
 
-@dataclass
-class PruneConfig:
-    """Per-term budget of the diversified pruner: a fixed depth `k` or a
-    `target_ratio` of each list to remove.  Exactly one is set."""
-
-    k: int | None = None
-    target_ratio: float | None = None
-    lam: float = JM_LAMBDA
-
-    def __post_init__(self) -> None:
-        if (self.k is None) == (self.target_ratio is None):
-            raise PruneError("exactly one of k / target_ratio must be set")
-        _check_budget(self.k, self.target_ratio)
-
-    def k_for(self, list_len: int) -> int:
-        if self.k is not None:
-            return min(self.k, list_len)
-        return max(1, round_half_up((1.0 - self.target_ratio) * list_len))
-
-
-def diversified_topk_prune(
-    index: InvertedIndex, aspect_sets: dict[str, AspectSet], config: PruneConfig
-) -> InvertedIndex:
-    """Keep, per term, the budgeted number of postings chosen by `diversify`."""
-    missing = [t for t in index.terms() if t not in aspect_sets]
-    if missing:
-        raise PruneError(f"no aspect set for terms: {missing[:5]}")
-    keep: dict[str, set[str]] = {}
-    for term in index.terms():
-        rel = relevance_scores(index, term, config.lam)
-        result = diversify(rel, aspect_sets[term], config.k_for(len(rel)))
-        keep[term] = set(result.order)
-    return subset_index(index, keep)
-
-
 # --- threshold baselines ------------------------------------------------
 
 def tcp_posting_scores(index: InvertedIndex, term: str) -> list[float]:
@@ -308,27 +276,7 @@ def threshold_values(
     return values
 
 
-def threshold_prune(
-    index: InvertedIndex,
-    method: str,
-    epsilon: float,
-    zk: int = TCP_K,
-    lam: float = JM_LAMBDA,
-) -> InvertedIndex:
-    """Remove the postings whose statistic is strictly below epsilon."""
-    _check_epsilon(method, epsilon)
-    return _keep_from(index, threshold_values(index, method, zk, lam), epsilon)
-
-
-def _keep_from(index: InvertedIndex, values: dict[str, list[float]], epsilon: float) -> InvertedIndex:
-    keep: dict[str, set[str]] = {}
-    for term in index.terms():
-        postings = index.lists[term].postings
-        keep[term] = {p.doc_id for p, v in zip(postings, values[term]) if not v < epsilon}
-    return subset_index(index, keep)
-
-
-# --- levels, epsilon tuning and dispatch -------------------------------------
+# --- epsilon tuning, levels, and one order cut per level ----------------------
 
 @dataclass
 class TuneResult:
@@ -382,21 +330,6 @@ def _tune(values: dict[str, list[float]], method: str, target_ratio: float) -> T
     return best
 
 
-def _check_budget(k: int | None, ratio: float | None) -> None:
-    if k is not None and k < 1:
-        raise PruneError(f"k must be >= 1, got {k}")
-    if ratio is not None and not 0.0 < ratio < 1.0:
-        raise PruneError(f"ratio must be in (0, 1), got {ratio}")
-
-
-def _check_epsilon(method: str, epsilon: float) -> None:
-    if epsilon < 0.0:
-        raise PruneError(f"epsilon must be >= 0, got {epsilon}")
-    cap = METHODS[method].epsilon_cap if method in METHODS else None
-    if cap is not None and epsilon > cap:
-        raise PruneError(f"{method} epsilon must be <= {cap}, got {epsilon}")
-
-
 def check_prune_args(
     method: str, *, ratio: float | None = None, k: int | None = None, epsilon: float | None = None
 ) -> Method:
@@ -411,41 +344,103 @@ def check_prune_args(
         first, second = spec.levels
         got = " ".join(f"--{name}" for name in given) or "none"
         raise PruneError(f"{method} needs --{first} or --{second}, exactly one of them; got {got}")
-    _check_budget(k, ratio)
-    if epsilon is not None:
-        _check_epsilon(method, epsilon)
+    if k is not None and k < 1:
+        raise PruneError(f"k must be >= 1, got {k}")
+    if ratio is not None and not 0.0 < ratio < 1.0:
+        raise PruneError(f"ratio must be in (0, 1), got {ratio}")
+    if epsilon is not None and epsilon < 0.0:
+        raise PruneError(f"epsilon must be >= 0, got {epsilon}")
+    if epsilon is not None and spec.epsilon_cap is not None and epsilon > spec.epsilon_cap:
+        raise PruneError(f"{method} epsilon must be <= {spec.epsilon_cap}, got {epsilon}")
     return spec
 
 
+def k_for(list_len: int, k: int | None = None, ratio: float | None = None) -> int:
+    """A div-* term's budget: `k`, at most the list length, or what removing
+    a `ratio` of the list leaves, at least one posting."""
+    if k is not None:
+        return min(k, list_len)
+    return max(1, round_half_up((1.0 - ratio) * list_len))
+
+
+def posting_order(
+    index: InvertedIndex, method: str, aspect_sets: dict[str, AspectSet] | None,
+    depth: Callable[[int], int], zk: int = TCP_K, lam: float = JM_LAMBDA,
+) -> dict[str, list]:
+    """What every level of `method` cuts, per term.  div-*: the first
+    `depth(list length)` `diversify` picks over the `aspect_sets` of the
+    method's model; the next pick depends only on the picks made, so a
+    deeper order extends a shallower one.  tcp/ipu/2n2p: `threshold_values`
+    (aspect sets and depth unused)."""
+    if METHODS[method].aspect_model is None:
+        return threshold_values(index, method, zk, lam)
+    if aspect_sets is None:
+        raise PruneError(f"{method} needs aspect sets")
+    missing = [t for t in index.terms() if t not in aspect_sets]
+    if missing:
+        raise PruneError(f"no aspect set for terms: {missing[:5]}")
+    order = {}
+    for term in index.terms():
+        rel = relevance_scores(index, term, lam)
+        order[term] = diversify(rel, aspect_sets[term], depth(len(rel))).order
+    return order
+
+
+def cut(
+    index: InvertedIndex, method: str, order: dict[str, list], *,
+    ratio: float | None = None, k: int | None = None, epsilon: float | None = None,
+) -> tuple[InvertedIndex, dict]:
+    """One level of a `posting_order`, as `prune_index` returns it.  div-*:
+    each term keeps the first `k_for(current list length)` picks, which
+    `order` must hold.  tcp/ipu/2n2p: a ratio is tuned to an epsilon on
+    `order`; the postings whose statistic is not below epsilon stay."""
+    spec = check_prune_args(method, ratio=ratio, k=k, epsilon=epsilon)
+    keep: dict[str, set[str]] = {}
+    if spec.aspect_model is not None:
+        for term, plist in index.lists.items():
+            keep[term] = set(order[term][:k_for(len(plist.postings), k, ratio)])
+        return subset_index(index, keep), {}
+    info: dict = {}
+    if epsilon is None:
+        tuned = _tune(order, method, ratio)
+        epsilon = tuned.epsilon
+        info["tuned"] = {"target_ratio": ratio, "epsilon": epsilon, "flagged": tuned.flagged}
+    info["epsilon"] = epsilon
+    for term, plist in index.lists.items():
+        keep[term] = {p.doc_id for p, v in zip(plist.postings, order[term]) if not v < epsilon}
+    return subset_index(index, keep), info
+
+
 def prune_index(
-    index: InvertedIndex,
-    method: str,
-    *,
-    ratio: float | None = None,
-    k: int | None = None,
-    epsilon: float | None = None,
-    aspect_sets: dict[str, AspectSet] | None = None,
-    zk: int = TCP_K,
-    lam: float = JM_LAMBDA,
+    index: InvertedIndex, method: str, *,
+    ratio: float | None = None, k: int | None = None, epsilon: float | None = None,
+    aspect_sets: dict[str, AspectSet] | None = None, zk: int = TCP_K, lam: float = JM_LAMBDA,
 ) -> tuple[InvertedIndex, dict]:
     """Prune `index` with one of METHODS at a level `check_prune_args`
-    accepts.  div-* methods need the `aspect_sets` of their aspect model;
-    threshold methods ignore them.
+    accepts: the `cut` of a `posting_order` only as deep as the level keeps.
+    div-* methods need the `aspect_sets` of their model.
 
     The returned dict is empty for div-*.  For threshold methods it holds
     the `epsilon` applied and, when epsilon was tuned to `ratio`, a `tuned`
     record of the target, the epsilon and the unreachable-target flag.
     """
-    spec = check_prune_args(method, ratio=ratio, k=k, epsilon=epsilon)
-    if spec.aspect_model is not None:
-        if aspect_sets is None:
-            raise PruneError(f"{method} needs aspect sets")
-        return diversified_topk_prune(index, aspect_sets, PruneConfig(k, ratio, lam)), {}
-    values = threshold_values(index, method, zk, lam)
-    info: dict = {}
-    if epsilon is None:
-        tuned = _tune(values, method, ratio)
-        epsilon = tuned.epsilon
-        info["tuned"] = {"target_ratio": ratio, "epsilon": epsilon, "flagged": tuned.flagged}
-    info["epsilon"] = epsilon
-    return _keep_from(index, values, epsilon), info
+    check_prune_args(method, ratio=ratio, k=k, epsilon=epsilon)
+    order = posting_order(index, method, aspect_sets, lambda n: k_for(n, k, ratio), zk, lam)
+    return cut(index, method, order, ratio=ratio, k=k, epsilon=epsilon)
+
+
+# `tune_epsilon` and the two below stay only because bench/spans.py patches
+# them as cli names.
+
+def diversified_topk_prune(
+    index: InvertedIndex, aspect_sets: dict[str, AspectSet], **level
+) -> InvertedIndex:
+    """`prune_index` of a div-* method at `k` or `ratio`; the aspect sets pick the model."""
+    return prune_index(index, "div-simple", aspect_sets=aspect_sets, **level)[0]
+
+
+def threshold_prune(
+    index: InvertedIndex, method: str, epsilon: float, zk: int = TCP_K, lam: float = JM_LAMBDA
+) -> InvertedIndex:
+    """Remove the postings whose statistic is strictly below epsilon."""
+    return prune_index(index, method, epsilon=epsilon, zk=zk, lam=lam)[0]

@@ -15,6 +15,9 @@ library's batched EM: one K at a time, one (days, K) array per fit.
 of the library's bisect document map and tiling: every aspect tested
 against every document window, every tile tested against every day.
 
+`oracle_sweep` is the slow definition of the library's sweep: greedy and
+the threshold statistics run again through `prune_index` at every ratio.
+
 `time_filtered_qrels` and `corpus_by_id` are qrels plumbing that only the
 tests use.
 """
@@ -26,13 +29,14 @@ from itertools import combinations
 
 import numpy as np
 
-from tempoprune.aspects import Aspect, AspectSet, TermTimeSeries
+from tempoprune.aspects import DEFAULT_LAMBDA_W, Aspect, AspectSet, TermTimeSeries, build_aspect_sets
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import FitError, QueryError
-from tempoprune.evaluation import Qrels
+from tempoprune.evaluation import EvalReport, Qrels, SweepRow, evaluate_queries
 from tempoprune.gmm import DEFAULT_K_MAX, VAR_FLOOR, GmmFit
-from tempoprune.prune import RelevanceList, discount
-from tempoprune.search import Query
+from tempoprune.index import pruning_ratio
+from tempoprune.prune import JM_LAMBDA, METHODS, TCP_K, RelevanceList, discount, prune_index
+from tempoprune.search import DEFAULT_DEPTH, Query
 from tempoprune.timewindows import TimeWindow, any_intersect, overlaps
 
 
@@ -455,3 +459,40 @@ def oracle_select_k_bic(series: TermTimeSeries, k_max: int = DEFAULT_K_MAX, seed
         raise ValueError(f"series for {series.term!r} is empty")
     fits = (oracle_fit_gmm(series, k, seed) for k in range(1, min(k_max, len(series.counts)) + 1))
     return min(fits, key=lambda fit: fit.bic)
+
+
+# --- per-ratio sweep (the slow definition of evaluation.sweep) ---------------
+
+def oracle_sweep(index, queries, qrels, methods, ratios, lambda_w=DEFAULT_LAMBDA_W,
+                 lam=JM_LAMBDA, zk=TCP_K, seed=0, depth=DEFAULT_DEPTH, discount="ln",
+                 k_max=DEFAULT_K_MAX, presence_only=False) -> EvalReport:
+    """One `prune_index` and one evaluation per (method, ratio)."""
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {tuple(METHODS)}")
+    baseline: tuple[float, float, int] | None = None
+    report = EvalReport()
+    for method in sorted(set(methods)):
+        model = METHODS[method].aspect_model
+        aspect_sets = None
+        for ratio in sorted(set(ratios)):
+            if not 0.0 <= ratio < 1.0:
+                raise ValueError(f"ratio must be in [0, 1), got {ratio}")
+            if ratio == 0.0:
+                if baseline is None:
+                    baseline = evaluate_queries(index, queries, qrels, depth, discount)
+                map_, ndcg_, n = baseline
+                report.rows.append(SweepRow(method, ratio, map_, ndcg_, n))
+                continue
+            if aspect_sets is None and model is not None:
+                aspect_sets = build_aspect_sets(index, model, lambda_w, seed, k_max, presence_only)
+            pruned, info = prune_index(
+                index, method, ratio=ratio, aspect_sets=aspect_sets, zk=zk, lam=lam
+            )
+            achieved = pruning_ratio(index, pruned)
+            map_, ndcg_, n = evaluate_queries(pruned, queries, qrels, depth, discount)
+            flagged = info.get("tuned", {}).get("flagged", False)
+            report.rows.append(
+                SweepRow(method, ratio, map_, ndcg_, n, achieved, info.get("epsilon"), flagged)
+            )
+    return report

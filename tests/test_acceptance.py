@@ -30,7 +30,6 @@ from tempoprune.evaluation import average_precision, evaluate_queries, ndcg
 from tempoprune.gmm import fit_gmm, select_k_bic
 from tempoprune.index import build_index, pruning_ratio, read_index
 from tempoprune.prune import (
-    PruneConfig,
     SelectionState,
     diversified_topk_prune,
     diversify,
@@ -217,8 +216,7 @@ def test_09_two_burst_diversity_beats_tcp_at_matched_ratio(burst_setup):
     for ratio in (0.3, 0.5, 0.7):
         tuned = tune_epsilon(index, "tcp", ratio)
         tcp_pruned = threshold_prune(index, "tcp", tuned.epsilon)
-        config = PruneConfig(target_ratio=ratio)
-        div_pruned = diversified_topk_prune(index, aspect_sets, config)
+        div_pruned = diversified_topk_prune(index, aspect_sets, ratio=ratio)
         results[ratio] = {
             "tcp_achieved": pruning_ratio(index, tcp_pruned),
             "div_achieved": pruning_ratio(index, div_pruned),

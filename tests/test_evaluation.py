@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from oracles import oracle_average_precision, time_filtered_qrels
+from oracles import oracle_average_precision, oracle_sweep, time_filtered_qrels
 from tempoprune.aspects import build_aspect_sets, index_time_hull
 from tempoprune.errors import EvalFormatError, PruneError, QueryError, TempopruneError
 from tempoprune.evaluation import (
@@ -27,7 +27,6 @@ from tempoprune.evaluation import (
 )
 from tempoprune.index import build_index, pruning_ratio
 from tempoprune.prune import (
-    PruneConfig,
     diversified_topk_prune,
     prune_index,
     threshold_prune,
@@ -482,9 +481,9 @@ def test_prune_index_matches_the_pruner_it_dispatches_to(sweep_setup):
     aspect_sets = build_aspect_sets(index, "sliding")
     for k, ratio in ((2, None), (None, 0.5)):
         pruned, info = prune_index(index, "div-sliding", k=k, ratio=ratio, aspect_sets=aspect_sets)
-        config = PruneConfig(k=k, target_ratio=ratio)
         assert info == {}
-        assert _postings(pruned) == _postings(diversified_topk_prune(index, aspect_sets, config))
+        want = diversified_topk_prune(index, aspect_sets, k=k, ratio=ratio)
+        assert _postings(pruned) == _postings(want)
 
 
 @pytest.mark.parametrize(
@@ -503,6 +502,9 @@ def test_prune_index_matches_the_pruner_it_dispatches_to(sweep_setup):
         ("tcp", {"epsilon": 1.5}, "tcp epsilon must be <= 1"),
         ("2n2p", {"epsilon": -0.5}, "epsilon must be >= 0"),
         ("div-dynamic", {"k": 0}, "k must be >= 1"),
+        ("div-simple", {"ratio": 0.0}, r"ratio must be in \(0, 1\)"),
+        ("div-sliding", {"ratio": 1.0}, r"ratio must be in \(0, 1\)"),
+        ("div-dynamic", {"k": 3, "ratio": 0.5}, "exactly one of"),
     ],
 )
 def test_prune_index_rejects_bad_requests(sweep_setup, method, level, message):
@@ -588,9 +590,45 @@ def test_sweep_deterministic(sweep_setup):
     assert a.to_json() == b.to_json()
 
 
-def test_sweep_validation(sweep_setup):
+def test_sweep_validation(sweep_setup, monkeypatch):
+    from tempoprune import evaluation
+
     index, queries, qrels = sweep_setup
     with pytest.raises(ValueError):
         sweep(index, queries, qrels, ["pagerank"], [0.5])
     with pytest.raises(ValueError):
         sweep(index, queries, qrels, ["tcp"], [1.0])
+
+    def never(*args, **kwargs):
+        raise AssertionError("aspect sets built before the ratios were checked")
+
+    # every ratio is checked before any work
+    monkeypatch.setattr(evaluation, "build_aspect_sets", never)
+    with pytest.raises(ValueError, match=r"ratio must be in \[0, 1\), got 1.0"):
+        sweep(index, queries, qrels, ["div-simple"], [0.5, 1.0])
+
+
+ALL_METHODS = ["tcp", "ipu", "2n2p", "div-simple", "div-sliding", "div-dynamic"]
+
+
+def _assert_sweeps_equal(setup, methods, ratios, **kwargs):
+    index, queries, qrels = setup
+    got = sweep(index, queries, qrels, methods, ratios, **kwargs)
+    want = oracle_sweep(index, queries, qrels, methods, ratios, **kwargs)
+    assert got.to_csv_lines() == want.to_csv_lines()
+    assert got.to_json() == want.to_json()
+    return got
+
+
+def test_sweep_cuts_equal_one_prune_per_ratio(sweep_setup):
+    _assert_sweeps_equal(sweep_setup, ALL_METHODS, [0.0, 0.3, 0.5, 0.7, 0.9], k_max=2, seed=1)
+
+
+def test_sweep_cuts_equal_one_prune_per_ratio_on_two_bursts(burst_setup):
+    setup = burst_setup[2:]
+    _assert_sweeps_equal(setup, ALL_METHODS, [0.3, 0.5, 0.7], lambda_w=0.0, k_max=2)
+
+
+def test_sweep_cuts_equal_one_prune_per_ratio_at_a_flagged_target(sweep_setup):
+    report = _assert_sweeps_equal(sweep_setup, ["tcp"], [0.5, 0.95])
+    assert [r.flagged for r in report.rows] == [False, True]

@@ -22,15 +22,17 @@ from tempoprune.errors import PruneError, SelectionExhausted, TermNotFoundError
 from tempoprune.index import build_index, pruning_ratio, subset_index, write_index
 from tempoprune.prune import (
     RATIO_TOLERANCE,
-    PruneConfig,
     RelevanceList,
     SelectionState,
+    cut,
     discount,
     diversified_topk_prune,
     diversify,
     ipu_values,
+    k_for,
     n2p2_values,
     next_best,
+    posting_order,
     prune_index,
     relevance_scores,
     tcp_cutoff,
@@ -218,11 +220,11 @@ def test_lazy_greedy_and_scan_exhaust_together():
 def test_lazy_prune_matches_scan_on_real_lists(seed, model, tmp_path):
     index = build_index(random_corpus(n_docs=300, seed=seed, vocab_size=500))
     aspect_sets = build_aspect_sets(index, model)
-    configs = [PruneConfig(target_ratio=r) for r in (0.3, 0.7)]
-    scan_keep: list[dict[str, set[str]]] = [{} for _ in configs]
+    ratios = (0.3, 0.7)
+    scan_keep: list[dict[str, set[str]]] = [{} for _ in ratios]
     for term in index.terms():
         rel = relevance_scores(index, term)
-        ks = [c.k_for(len(rel)) for c in configs]
+        ks = [k_for(len(rel), ratio=r) for r in ratios]
         # greedy picks do not depend on k: one scan serves both budgets
         order, gains = scan_diversify(rel, aspect_sets[term], max(ks))
         for keep, k in zip(scan_keep, ks):
@@ -230,8 +232,8 @@ def test_lazy_prune_matches_scan_on_real_lists(seed, model, tmp_path):
             assert result.order == order[:k], term
             assert result.gains == gains[:k], term
             keep[term] = set(order[:k])
-    for config, keep in zip(configs, scan_keep):
-        lazy = diversified_topk_prune(index, aspect_sets, config)
+    for ratio, keep in zip(ratios, scan_keep):
+        lazy = diversified_topk_prune(index, aspect_sets, ratio=ratio)
         scan = subset_index(index, keep)
         assert {t: [p.doc_id for p in pl.postings] for t, pl in lazy.lists.items()} == {
             t: [p.doc_id for p in pl.postings] for t, pl in scan.lists.items()
@@ -241,31 +243,16 @@ def test_lazy_prune_matches_scan_on_real_lists(seed, model, tmp_path):
         assert (tmp_path / "lazy.bin").read_bytes() == (tmp_path / "scan.bin").read_bytes()
 
 
-# --- prune config and driver -------------------------------------------------
+# --- budgets, posting orders and cuts ------------------------------------------
 
 
-def test_prune_config_validation():
-    with pytest.raises(PruneError):
-        PruneConfig()  # no budget
-    with pytest.raises(PruneError):
-        PruneConfig(k=0)
-    with pytest.raises(PruneError):
-        PruneConfig(target_ratio=0.0)
-    with pytest.raises(PruneError):
-        PruneConfig(target_ratio=1.0)
-    with pytest.raises(PruneError):
-        PruneConfig(k=3, target_ratio=0.5)  # both budgets
-
-
-def test_prune_config_budgets():
-    fixed = PruneConfig(k=10)
-    assert fixed.k_for(25) == 10
-    assert fixed.k_for(4) == 4
-    ratio = PruneConfig(target_ratio=0.5)
-    assert ratio.k_for(5) == 3  # 2.5 rounds half up
-    assert ratio.k_for(4) == 2
-    assert PruneConfig(target_ratio=0.9).k_for(3) == 1
-    assert PruneConfig(target_ratio=0.4).k_for(4) == 2
+def test_k_for_budgets():
+    assert k_for(25, k=10) == 10
+    assert k_for(4, k=10) == 4
+    assert k_for(5, ratio=0.5) == 3  # 2.5 rounds half up
+    assert k_for(4, ratio=0.5) == 2
+    assert k_for(3, ratio=0.9) == 1
+    assert k_for(4, ratio=0.4) == 2
 
 
 def test_diversified_topk_prune_fixed_k(toy5_index):
@@ -273,7 +260,7 @@ def test_diversified_topk_prune_fixed_k(toy5_index):
         t: global_only_aspects(t, [p.doc_id for p in pl.postings])
         for t, pl in toy5_index.lists.items()
     }
-    pruned = diversified_topk_prune(toy5_index, aspect_sets, PruneConfig(k=2))
+    pruned = diversified_topk_prune(toy5_index, aspect_sets, k=2)
     for term, pl in pruned.lists.items():
         rel = relevance_scores(toy5_index, term)
         assert {p.doc_id for p in pl.postings} == set(rel.doc_ids[:2])
@@ -287,16 +274,72 @@ def test_diversified_topk_prune_ratio(toy5_index):
         t: global_only_aspects(t, [p.doc_id for p in pl.postings])
         for t, pl in toy5_index.lists.items()
     }
-    config = PruneConfig(target_ratio=0.5)
-    pruned = diversified_topk_prune(toy5_index, aspect_sets, config)
+    pruned = diversified_topk_prune(toy5_index, aspect_sets, ratio=0.5)
     for term, pl in pruned.lists.items():
-        assert len(pl.postings) == config.k_for(toy5_index.stats.df[term])
+        assert len(pl.postings) == k_for(toy5_index.stats.df[term], ratio=0.5)
     assert 0.0 < pruning_ratio(toy5_index, pruned) < 1.0
 
 
 def test_diversified_topk_prune_requires_all_aspect_sets(toy5_index):
     with pytest.raises(PruneError):
-        diversified_topk_prune(toy5_index, {}, PruneConfig(k=2))
+        diversified_topk_prune(toy5_index, {}, k=2)
+
+
+def test_full_posting_order_cut_at_every_k_equals_diversify(monkeypatch):
+    from tempoprune import prune
+
+    for seed in range(200):
+        rel, aset = make_tied_instance(seed)
+        index = build_index(Corpus(documents=[Document(d, ["tied"]) for d in rel.doc_ids]))
+        monkeypatch.setattr(prune, "relevance_scores", lambda *args: rel)
+        order = posting_order(index, "div-simple", {"tied": aset}, lambda n: n)["tied"]
+        for k in range(1, len(rel) + 1):
+            want = diversify(rel, aset, k).order
+            assert order[:k] == want, (seed, k)
+            pruned, info = cut(index, "div-simple", {"tied": order}, k=k)
+            assert {p.doc_id for p in pruned.lists["tied"].postings} == set(want), (seed, k)
+            assert info == {}
+
+
+@pytest.fixture(scope="module")
+def simple_setup(seed4_index):
+    return seed4_index, build_aspect_sets(seed4_index, "simple")
+
+
+@pytest.mark.parametrize("level", [{"ratio": 0.3}, {"ratio": 0.7}, {"k": 3}])
+def test_one_level_prune_makes_only_the_picks_it_keeps(simple_setup, monkeypatch, level):
+    from tempoprune import prune
+
+    index, aspect_sets = simple_setup
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].term)
+        return next_best(*args)
+
+    monkeypatch.setattr(prune, "next_best", counted)
+    pruned, _ = prune_index(index, "div-simple", aspect_sets=aspect_sets, **level)
+    lengths = {t: len(pl.postings) for t, pl in index.lists.items()}
+    assert len(calls) == sum(k_for(n, **level) for n in lengths.values())
+    assert {t: len(pl.postings) for t, pl in pruned.lists.items()} == {
+        t: k_for(n, **level) for t, n in lengths.items()
+    }
+
+
+def test_ratio_budget_follows_the_current_list_length(simple_setup):
+    index, aspect_sets = simple_setup
+    once, _ = prune_index(index, "div-simple", ratio=0.5, aspect_sets=aspect_sets)
+    twice, _ = prune_index(once, "div-simple", ratio=0.5, aspect_sets=aspect_sets)
+    full = posting_order(once, "div-simple", aspect_sets, lambda n: n)
+    twice_from_full, _ = cut(once, "div-simple", full, ratio=0.5)
+    assert once.stats.df == index.stats.df  # frozen at build values
+    for term, pl in twice.lists.items():
+        assert len(pl.postings) == k_for(len(once.lists[term].postings), ratio=0.5), term
+        assert len(twice_from_full.lists[term].postings) == len(pl.postings), term
+    assert any(
+        k_for(len(once.lists[t].postings), ratio=0.5) != k_for(index.stats.df[t], ratio=0.5)
+        for t in twice.lists
+    )
 
 
 # --- threshold baselines -----------------------------------------------------
