@@ -18,7 +18,7 @@ from .gmm import DEFAULT_K_MAX, EM_MAX_ITER, GmmFit, select_k_bic
 from .index import InvertedIndex
 # `intersect` is unused here but stays importable as `aspects.intersect`,
 # a name that external call tracers patch.
-from .timewindows import TimeWindow, intersect  # noqa: F401
+from .timewindows import Stabbing, TimeWindow, intersect  # noqa: F401
 
 
 log = logging.getLogger(__name__)
@@ -79,11 +79,11 @@ def term_time_series(index: InvertedIndex, term: str, presence_only: bool = Fals
     `presence_only`.  Documents without time data contribute nothing."""
     if term not in index.lists:
         raise TermNotFoundError(term)
+    doc_days = index.doc_days
     counts: dict[int, int] = {}
     for p in index.lists[term].postings:
         mass = 1 if presence_only else p.tf
-        for w in index.doc_times.get(p.doc_id, frozenset()):
-            day = w.midpoint
+        for day in doc_days.get(p.doc_id, ()):
             counts[day] = counts.get(day, 0) + mass
     return TermTimeSeries(term=term, counts=counts)
 
@@ -186,21 +186,14 @@ def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> Aspec
     """Map every document of the term to the aspects whose windows intersect
     its time part; the global aspect (when present) maps everything.
     Under dynamic windows an uncovered dated document falls back to the
-    component with the nearest mean.
-
-    Windows meet when each starts no later than the other ends.  With the
-    aspects sorted by start and `reach` the running maximum of their ends,
-    the aspects a document window [lo, hi] can meet are the slice from the
-    first reach >= lo to the last start <= hi; the slice is then filtered
-    by end >= lo.  That holds for any aspect list, overlapping or not."""
+    component with the nearest mean.  The aspects a document window meets
+    come from one `Stabbing` lookup over the non-global aspect windows."""
     if term not in index.lists:
         raise TermNotFoundError(term)
     gi = aspects.global_index
-    local = sorted(
+    local = Stabbing(
         (a.window.b_lo, a.window.e_hi, i) for i, a in enumerate(aspects.aspects) if not a.is_global
     )
-    starts = [s for s, _, _ in local]
-    reach = list(accumulate((e for _, e, _ in local), max))
     centers = [
         (i, a.center) for i, a in enumerate(aspects.aspects)
         if not a.is_global and a.center is not None
@@ -208,14 +201,9 @@ def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> Aspec
     doc_map: dict[str, tuple[int, ...]] = {}
     for p in index.lists[term].postings:
         windows = index.doc_times.get(p.doc_id, frozenset())
-        mapped = {
-            local[j][2]
-            for w in windows
-            for j in range(bisect_left(reach, w.b_lo), bisect_right(starts, w.e_hi))
-            if local[j][1] >= w.b_lo
-        }
+        mapped = {i for w in windows for i in local.meeting(w.b_lo, w.e_hi)}
         if not mapped and windows and aspects.kind == "dynamic" and centers:
-            rep_days = [w.midpoint for w in windows]
+            rep_days = index.doc_days[p.doc_id]
             mapped = {min(centers, key=lambda ic: (min(abs(d - ic[1]) for d in rep_days), ic[0]))[0]}
         if gi is not None:
             mapped.add(gi)
@@ -282,11 +270,9 @@ def build_aspect_sets(
 
 
 def index_time_hull(index: InvertedIndex) -> tuple[int, int]:
-    lo = hi = None
-    for windows in index.doc_times.values():
-        for w in windows:
-            lo = w.b_lo if lo is None else min(lo, w.b_lo)
-            hi = w.e_hi if hi is None else max(hi, w.e_hi)
-    if lo is None:
+    """(earliest start, latest end) over every document window; (0, 0) when
+    no document is dated."""
+    order = index.time_order
+    if not order.starts:
         return 0, 0
-    return lo, hi
+    return order.starts[0], order.reach[-1]

@@ -25,7 +25,7 @@ from .index import InvertedIndex, pruning_ratio
 from .prune import JM_LAMBDA, METHODS, TCP_K, cut, discount, k_for, posting_order
 # Unused here: bench/spans.py patches it as an evaluation name.
 from .prune import threshold_values  # noqa: F401
-from .search import DEFAULT_DEPTH, Query, RankedResult, run_query, temporal_match
+from .search import DEFAULT_DEPTH, Query, RankedResult, run_query
 from .timewindows import TimeWindow
 
 log = logging.getLogger(__name__)
@@ -255,20 +255,17 @@ def generate_temporal_queries(
 
 
 def all_relevant_qrels(queries: list[Query], index: InvertedIndex) -> Qrels:
-    """Grade 1 for every document inside the query window containing at
-    least one query term."""
+    """Grade 1 for every document that meets a query window and contains
+    at least one query term."""
     grades: dict[tuple[str, str], int] = {}
     for q in queries:
         if q.kind != "exclusive":
             raise QueryError(f"query {q.qid!r} is not exclusive")
-        candidates = set()
+        meeting = index.docs_meeting(q.time_constraint)
         for term in q.terms:
             plist = index.lists.get(term)
             if plist is not None:
-                candidates.update(p.doc_id for p in plist.postings)
-        for doc in candidates:
-            if temporal_match(index, doc, q.time_constraint):
-                grades[(q.qid, doc)] = 1
+                grades.update(((q.qid, p.doc_id), 1) for p in plist.postings if p.doc_id in meeting)
     return Qrels(grades)
 
 

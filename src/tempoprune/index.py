@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .corpus import Corpus
 from .errors import CorpusFormatError, IndexConsistencyError, IndexFormatError
-from .timewindows import TimeWindow
+from .timewindows import Stabbing, TimeWindow
 
 MAGIC = b"TPIX"
 FORMAT_VERSION = 1
@@ -48,6 +49,25 @@ class InvertedIndex:
 
     def terms(self) -> list[str]:
         return sorted(self.lists)
+
+    # Derived from doc_times on first use, once per index object; neither is
+    # serialized or compared.
+
+    @cached_property
+    def time_order(self) -> Stabbing:
+        """Every document window's hull, carrying its document id."""
+        return Stabbing((w.b_lo, w.e_hi, d) for d, ws in self.doc_times.items() for w in ws)
+
+    @cached_property
+    def doc_days(self) -> dict[str, tuple[int, ...]]:
+        """Each dated document's representative days, one midpoint per window."""
+        return {d: tuple(w.midpoint for w in ws) for d, ws in self.doc_times.items()}
+
+    def docs_meeting(self, windows) -> set[str]:
+        """Documents whose time part meets one of `windows`, that is with
+        `any_intersect(windows, doc_times[doc])`."""
+        order = self.time_order
+        return {d for w in windows for d in order.meeting(w.b_lo, w.e_hi)}
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:

@@ -2,9 +2,9 @@
 
 Exclusive queries carry explicit time windows and drop every document
 whose time part misses all of them; inclusive queries leave dates to the
-text tokens.  Collection statistics are the ones frozen at build time, so
-rankings over a pruned index reflect pruning only through the missing
-postings.
+text tokens and take no windows.  Collection statistics are the ones
+frozen at build time, so rankings over a pruned index reflect pruning only
+through the missing postings.
 """
 from __future__ import annotations
 
@@ -15,7 +15,9 @@ from datetime import date
 
 from .errors import QueryError
 from .index import InvertedIndex
-from .timewindows import TimeWindow, any_intersect, day_number, parse_day
+from .timewindows import TimeWindow, day_number, parse_day
+# Unused here: bench/spans.py patches it as a search name.
+from .timewindows import any_intersect  # noqa: F401
 
 K1 = 2.0
 B = 0.75
@@ -34,6 +36,11 @@ class Query:
             raise QueryError(f"unknown query kind {self.kind!r}")
         if self.kind == "exclusive" and not self.time_constraint:
             raise QueryError(f"exclusive query {self.qid!r} needs a time constraint")
+        if self.kind == "inclusive" and self.time_constraint:
+            raise QueryError(
+                f"inclusive query {self.qid!r} takes no time windows; "
+                "only an exclusive query filters by time"
+            )
 
 
 @dataclass
@@ -55,35 +62,27 @@ def _tf_part(tf: int, dlen: int, avgdl: float) -> float:
     return tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dlen / avgdl))
 
 
-def temporal_match(index: InvertedIndex, doc_id: str, constraint: frozenset[TimeWindow]) -> bool:
-    windows = index.doc_times.get(doc_id, frozenset())
-    return any_intersect(constraint, windows)
-
-
 def run_query(index: InvertedIndex, query: Query, depth: int = DEFAULT_DEPTH) -> RankedResult:
-    """Term-at-a-time BM25; exclusive queries then keep only documents whose
-    time part intersects some query window.  Top `depth` by (score desc,
-    doc_id asc)."""
+    """Term-at-a-time BM25.  An exclusive query first finds the documents
+    whose time part meets some query window (`InvertedIndex.docs_meeting`)
+    and scores only their postings.  Top `depth` by (score desc, doc_id asc)."""
     if depth < 1:
         raise QueryError(f"depth must be >= 1, got {depth}")
     if not query.terms:
         raise QueryError(f"query {query.qid!r} has no terms")
+    keep = index.docs_meeting(query.time_constraint) if query.kind == "exclusive" else None
     acc: dict[str, float] = {}
     avgdl = index.stats.avgdl
     for term, count in sorted(Counter(query.terms).items()):
         plist = index.lists.get(term)
         if plist is None:
             continue
+        postings = plist.postings if keep is None else [p for p in plist.postings if p.doc_id in keep]
         idf = _idf(index, term)
-        for p in plist.postings:
+        for p in postings:
             w = count * idf * _tf_part(p.tf, index.stats.doc_len[p.doc_id], avgdl)
             acc[p.doc_id] = acc.get(p.doc_id, 0.0) + w
-    candidates = acc.items()
-    if query.kind == "exclusive":
-        candidates = (
-            (d, s) for d, s in candidates if temporal_match(index, d, query.time_constraint)
-        )
-    ranked = sorted(candidates, key=lambda e: (-e[1], e[0]))[:depth]
+    ranked = sorted(acc.items(), key=lambda e: (-e[1], e[0]))[:depth]
     return RankedResult(qid=query.qid, hits=ranked)
 
 

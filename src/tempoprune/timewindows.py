@@ -8,8 +8,10 @@ expressions such as "in 2013" are modelled.  All day values count from
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import accumulate
 
 EPOCH = date(1970, 1, 1)
 
@@ -87,10 +89,43 @@ def intersect(a: TimeWindow, c: TimeWindow) -> TimeWindow | None:
 
 
 def overlaps(a: TimeWindow, c: TimeWindow) -> bool:
-    """`intersect(a, c) is not None`, without building the intersection."""
+    """`intersect(a, c) is not None`, without building the intersection.
+
+    The result depends only on each window's hull (`b_lo`, `e_hi`): two
+    windows meet exactly when each starts no later than the other ends."""
     return max(a.b_lo, c.b_lo) <= min(a.e_hi, c.e_hi)
 
 
 def any_intersect(first, second) -> bool:
     """True when some window from `first` intersects some window from `second`."""
     return any(overlaps(a, b) for a in first for b in second)
+
+
+class Stabbing:
+    """Closed day intervals [start, end], each carrying an item, answering
+    "which intervals meet [lo, hi]" by bisection.
+
+    The intervals are sorted by (start, end, item), and `reach` is the
+    running maximum of their ends.  The intervals that meet [lo, hi] lie in
+    the slice from the first reach >= lo to the last start <= hi; filtering
+    that slice by end >= lo is exact for any interval list, overlapping,
+    nested or duplicated ones included.  Applied to window hulls this is
+    `overlaps`."""
+
+    __slots__ = ("starts", "ends", "reach", "items")
+
+    def __init__(self, intervals) -> None:
+        ordered = sorted(intervals)
+        self.starts = [s for s, _, _ in ordered]
+        self.ends = [e for _, e, _ in ordered]
+        self.reach = list(accumulate(self.ends, max))
+        self.items = [item for _, _, item in ordered]
+
+    def meeting(self, lo: int, hi: int) -> list:
+        """Items of the intervals that meet [lo, hi], in sorted order."""
+        ends, items = self.ends, self.items
+        return [
+            items[j]
+            for j in range(bisect_left(self.reach, lo), bisect_right(self.starts, hi))
+            if ends[j] >= lo
+        ]

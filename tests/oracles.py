@@ -18,11 +18,19 @@ against every document window, every tile tested against every day.
 `oracle_sweep` is the slow definition of the library's sweep: greedy and
 the threshold statistics run again through `prune_index` at every ratio.
 
+`oracle_run_query`, `oracle_temporal_match` and `oracle_all_relevant_qrels`
+are the slow definitions of exclusive retrieval and judging: every posting
+of the query terms is scored, and each candidate document's windows are
+then tested against every query window.  `oracle_term_time_series` reads
+every window's midpoint afresh for every posting.
+
 `time_filtered_qrels` and `corpus_by_id` are qrels plumbing that only the
-tests use.
+tests use; `multi_window_corpus` is a test corpus whose documents carry
+up to two windows.
 """
 import math
 import random
+from collections import Counter
 from datetime import date
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -36,7 +44,8 @@ from tempoprune.evaluation import EvalReport, Qrels, SweepRow, evaluate_queries
 from tempoprune.gmm import DEFAULT_K_MAX, VAR_FLOOR, GmmFit
 from tempoprune.index import pruning_ratio
 from tempoprune.prune import JM_LAMBDA, METHODS, TCP_K, RelevanceList, discount, prune_index
-from tempoprune.search import DEFAULT_DEPTH, Query
+from tempoprune.search import B, DEFAULT_DEPTH, K1, Query, RankedResult
+from tempoprune.synth import random_corpus
 from tempoprune.timewindows import TimeWindow, any_intersect, overlaps
 
 
@@ -496,3 +505,87 @@ def oracle_sweep(index, queries, qrels, methods, ratios, lambda_w=DEFAULT_LAMBDA
                 SweepRow(method, ratio, map_, ndcg_, n, achieved, info.get("epsilon"), flagged)
             )
     return report
+
+
+# --- post-filter retrieval (the slow definition of exclusive queries) -------
+
+def multi_window_corpus(seed: int, n_docs: int = 200, vocab_size: int = 40) -> Corpus:
+    """`random_corpus` (undated and uncertain documents included) with half
+    of the dated documents given a second window: nested in the first, with
+    the first's hull (the same window when the first is an instant), around
+    it, or far after it."""
+    rng = random.Random(seed)
+    docs = random_corpus(n_docs=n_docs, seed=seed, vocab_size=vocab_size).documents
+    for doc in docs:
+        if doc.time_part and rng.random() < 0.5:
+            (w,) = doc.time_part
+            extra = rng.choice([
+                TimeWindow.instant(w.b_lo),
+                TimeWindow(w.b_lo, w.b_lo, w.e_hi, w.e_hi),
+                TimeWindow.certain(w.b_lo - rng.randint(1, 30), w.e_hi + rng.randint(0, 30)),
+                TimeWindow.certain(w.e_hi + rng.randint(1, 400), w.e_hi + rng.randint(401, 500)),
+            ])
+            doc.time_part = doc.time_part | {extra}
+    return Corpus(documents=docs)
+
+
+def oracle_temporal_match(index, doc_id: str, constraint) -> bool:
+    """Some window of the document intersects some query window."""
+    return any_intersect(constraint, index.doc_times.get(doc_id, frozenset()))
+
+
+def oracle_run_query(index, query: Query, depth: int = DEFAULT_DEPTH) -> RankedResult:
+    """Term-at-a-time BM25 over every posting of the query terms; an
+    exclusive query then drops the candidates whose time part meets no
+    query window.  Top `depth` by (score desc, doc_id asc)."""
+    if depth < 1:
+        raise QueryError(f"depth must be >= 1, got {depth}")
+    if not query.terms:
+        raise QueryError(f"query {query.qid!r} has no terms")
+    acc: dict[str, float] = {}
+    n_docs, avgdl = index.stats.n_docs, index.stats.avgdl
+    for term, count in sorted(Counter(query.terms).items()):
+        plist = index.lists.get(term)
+        if plist is None:
+            continue
+        df = index.stats.df[term]
+        idf = math.log((n_docs - df + 0.5) / (df + 0.5))
+        for p in plist.postings:
+            dlen = index.stats.doc_len[p.doc_id]
+            w = count * idf * (p.tf * (K1 + 1.0) / (p.tf + K1 * (1.0 - B + B * dlen / avgdl)))
+            acc[p.doc_id] = acc.get(p.doc_id, 0.0) + w
+    candidates = acc.items()
+    if query.kind == "exclusive":
+        candidates = (
+            (d, s) for d, s in candidates if oracle_temporal_match(index, d, query.time_constraint)
+        )
+    ranked = sorted(candidates, key=lambda e: (-e[1], e[0]))[:depth]
+    return RankedResult(qid=query.qid, hits=ranked)
+
+
+def oracle_all_relevant_qrels(queries, index) -> Qrels:
+    """Grade 1 for every document in the union of the query terms' posting
+    lists whose time part meets a query window."""
+    grades: dict[tuple[str, str], int] = {}
+    for q in queries:
+        if q.kind != "exclusive":
+            raise QueryError(f"query {q.qid!r} is not exclusive")
+        candidates = set()
+        for term in q.terms:
+            plist = index.lists.get(term)
+            if plist is not None:
+                candidates.update(p.doc_id for p in plist.postings)
+        for doc in candidates:
+            if oracle_temporal_match(index, doc, q.time_constraint):
+                grades[(q.qid, doc)] = 1
+    return Qrels(grades)
+
+
+def oracle_term_time_series(index, term: str, presence_only: bool = False) -> dict[int, int]:
+    """Day histogram of the term, each window's midpoint read per posting."""
+    counts: dict[int, int] = {}
+    for p in index.lists[term].postings:
+        mass = 1 if presence_only else p.tf
+        for w in index.doc_times.get(p.doc_id, frozenset()):
+            counts[w.midpoint] = counts.get(w.midpoint, 0) + mass
+    return counts

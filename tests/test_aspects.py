@@ -4,7 +4,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import hf2_quantile, oracle_doc_aspect_map, oracle_fd_width, oracle_tile_starts
+from oracles import (
+    hf2_quantile,
+    multi_window_corpus,
+    oracle_doc_aspect_map,
+    oracle_fd_width,
+    oracle_term_time_series,
+    oracle_tile_starts,
+)
 from tempoprune.aspects import (
     ASPECT_MODELS,
     Aspect,
@@ -85,6 +92,16 @@ def test_series_unknown_term():
     idx = build_index(Corpus(documents=[_dated("d1", ["x"], 0)]))
     with pytest.raises(TermNotFoundError):
         term_time_series(idx, "zzz")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_series_matches_per_posting_oracle(seed):
+    # undated, uncertain and multi-window documents
+    index = build_index(multi_window_corpus(seed))
+    for term in index.terms():
+        for presence_only in (False, True):
+            got = term_time_series(index, term, presence_only).counts
+            assert got == oracle_term_time_series(index, term, presence_only)
 
 
 def test_series_matches_corpus_recount(rand_corpus, rand_index):
@@ -484,6 +501,14 @@ def test_doc_map_matches_scan_oracle_on_random_corpus(seeded_index, model):
         assert aset.doc_map == oracle_doc_aspect_map(aset, index, term)
 
 
+@pytest.mark.parametrize("model", ASPECT_MODELS)
+def test_doc_map_matches_scan_oracle_on_multi_window_corpus(model):
+    index = build_index(multi_window_corpus(2))
+    sets = build_aspect_sets(index, model, lambda_w=0.0, seed=2, k_max=3)
+    for term, aset in sets.items():
+        assert aset.doc_map == oracle_doc_aspect_map(aset, index, term)
+
+
 # --- whole-index construction ------------------------------------------------
 
 
@@ -533,3 +558,10 @@ def test_term_aspects_rejects_unknown_model(rand_index):
 
 def test_index_time_hull(toy5_index):
     assert index_time_hull(toy5_index) == (100, 500)
+
+
+def test_index_time_hull_over_every_window():
+    index = build_index(multi_window_corpus(3))
+    windows = [w for ws in index.doc_times.values() for w in ws]
+    assert index_time_hull(index) == (min(w.b_lo for w in windows), max(w.e_hi for w in windows))
+    assert index_time_hull(build_index(Corpus(documents=[Document("d", ["x"])]))) == (0, 0)

@@ -183,6 +183,15 @@ def test_query_time_filter_defaults_to_exclusive(cli_dir, capsys):
     assert filtered < unfiltered
 
 
+def test_query_inclusive_with_time_exits_1(cli_dir, capsys):
+    argv = ["query", "--index", str(cli_dir / "idx.bin"), "--q", "w000", "--time", "2001"]
+    assert main(argv + ["--kind", "inclusive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "inclusive query 'q1' takes no time windows" in captured.err
+    assert main(argv + ["--kind", "exclusive"]) == 0
+
+
 def test_query_file_output(cli_dir, tmp_path, capsys):
     out = tmp_path / "run.txt"
     rc = main([

@@ -5,7 +5,14 @@ import re
 
 import pytest
 
-from oracles import oracle_average_precision, oracle_sweep, time_filtered_qrels
+from oracles import (
+    multi_window_corpus,
+    oracle_all_relevant_qrels,
+    oracle_average_precision,
+    oracle_sweep,
+    oracle_temporal_match,
+    time_filtered_qrels,
+)
 from tempoprune.aspects import build_aspect_sets, index_time_hull
 from tempoprune.errors import EvalFormatError, PruneError, QueryError, TempopruneError
 from tempoprune.evaluation import (
@@ -33,7 +40,7 @@ from tempoprune.prune import (
     threshold_values,
     tune_epsilon,
 )
-from tempoprune.search import Query, RankedResult, run_query, temporal_match, trec_run_lines
+from tempoprune.search import Query, RankedResult, run_query, trec_run_lines
 from tempoprune.synth import random_corpus
 from tempoprune.timewindows import TimeWindow, parse_day
 
@@ -329,6 +336,9 @@ GOOD_QUERY = '{"qid": "q0", "terms": ["a"], "kind": "exclusive", "windows": [[1,
         ('{"qid": "q1", "terms": ["a"], "windows": {"b": 1}}', "four integer days"),
         ('{"qid": "q1", "terms": ["a"], "windows": [[5, 2, 3, 4]]}', "inconsistent window"),
         ('{"qid": "q1", "terms": ["a"], "kind": "exclusive"}', "needs a time constraint"),
+        ('{"qid": "q1", "terms": ["a"], "windows": [[1, 2, 3, 4]]}', "takes no time windows"),
+        ('{"qid": "q1", "terms": ["a"], "kind": "inclusive", "windows": [[1, 2, 3, 4]]}',
+         "takes no time windows"),
         ('{"qid": "q1", "terms": ["a"], "kind": "sideways"}', "unknown query kind"),
         ('["q1", ["a"]]', "expected a JSON object"),
         ('{"qid": "q1", "terms": [', "not JSON"),
@@ -371,9 +381,26 @@ def test_all_relevant_qrels_brute_force(rand_corpus, rand_index):
         for doc in rand_corpus.documents:
             if not set(q.terms) & set(doc.tokens):
                 continue
-            if temporal_match(rand_index, doc.doc_id, q.time_constraint):
+            if oracle_temporal_match(rand_index, doc.doc_id, q.time_constraint):
                 expected.add(doc.doc_id)
         assert {d for d, g in qrels.for_query(q.qid).items() if g} == expected
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("interval", ["daily", "monthly"])
+def test_all_relevant_qrels_matches_oracle(seed, interval):
+    index = build_index(multi_window_corpus(seed))
+    queries = generate_temporal_queries(TOPICS, index_time_hull(index), interval, 12, seed, index)
+    queries += [
+        Query(qid="multi", terms=["disaster", "w001", "w001"], kind="exclusive",
+              time_constraint=frozenset({TimeWindow.certain(10950, 10980),
+                                         TimeWindow(11300, 11320, 11330, 11400),
+                                         TimeWindow.instant(11500)})),
+        Query(qid="none", terms=["nosuchterm"], kind="exclusive",
+              time_constraint=frozenset({TimeWindow.certain(10950, 12000)})),
+    ]
+    assert queries
+    assert all_relevant_qrels(queries, index).grades == oracle_all_relevant_qrels(queries, index).grades
 
 
 def test_all_relevant_rejects_inclusive():

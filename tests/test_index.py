@@ -18,6 +18,7 @@ from tempoprune.index import (
     verify_index,
     write_index,
 )
+from tempoprune.timewindows import TimeWindow
 
 
 def _mini_corpus():
@@ -95,6 +96,17 @@ def test_read_write_roundtrip(tmp_path, rand_index):
     assert back.stats.avgdl == pytest.approx(rand_index.stats.avgdl)
     assert back.doc_times == rand_index.doc_times
     assert back.pruned == rand_index.pruned
+
+
+def test_time_order_is_neither_written_nor_compared(tmp_path, toy5_corpus):
+    index = build_index(toy5_corpus)
+    before, after = tmp_path / "before.idx", tmp_path / "after.idx"
+    write_index(index, before)
+    assert index.docs_meeting([TimeWindow.certain(150, 300)]) == {"d2", "d3"}
+    assert index.doc_days == {"d1": (100,), "d2": (200,), "d3": (300,), "d4": (400,), "d5": (500,)}
+    write_index(index, after)
+    assert before.read_bytes() == after.read_bytes()
+    assert index == build_index(toy5_corpus)
 
 
 def test_read_rejects_bad_magic(tmp_path):

@@ -1,19 +1,22 @@
 """BM25 scoring, temporal filtering, and time-spec parsing."""
 import math
+import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bm25_score
+from oracles import bm25_score, multi_window_corpus, oracle_run_query, oracle_temporal_match
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import QueryError
-from tempoprune.index import build_index
+from tempoprune.index import build_index, subset_index
 from tempoprune.prune import threshold_prune
 from tempoprune.search import (
     Query,
     RankedResult,
     parse_time_spec,
     run_query,
-    temporal_match,
     trec_run_lines,
 )
 from tempoprune.timewindows import TimeWindow, parse_day
@@ -92,6 +95,10 @@ def test_query_kind_validation():
         Query(qid="q", terms=["a"], kind="fuzzy")
     with pytest.raises(QueryError):
         Query(qid="q", terms=["a"], kind="exclusive")  # no time constraint
+    with pytest.raises(QueryError, match="inclusive query 'q' takes no time windows"):
+        Query(qid="q", terms=["a"], time_constraint=frozenset({TimeWindow.instant(0)}))
+    # an empty constraint is no constraint
+    assert Query(qid="q", terms=["a"], time_constraint=frozenset()).kind == "inclusive"
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +143,7 @@ def test_exclusive_subset_of_inclusive(rand_index):
         )
         assert set(exc.doc_ids()) <= set(inc.doc_ids())
         for doc in exc.doc_ids():
-            assert temporal_match(rand_index, doc, window)
+            assert oracle_temporal_match(rand_index, doc, window)
 
 
 def test_pruned_hits_retrievable_from_original(rand_index):
@@ -153,6 +160,119 @@ def test_run_query_deterministic(rand_index):
     a = run_query(rand_index, q)
     b = run_query(rand_index, q)
     assert a == b
+
+
+# --- exclusive queries by bisection against the post-filter definition ------
+
+
+@pytest.fixture(scope="module", params=[1, 7])
+def multi_index(request):
+    return build_index(multi_window_corpus(request.param))
+
+
+def _random_query(rng: random.Random, index, qid: str) -> Query:
+    """Exclusive query with 1-3 windows (instants, uncertain and long ones)
+    and 1-4 terms drawn with repetition, now and then one not indexed."""
+    terms = [rng.choice(index.terms()) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.2:
+        terms.append("nosuchterm")
+    windows = set()
+    for _ in range(rng.randint(1, 3)):
+        lo = rng.randint(10900, 12000)
+        kind = rng.random()
+        if kind < 0.3:
+            windows.add(TimeWindow.instant(lo))
+        elif kind < 0.6:
+            windows.add(TimeWindow(lo, lo + rng.randint(0, 9), lo + 10, lo + 10 + rng.randint(0, 60)))
+        else:
+            windows.add(TimeWindow.certain(lo, lo + rng.randint(0, 400)))
+    return Query(qid=qid, terms=terms, time_constraint=frozenset(windows), kind="exclusive")
+
+
+def test_run_query_matches_post_filter_oracle(multi_index):
+    rng = random.Random(5)
+    answered = 0
+    for i in range(150):
+        q = _random_query(rng, multi_index, f"q{i}")
+        depth = rng.choice([1, 3, 1000])
+        got = run_query(multi_index, q, depth)
+        assert got == oracle_run_query(multi_index, q, depth)
+        answered += bool(got.hits)
+    assert 30 < answered < 150
+
+
+def test_run_query_inclusive_matches_oracle(multi_index):
+    for terms in (["disaster"], ["w001", "w001", "w002"], ["nosuchterm"]):
+        q = Query(qid="q", terms=terms)
+        assert run_query(multi_index, q) == oracle_run_query(multi_index, q)
+
+
+def test_run_query_tied_scores_match_oracle():
+    # equal lengths and tfs: every document scores the same, so the order
+    # is doc ids alone, and depth cuts a tie
+    docs = [
+        Document(f"d{i}", ["x", "y"], frozenset({TimeWindow.certain(i, i + 5)}))
+        for i in range(0, 40, 3)
+    ] + [Document("undated", ["x", "y"]), Document("far", ["x", "z"], frozenset({TimeWindow.instant(900)}))]
+    index = build_index(Corpus(documents=docs))
+    windows = frozenset({TimeWindow.certain(7, 12), TimeWindow.instant(30), TimeWindow(0, 3, 3, 4)})
+    for terms in (["x"], ["x", "y"], ["y", "x", "x"]):
+        q = Query(qid="q", terms=terms, time_constraint=windows, kind="exclusive")
+        for depth in (1, 2, 1000):
+            got = run_query(index, q, depth)
+            assert got == oracle_run_query(index, q, depth)
+        assert len({s for _, s in got.hits}) == 1 and len(got.hits) > 2
+
+
+def test_run_query_on_subset_index_matches_oracle(multi_index):
+    rng = random.Random(9)
+    queries = [_random_query(rng, multi_index, f"q{i}") for i in range(40)]
+    for q in queries:  # builds the full index's time order first
+        run_query(multi_index, q)
+    keep = {t: {p.doc_id for p in pl.postings[::3]} for t, pl in multi_index.lists.items()}
+    pruned = subset_index(multi_index, keep)
+    for q in queries:
+        assert run_query(pruned, q) == oracle_run_query(pruned, q)
+
+
+def test_time_order_is_per_index_object(multi_index):
+    q = _random_query(random.Random(3), multi_index, "q")
+    run_query(multi_index, q)
+    doc = min(multi_index.doc_times)
+    moved = {d: ws for d, ws in multi_index.doc_times.items() if d != doc}
+    other = replace(multi_index, doc_times=moved)
+    assert doc not in other.docs_meeting([TimeWindow.certain(-10**6, 10**6)])
+    assert other == replace(multi_index, doc_times=moved)  # a built order plays no part in equality
+    assert doc in multi_index.docs_meeting([TimeWindow.certain(-10**6, 10**6)])
+    assert run_query(other, q) == oracle_run_query(other, q)
+
+
+_days = st.integers(min_value=0, max_value=60)
+
+
+@st.composite
+def _windows(draw):
+    b_lo, b_hi = sorted((draw(_days), draw(_days)))
+    e_lo, e_hi = sorted((draw(_days), draw(_days)))
+    e_hi = max(e_hi, b_lo)
+    return TimeWindow(b_lo, b_hi, min(e_lo, e_hi), e_hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.frozensets(_windows(), max_size=3), min_size=1, max_size=8),
+    st.frozensets(_windows(), min_size=1, max_size=3),
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=4),
+)
+def test_run_query_matches_oracle_on_drawn_windows(doc_windows, constraint, terms, depth):
+    docs = [
+        Document(f"d{i}", ["a", "b", "c"][: 1 + i % 3] + ["a"] * (i % 2), ws)
+        for i, ws in enumerate(doc_windows)
+    ]
+    index = build_index(Corpus(documents=docs))
+    q = Query(qid="q", terms=terms, time_constraint=constraint, kind="exclusive")
+    assert run_query(index, q, depth) == oracle_run_query(index, q, depth)
 
 
 # --- time specs ----------------------------------------------------------

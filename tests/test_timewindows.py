@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_day_number
 from tempoprune.timewindows import (
+    Stabbing,
     TimeWindow,
     any_intersect,
     day_number,
@@ -142,3 +143,44 @@ def test_any_intersect_matches_pairwise_scan(first, second):
 def test_any_intersect_empty_iterables():
     assert not any_intersect([], [TimeWindow.instant(0)])
     assert not any_intersect([TimeWindow.instant(0)], [])
+
+
+# --- interval stabbing ---------------------------------------------------------
+
+small_windows = st.builds(
+    lambda xs: TimeWindow(min(xs[0], xs[1]), max(xs[0], xs[1]), min(xs[2], xs[3]), max(xs[2], xs[3])),
+    st.tuples(*(st.integers(0, 40) for _ in range(4))).filter(
+        lambda xs: min(xs[0], xs[1]) <= max(xs[2], xs[3])
+    ),
+)
+
+
+@given(st.one_of(st.tuples(st.lists(small_windows, max_size=12), small_windows),
+                 st.tuples(st.lists(windows, max_size=12), windows)))
+def test_stabbing_matches_overlaps_scan(case):
+    # in the small day range overlapping, nested and duplicate windows are
+    # common; either way the list arrives unsorted
+    ws, probe = case
+    items = list(enumerate(ws))
+    stab = Stabbing((w.b_lo, w.e_hi, i) for i, w in items)
+    assert sorted(stab.meeting(probe.b_lo, probe.e_hi)) == sorted(
+        i for i, w in items if overlaps(w, probe)
+    )
+
+
+def test_stabbing_nested_duplicate_and_touching():
+    ws = [
+        TimeWindow.certain(0, 100),  # long: its end stays the running reach
+        TimeWindow.certain(10, 12),  # nested, ends early
+        TimeWindow.certain(10, 12),  # duplicate
+        TimeWindow(20, 25, 26, 30),  # uncertain: only the hull counts
+        TimeWindow.instant(101),
+    ]
+    stab = Stabbing((w.b_lo, w.e_hi, i) for i, w in enumerate(ws))
+    assert stab.meeting(50, 60) == [0]  # the nested windows before it end too early
+    assert stab.meeting(12, 12) == [0, 1, 2]
+    assert stab.meeting(30, 30) == [0, 3]
+    assert stab.meeting(100, 101) == [0, 4]
+    assert stab.meeting(102, 200) == []
+    assert stab.meeting(-5, -1) == []
+    assert Stabbing([]).meeting(0, 10) == []
