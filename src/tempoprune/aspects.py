@@ -16,9 +16,9 @@ from itertools import accumulate
 from .errors import PruneError, TermNotFoundError
 from .gmm import DEFAULT_K_MAX, EM_MAX_ITER, GmmFit, select_k_bic
 from .index import InvertedIndex
-# `intersect` is unused here but stays importable as `aspects.intersect`,
-# a name that external call tracers patch.
-from .timewindows import Stabbing, TimeWindow, intersect  # noqa: F401
+from .timewindows import Stabbing, TimeWindow
+# Unused here: bench/spans.py patches it as an aspects name.
+from .timewindows import intersect  # noqa: F401
 
 
 log = logging.getLogger(__name__)
@@ -61,7 +61,6 @@ class AspectSet:
     term: str
     aspects: list[Aspect]
     doc_map: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    kind: str = "simple"  # simple | sliding | dynamic | global
     span: tuple[int, int] | None = None
     converged: bool = True  # False when a dynamic set's mixture fit stopped at max_iter
 
@@ -114,7 +113,7 @@ def fd_window_size(series: TermTimeSeries) -> int:
     return max(1, math.ceil(2.0 * iqr * n ** (-1.0 / 3.0)))
 
 
-def _tiled_aspects(series: TermTimeSeries, gamma: int, step: int, kind: str) -> AspectSet:
+def _tiled_aspects(series: TermTimeSeries, gamma: int, step: int) -> AspectSet:
     lo, hi = series.span
     days = sorted(series.counts)
     starts = []
@@ -125,21 +124,21 @@ def _tiled_aspects(series: TermTimeSeries, gamma: int, step: int, kind: str) -> 
             starts.append(start)
         start += step
     aspects = [Aspect(window=TimeWindow.certain(s, s + gamma - 1), weight=1.0 / len(starts)) for s in starts]
-    return AspectSet(term=series.term, aspects=aspects, kind=kind, span=(lo, hi))
+    return AspectSet(term=series.term, aspects=aspects, span=(lo, hi))
 
 
 def simple_windows(series: TermTimeSeries, gamma: int) -> AspectSet:
     """Non-overlapping tiling [lo + k*gamma, lo + (k+1)*gamma); empty tiles dropped."""
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    return _tiled_aspects(series, gamma, gamma, "simple")
+    return _tiled_aspects(series, gamma, gamma)
 
 
 def sliding_windows(series: TermTimeSeries, gamma: int) -> AspectSet:
     """Half-overlapping windows of length gamma stepping by max(1, gamma // 2)."""
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
-    return _tiled_aspects(series, gamma, max(1, gamma // 2), "sliding")
+    return _tiled_aspects(series, gamma, max(1, gamma // 2))
 
 
 def component_window(mean: float, sigma: float) -> TimeWindow:
@@ -159,8 +158,7 @@ def dynamic_windows(series: TermTimeSeries, k_max: int = DEFAULT_K_MAX, seed: in
     total = sum(a.weight for a in aspects)
     for a in aspects:
         a.weight /= total
-    return AspectSet(term=series.term, aspects=aspects, kind="dynamic", span=series.span,
-                     converged=fit.converged)
+    return AspectSet(term=series.term, aspects=aspects, span=series.span, converged=fit.converged)
 
 
 def smooth(aspects: AspectSet, lambda_w: float) -> AspectSet:
@@ -185,9 +183,10 @@ def smooth(aspects: AspectSet, lambda_w: float) -> AspectSet:
 def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> AspectSet:
     """Map every document of the term to the aspects whose windows intersect
     its time part; the global aspect (when present) maps everything.
-    Under dynamic windows an uncovered dated document falls back to the
-    component with the nearest mean.  The aspects a document window meets
-    come from one `Stabbing` lookup over the non-global aspect windows."""
+    In a set with mixture centres (dynamic windows) an uncovered dated
+    document falls back to the component with the nearest mean.  The
+    aspects a document window meets come from one `Stabbing` lookup over
+    the non-global aspect windows."""
     if term not in index.lists:
         raise TermNotFoundError(term)
     gi = aspects.global_index
@@ -202,7 +201,7 @@ def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> Aspec
     for p in index.lists[term].postings:
         windows = index.doc_times.get(p.doc_id, frozenset())
         mapped = {i for w in windows for i in local.meeting(w.b_lo, w.e_hi)}
-        if not mapped and windows and aspects.kind == "dynamic" and centers:
+        if not mapped and windows and centers:
             rep_days = index.doc_days[p.doc_id]
             mapped = {min(centers, key=lambda ic: (min(abs(d - ic[1]) for d in rep_days), ic[0]))[0]}
         if gi is not None:
@@ -256,7 +255,6 @@ def build_aspect_sets(
             aset = AspectSet(
                 term=term,
                 aspects=[Aspect(window=TimeWindow.certain(*hull), weight=1.0, is_global=True)],
-                kind="global",
                 span=hull,
             )
         sets[term] = doc_aspect_map(aset, index, term)

@@ -155,10 +155,7 @@ def _cmd_query(args) -> int:
     index = read_index(args.index)
     terms = tokenize(args.q, stop_words=not args.keep_stopwords)
     constraint = frozenset({parse_time_spec(args.time)}) if args.time else None
-    kind = args.kind
-    if kind is None:
-        kind = "exclusive" if constraint else "inclusive"
-    query = Query(qid=args.qid, terms=terms, time_constraint=constraint, kind=kind)
+    query = Query(qid=args.qid, terms=terms, time_constraint=constraint)
     result = run_query(index, query, args.depth)
     lines = trec_run_lines(result, args.tag)
     if args.out:
@@ -174,13 +171,8 @@ def _cmd_query(args) -> int:
 def _cmd_genqueries(args) -> int:
     index = read_index(args.index)
     topics = read_topics(args.topics)
-    if args.span:
-        lo, hi = (int(p) for p in args.span.split(","))
-        span = (lo, hi)
-    else:
-        span = index_time_hull(index)
     queries = generate_temporal_queries(
-        topics, span, args.interval, args.n, args.seed, index,
+        topics, args.span or index_time_hull(index), args.interval, args.n, args.seed, index,
         stop_words=not args.keep_stopwords,
     )
     write_queries(queries, args.out)
@@ -230,6 +222,15 @@ def _cmd_sweep(args) -> int:
     _write_manifest(args.out, "sweep", args)
     print(f"wrote {len(report.rows)} rows to {args.out}")
     return 0
+
+
+def _day_span(text: str) -> tuple[int, int]:
+    """`--span lo,hi`: two integer day numbers."""
+    try:
+        lo, hi = (int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo,hi day numbers, got {text!r}") from None
+    return lo, hi
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -291,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="run one query, TREC run output")
     p.add_argument("--index", required=True)
     p.add_argument("--q", required=True, help="query text")
-    p.add_argument("--time", help="window: 'b_lo,b_hi,e_lo,e_hi' or YYYY[-MM[-DD]]")
-    p.add_argument("--kind", choices=("inclusive", "exclusive"))
+    p.add_argument("--time", help="window: 'b_lo,b_hi,e_lo,e_hi' or YYYY[-MM[-DD]]; "
+                   "makes the query exclusive")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--qid", default="q1")
     p.add_argument("--tag", default="tempoprune")
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topics", required=True, help="JSONL: qid, title, description")
     p.add_argument("--interval", choices=INTERVAL_DAYS, default="weekly")
     p.add_argument("--n", type=int, default=100, help="kept draws target")
-    p.add_argument("--span", help="day range lo,hi (default: index hull)")
+    p.add_argument("--span", type=_day_span, metavar="LO,HI", help="day range (default: index hull)")
     p.add_argument("--out", required=True)
     p.add_argument("--qrels-out", dest="qrels_out",
                    help="also write all-relevant judgments")

@@ -198,9 +198,12 @@ def generate_temporal_queries(
     windows of the interval length, keeping only draws whose short (title)
     variant hits the unpruned index.  Each kept draw emits a short query
     and, when the description adds text, a long one; draws are round-robin
-    over topics, at most 100 attempts per topic, until `n_target` draws."""
+    over topics, at most 100 attempts per topic, until `n_target` draws.
+    Query ids name their topic, so topic qids must be unique."""
     if interval not in INTERVAL_DAYS:
         raise QueryError(f"unknown interval {interval!r}")
+    if len({t.qid for t in topics}) < len(topics):
+        raise QueryError("topic qids repeat; each query id names its topic")
     length = INTERVAL_DAYS[interval]
     lo, hi = corpus_span
     if lo > hi:
@@ -216,39 +219,20 @@ def generate_temporal_queries(
         prepared.append((topic.qid, title_terms, long_terms))
     queries: list[Query] = []
     kept = 0
-    attempts = {qid: 0 for qid, _, _ in prepared}
-    exhausted = False
-    while kept < n_target and not exhausted:
-        exhausted = True
+    for attempt in range(1, ATTEMPTS_PER_TOPIC + 1):
         for qid, title_terms, long_terms in prepared:
             if kept >= n_target:
                 break
-            if attempts[qid] >= ATTEMPTS_PER_TOPIC:
-                continue
-            exhausted = False
-            attempts[qid] += 1
             start = rng.randint(lo, max(lo, hi - length + 1))
             window = TimeWindow.certain(start, start + length - 1)
             constraint = frozenset({window})
-            short = Query(
-                qid=f"{qid}-{interval}-{attempts[qid]:03d}-s",
-                terms=list(title_terms),
-                time_constraint=constraint,
-                kind="exclusive",
-            )
+            short = Query(f"{qid}-{interval}-{attempt:03d}-s", list(title_terms), constraint)
             if not run_query(index, short, depth=1).hits:
                 continue
             kept += 1
             queries.append(short)
             if len(long_terms) > len(title_terms):
-                queries.append(
-                    Query(
-                        qid=f"{qid}-{interval}-{attempts[qid]:03d}-l",
-                        terms=list(long_terms),
-                        time_constraint=constraint,
-                        kind="exclusive",
-                    )
-                )
+                queries.append(Query(f"{qid}-{interval}-{attempt:03d}-l", list(long_terms), constraint))
     if kept == 0:
         log.warning("no keepable %s queries for any topic", interval)
     return queries
@@ -259,7 +243,7 @@ def all_relevant_qrels(queries: list[Query], index: InvertedIndex) -> Qrels:
     at least one query term."""
     grades: dict[tuple[str, str], int] = {}
     for q in queries:
-        if q.kind != "exclusive":
+        if not q.time_constraint:
             raise QueryError(f"query {q.qid!r} is not exclusive")
         meeting = index.docs_meeting(q.time_constraint)
         for term in q.terms:
@@ -277,7 +261,7 @@ def write_queries(queries: list[Query], path) -> None:
             record = {
                 "qid": q.qid,
                 "terms": q.terms,
-                "kind": q.kind,
+                "kind": "exclusive" if q.time_constraint else "inclusive",
                 "windows": sorted(
                     [w.b_lo, w.b_hi, w.e_lo, w.e_hi] for w in (q.time_constraint or frozenset())
                 ),
@@ -309,8 +293,10 @@ def _is_day_quadruple(w) -> bool:
 
 def read_queries(path) -> list[Query]:
     """Queries JSONL: string `qid`, `terms` a list of strings, optional
-    `kind` and `windows` (four integer days each).  A record of another
-    shape raises QueryError naming path:line."""
+    `kind` and `windows` (four integer days each).  `kind` defaults to
+    inclusive and must agree with the windows: an exclusive query has some,
+    an inclusive one none.  A record of another shape raises QueryError
+    naming path:line."""
     queries = []
     for where, record in _jsonl_objects(path):
         qid, terms, windows = record.get("qid"), record.get("terms"), record.get("windows", [])
@@ -324,24 +310,41 @@ def read_queries(path) -> list[Query]:
             )
         try:
             constraint = frozenset(TimeWindow(*w) for w in windows) or None
-            queries.append(Query(qid, terms, constraint, record.get("kind", "inclusive")))
-        except (QueryError, ValueError) as exc:
+        except ValueError as exc:
             raise QueryError(f"{where}: {exc}") from exc
+        kind = record.get("kind", "inclusive")
+        if kind not in ("inclusive", "exclusive"):
+            raise QueryError(f"{where}: unknown query kind {kind!r}")
+        if kind == "exclusive" and not constraint:
+            raise QueryError(f"{where}: exclusive query {qid!r} needs a time constraint")
+        if kind == "inclusive" and constraint:
+            raise QueryError(
+                f"{where}: inclusive query {qid!r} takes no time windows; "
+                "only an exclusive query filters by time"
+            )
+        queries.append(Query(qid, terms, constraint))
     return queries
 
 
 def read_topics(path) -> list[Topic]:
-    """Topics JSONL: `qid`, string `title`, optional string `description`.
-    A record of another shape raises QueryError naming path:line."""
-    topics = []
+    """Topics JSONL: `qid` a string or an integer, unique per file, string
+    `title`, optional string `description`.  A record of another shape
+    raises QueryError naming path:line."""
+    topics: dict[str, Topic] = {}
     for where, record in _jsonl_objects(path):
         title, description = record.get("title"), record.get("description", "")
         if "qid" not in record:
             raise QueryError(f"{where}: missing qid")
+        qid = record["qid"]
+        if not isinstance(qid, (str, int)) or isinstance(qid, bool):
+            raise QueryError(f"{where}: qid must be a string or an integer, got {qid!r:.60}")
+        qid = str(qid)
+        if qid in topics:
+            raise QueryError(f"{where}: duplicate topic qid {qid!r:.60}")
         if not isinstance(title, str) or not isinstance(description, str):
             raise QueryError(f"{where}: title and description must be strings")
-        topics.append(Topic(qid=str(record["qid"]), title=title, description=description))
-    return topics
+        topics[qid] = Topic(qid=qid, title=title, description=description)
+    return list(topics.values())
 
 
 def read_run(path) -> list[RankedResult]:

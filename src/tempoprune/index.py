@@ -324,8 +324,8 @@ def read_index(path) -> InvertedIndex:
     return InvertedIndex(lists=lists, stats=stats, doc_times=doc_times, pruned=bool(flags & 1))
 
 
-def subset_index(index: InvertedIndex, keep: dict[str, set[str] | None]) -> InvertedIndex:
-    """Sub-index with per-term retained doc sets (None keeps the whole list).
+def subset_index(index: InvertedIndex, keep: dict[str, set[str]]) -> InvertedIndex:
+    """Sub-index with per-term retained doc sets; terms not in `keep` go.
 
     Stats and doc times are carried over untouched: retrieval on a pruned
     index deliberately runs with build-time df/ctf/lengths.
@@ -335,11 +335,7 @@ def subset_index(index: InvertedIndex, keep: dict[str, set[str] | None]) -> Inve
         if term not in keep:
             continue
         keep_set = keep[term]
-        pl = index.lists[term]
-        if keep_set is None:
-            retained = list(pl.postings)
-        else:
-            retained = [p for p in pl.postings if p.doc_id in keep_set]
+        retained = [p for p in index.lists[term].postings if p.doc_id in keep_set]
         if retained:
             lists[term] = PostingList(term, retained)
     return InvertedIndex(lists=lists, stats=index.stats, doc_times=index.doc_times, pruned=True)

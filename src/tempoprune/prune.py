@@ -173,17 +173,13 @@ class DiversifyResult:
     order: list[str]
     gains: list[float]
     value: float
-    clamped: bool = False
 
 
 def diversify(rel: RelevanceList, aspects: AspectSet, k: int) -> DiversifyResult:
-    """Greedy selection of k postings; k beyond the list length is clamped."""
-    if k < 0:
-        raise PruneError(f"k must be >= 0, got {k}")
-    clamped = k > len(rel)
-    if clamped:
-        log.warning("diversify(%r): k=%d clamped to list length %d", rel.term, k, len(rel))
-        k = len(rel)
+    """Greedy selection of k postings, 0 <= k <= len(rel); `k_for` bounds
+    every budget the prune path passes."""
+    if not 0 <= k <= len(rel):
+        raise PruneError(f"k must be in [0, {len(rel)}] for {rel.term!r}, got {k}")
     state = SelectionState(n_aspects=len(aspects.aspects))
     order: list[str] = []
     gains: list[float] = []
@@ -191,9 +187,7 @@ def diversify(rel: RelevanceList, aspects: AspectSet, k: int) -> DiversifyResult
         doc, gain = next_best(rel, state, aspects)
         order.append(doc)
         gains.append(gain)
-    return DiversifyResult(
-        term=rel.term, order=order, gains=gains, value=math.fsum(gains), clamped=clamped
-    )
+    return DiversifyResult(term=rel.term, order=order, gains=gains, value=math.fsum(gains))
 
 
 # --- threshold baselines ------------------------------------------------

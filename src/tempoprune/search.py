@@ -1,8 +1,8 @@
 """BM25 retrieval with boolean temporal filtering.
 
-Exclusive queries carry explicit time windows and drop every document
-whose time part misses all of them; inclusive queries leave dates to the
-text tokens and take no windows.  Collection statistics are the ones
+A query with time windows is exclusive: it drops every document whose
+time part misses all of them.  A query without windows is inclusive and
+leaves dates to the text tokens.  Collection statistics are the ones
 frozen at build time, so rankings over a pruned index reflect pruning only
 through the missing postings.
 """
@@ -29,18 +29,6 @@ class Query:
     qid: str
     terms: list[str]
     time_constraint: frozenset[TimeWindow] | None = None
-    kind: str = "inclusive"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("inclusive", "exclusive"):
-            raise QueryError(f"unknown query kind {self.kind!r}")
-        if self.kind == "exclusive" and not self.time_constraint:
-            raise QueryError(f"exclusive query {self.qid!r} needs a time constraint")
-        if self.kind == "inclusive" and self.time_constraint:
-            raise QueryError(
-                f"inclusive query {self.qid!r} takes no time windows; "
-                "only an exclusive query filters by time"
-            )
 
 
 @dataclass
@@ -63,14 +51,14 @@ def _tf_part(tf: int, dlen: int, avgdl: float) -> float:
 
 
 def run_query(index: InvertedIndex, query: Query, depth: int = DEFAULT_DEPTH) -> RankedResult:
-    """Term-at-a-time BM25.  An exclusive query first finds the documents
-    whose time part meets some query window (`InvertedIndex.docs_meeting`)
+    """Term-at-a-time BM25.  A query with windows first finds the documents
+    whose time part meets one of them (`InvertedIndex.docs_meeting`)
     and scores only their postings.  Top `depth` by (score desc, doc_id asc)."""
     if depth < 1:
         raise QueryError(f"depth must be >= 1, got {depth}")
     if not query.terms:
         raise QueryError(f"query {query.qid!r} has no terms")
-    keep = index.docs_meeting(query.time_constraint) if query.kind == "exclusive" else None
+    keep = index.docs_meeting(query.time_constraint) if query.time_constraint else None
     acc: dict[str, float] = {}
     avgdl = index.stats.avgdl
     for term, count in sorted(Counter(query.terms).items()):

@@ -186,13 +186,6 @@ def two_burst_queries(spec: TwoBurstSpec) -> tuple[list[Query], Qrels]:
     grades = {}
     for day, doc_id in zip(spec.b_days, spec.b_doc_ids):
         qid = f"q{day}"
-        queries.append(
-            Query(
-                qid=qid,
-                terms=[spec.term],
-                time_constraint=frozenset({TimeWindow.instant(day)}),
-                kind="exclusive",
-            )
-        )
+        queries.append(Query(qid, [spec.term], frozenset({TimeWindow.instant(day)})))
         grades[(qid, doc_id)] = 1
     return queries, Qrels(grades)

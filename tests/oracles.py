@@ -70,7 +70,7 @@ def make_instance(seed: int, max_docs: int = 10, max_aspects: int = 4):
         k = rng.randint(1, m)
         doc_map[d] = tuple(sorted(rng.sample(range(m), k)))
     rel = RelevanceList(term="probe", doc_ids=doc_ids, scores=scores)
-    aset = AspectSet(term="probe", aspects=aspects, doc_map=doc_map, kind="simple")
+    aset = AspectSet(term="probe", aspects=aspects, doc_map=doc_map)
     return rel, aset
 
 
@@ -119,7 +119,7 @@ def make_tied_instance(seed: int, max_docs: int = 40, max_aspects: int = 6):
     ]
     doc_map = {d: tuple(sorted(rng.sample(range(m), rng.randint(0, m)))) for _, d in entries}
     rel = RelevanceList(term="tied", doc_ids=[d for _, d in entries], scores=[s for s, _ in entries])
-    aset = AspectSet(term="tied", aspects=aspects, doc_map=doc_map, kind="simple")
+    aset = AspectSet(term="tied", aspects=aspects, doc_map=doc_map)
     return rel, aset
 
 
@@ -240,8 +240,8 @@ def oracle_tile_starts(series: TermTimeSeries, gamma: int, step: int) -> list[in
 
 def oracle_doc_aspect_map(aspects: AspectSet, index, term: str) -> dict[str, tuple[int, ...]]:
     """Document map by testing every non-global aspect against every window
-    of the document; the global aspect maps everything, and a dynamic set
-    sends an uncovered dated document to the component of nearest mean."""
+    of the document; the global aspect maps everything, and a set with
+    centres sends an uncovered dated document to the component of nearest mean."""
     gi = aspects.global_index
     centers = [
         (i, a.center) for i, a in enumerate(aspects.aspects)
@@ -255,7 +255,7 @@ def oracle_doc_aspect_map(aspects: AspectSet, index, term: str) -> dict[str, tup
             for i, a in enumerate(aspects.aspects)
             if not a.is_global and any(overlaps(a.window, w) for w in windows)
         }
-        if not mapped and windows and aspects.kind == "dynamic" and centers:
+        if not mapped and windows and centers:
             rep_days = [w.midpoint for w in windows]
             mapped = {min(centers, key=lambda ic: (min(abs(d - ic[1]) for d in rep_days), ic[0]))[0]}
         if gi is not None:
@@ -555,7 +555,7 @@ def oracle_run_query(index, query: Query, depth: int = DEFAULT_DEPTH) -> RankedR
             w = count * idf * (p.tf * (K1 + 1.0) / (p.tf + K1 * (1.0 - B + B * dlen / avgdl)))
             acc[p.doc_id] = acc.get(p.doc_id, 0.0) + w
     candidates = acc.items()
-    if query.kind == "exclusive":
+    if query.time_constraint:
         candidates = (
             (d, s) for d, s in candidates if oracle_temporal_match(index, d, query.time_constraint)
         )
@@ -568,7 +568,7 @@ def oracle_all_relevant_qrels(queries, index) -> Qrels:
     lists whose time part meets a query window."""
     grades: dict[tuple[str, str], int] = {}
     for q in queries:
-        if q.kind != "exclusive":
+        if not q.time_constraint:
             raise QueryError(f"query {q.qid!r} is not exclusive")
         candidates = set()
         for term in q.terms:

@@ -53,7 +53,6 @@ def _global_only(term, doc_ids):
         term=term,
         aspects=[Aspect(window=TimeWindow.certain(0, 10000), weight=1.0, is_global=True)],
         doc_map={d: (0,) for d in doc_ids},
-        kind="global",
     )
 
 

@@ -185,7 +185,7 @@ def test_simple_windows_drops_empty_tiles():
         TimeWindow.certain(5, 9),
     ]
     assert [a.weight for a in aset.aspects] == [0.5, 0.5]
-    assert aset.kind == "simple"
+    assert all(a.center is None for a in aset.aspects)
 
 
 def test_simple_windows_single_day():
@@ -280,7 +280,6 @@ def test_dynamic_single_spike():
     assert len(aset.aspects) == 1
     assert aset.aspects[0].weight == pytest.approx(1.0)
     assert aset.aspects[0].center == pytest.approx(50.0)
-    assert aset.kind == "dynamic"
 
 
 def test_dynamic_weights_match_mixture():
@@ -313,7 +312,6 @@ def _two_aspect_set():
             Aspect(window=TimeWindow.certain(10, 19), weight=0.5),
         ],
         doc_map={"d1": (0,), "d2": (1,)},
-        kind="simple",
         span=(0, 19),
     )
 
@@ -375,7 +373,6 @@ def test_doc_map_dynamic_nearest_center_fallback():
             Aspect(window=TimeWindow.certain(40, 60), weight=0.5, center=50.0),
             Aspect(window=TimeWindow.certain(90, 110), weight=0.5, center=100.0),
         ],
-        kind="dynamic",
         span=(40, 110),
     )
     idx = build_index(Corpus(documents=[_dated("d1", ["x"], 200)]))
@@ -422,19 +419,19 @@ def _windows(draw, lo, hi):
 @st.composite
 def _hand_built_aspect_set(draw):
     """Aspects in any order, overlapping or not, ends not monotone in the
-    start; dynamic sets carry centres (with ties) for the nearest-centre
+    start; some sets carry centres (with ties) for the nearest-centre
     fallback; a global aspect at any position, or none."""
-    kind = draw(st.sampled_from(ASPECT_MODELS))
+    centred = draw(st.booleans())
     windows = draw(st.lists(_windows(0, 60), max_size=6))
     aspects = [
         Aspect(window=w, weight=1.0,
-               center=draw(st.integers(0, 160)) / 2.0 if kind == "dynamic" else None)
+               center=draw(st.integers(0, 160)) / 2.0 if centred else None)
         for w in windows
     ]
     gi = draw(st.none() | st.integers(0, len(aspects)))
     if gi is not None:
         aspects.insert(gi, Aspect(window=TimeWindow.certain(0, 80), weight=1.0, is_global=True))
-    return AspectSet(term="x", aspects=aspects, kind=kind, span=(0, 80))
+    return AspectSet(term="x", aspects=aspects, span=(0, 80))
 
 
 @given(
@@ -477,7 +474,6 @@ def test_doc_map_unsorted_windows_with_nested_ends():
             Aspect(window=TimeWindow.certain(0, 100), weight=0.5, center=50.0),
             Aspect(window=TimeWindow.certain(10, 20), weight=0.25, center=15.0),
         ],
-        kind="dynamic",
         span=(0, 100),
     )
     docs = [_dated("gap", ["x"], 25), _dated("inner", ["x"], 12), _dated("far", ["x"], 150),
@@ -539,7 +535,6 @@ def test_build_aspect_sets_undated_term_goes_global():
     idx = build_index(Corpus(documents=docs))
     sets = build_aspect_sets(idx, model="simple")
     aset = sets["y"]
-    assert aset.kind == "global"
     assert len(aset.aspects) == 1
     assert aset.aspects[0].is_global
     assert aset.aspects[0].weight == 1.0

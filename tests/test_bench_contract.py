@@ -1,8 +1,10 @@
 """What the benchmark in bench/ relies on: the names its tracer patches
-exist, and every workload's `prune` arguments parse and are accepted.
+exist, every import kept only for the tracer is still patched, and every
+workload's `prune` arguments parse and are accepted.
 
 Both bench modules are imported read-only; importing them runs nothing.
 """
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -42,3 +44,19 @@ def test_every_workload_prune_parses():
                 ["prune", "--in", "base.bin", "--out", "pruned.bin", "--seed", "1", *extra]
             )
             check_prune_args(args.method, ratio=args.ratio, k=args.k, epsilon=args.epsilon)
+
+
+def test_every_tracer_only_import_is_traced():
+    # An import kept only for the tracer is marked `# noqa: F401`; once
+    # bench/spans.py stops patching the name, delete the import.
+    traced = {(module.__name__, attr) for module, attr, _ in spans.SPANNED + spans.COUNTED}
+    src = Path(__file__).resolve().parent.parent / "src" / "tempoprune"
+    kept = [
+        (f"tempoprune.{path.stem}", alias.name)
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "# noqa: F401" in line
+        for alias in ast.parse(line.split("#")[0]).body[0].names
+    ]
+    assert kept
+    assert [name for name in kept if name not in traced] == []

@@ -183,15 +183,6 @@ def test_query_time_filter_defaults_to_exclusive(cli_dir, capsys):
     assert filtered < unfiltered
 
 
-def test_query_inclusive_with_time_exits_1(cli_dir, capsys):
-    argv = ["query", "--index", str(cli_dir / "idx.bin"), "--q", "w000", "--time", "2001"]
-    assert main(argv + ["--kind", "inclusive"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "inclusive query 'q1' takes no time windows" in captured.err
-    assert main(argv + ["--kind", "exclusive"]) == 0
-
-
 def test_query_file_output(cli_dir, tmp_path, capsys):
     out = tmp_path / "run.txt"
     rc = main([
@@ -223,6 +214,23 @@ def test_genqueries_writes_queries_and_qrels(cli_dir, capsys):
     assert qrels_lines and all(len(line.split()) == 4 for line in qrels_lines)
     manifest = json.loads((cli_dir / "queries.jsonl.manifest.json").read_text())
     assert manifest["n_queries"] == len(records)
+
+
+def test_genqueries_span(cli_dir, tmp_path, capsys):
+    out = tmp_path / "q.jsonl"
+    argv = ["genqueries", "--index", str(cli_dir / "idx.bin"),
+            "--topics", str(cli_dir / "topics.jsonl"), "--n", "2", "--out", str(out)]
+    for bad in ("5", "a,b", "1,2,3", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--span", bad])
+        assert exc.value.code == 2
+        assert "argument --span: expected lo,hi day numbers" in capsys.readouterr().err
+    assert main(argv + ["--span", "11000,10000"]) == 1
+    assert "empty corpus span (11000, 10000)" in capsys.readouterr().err
+    assert main(argv + ["--span", "10950,12000"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "q.jsonl.manifest.json").read_text())
+    assert manifest["parameters"]["span"] == [10950, 12000]
 
 
 def test_eval_queries_and_json_output(cli_dir, tmp_path, capsys):

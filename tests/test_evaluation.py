@@ -1,4 +1,5 @@
 """Metrics, query generation, qrels plumbing, epsilon tuning, sweeps."""
+import json
 import math
 import random
 import re
@@ -239,7 +240,6 @@ def test_genqueries_window_length_and_hits(rand_corpus, rand_index):
         )
         assert queries
         for q in queries:
-            assert q.kind == "exclusive"
             (w,) = q.time_constraint
             assert w.b_lo == w.b_hi and w.e_lo == w.e_hi
             assert w.e_hi - w.b_lo == days - 1
@@ -294,28 +294,35 @@ def test_genqueries_validation(rand_corpus, rand_index):
         generate_temporal_queries(TOPICS, index_time_hull(rand_index), "hourly", 5, 0, rand_index)
     with pytest.raises(QueryError):
         generate_temporal_queries(TOPICS, (10, 5), "weekly", 5, 0, rand_index)
+    twins = [Topic(qid="t", title="disaster"), Topic(qid="t", title="w000")]
+    with pytest.raises(QueryError, match="topic qids repeat"):
+        generate_temporal_queries(twins, index_time_hull(rand_index), "weekly", 5, 0, rand_index)
 
 
 def test_query_file_roundtrip(tmp_path, rand_corpus, rand_index):
     queries = generate_temporal_queries(
         TOPICS, index_time_hull(rand_index), "weekly", 5, 2, rand_index
-    )
+    ) + [Query(qid="inc", terms=["a", "b"])]
     path = tmp_path / "q.jsonl"
     write_queries(queries, path)
     assert read_queries(path) == queries
+    kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+    assert kinds == ["exclusive"] * (len(queries) - 1) + ["inclusive"]
 
 
 def test_read_topics(tmp_path):
     path = tmp_path / "topics.jsonl"
     path.write_text(
         '{"qid": "t1", "title": "Iraq war", "description": "gulf conflict"}\n'
-        '{"qid": "t2", "title": "earthquake"}\n',
+        '{"qid": "t2", "title": "earthquake"}\n'
+        '{"qid": 301, "title": "flood"}\n',
         encoding="utf-8",
     )
     topics = read_topics(path)
     assert topics == [
         Topic(qid="t1", title="Iraq war", description="gulf conflict"),
         Topic(qid="t2", title="earthquake"),
+        Topic(qid="301", title="flood"),
     ]
 
 
@@ -359,6 +366,11 @@ def test_read_queries_rejects_malformed_records(tmp_path, line, reason):
         ('{"qid": "t1", "title": "x", "description": ["y"]}', "title and description"),
         ('{"title": "x"}', "missing qid"),
         ('"t1"', "expected a JSON object"),
+        ('{"qid": "t0", "title": "b"}', "duplicate topic qid 't0'"),
+        ('{"qid": ["a"], "title": "x"}', "qid must be a string or an integer, got ['a']"),
+        ('{"qid": true, "title": "x"}', "qid must be a string or an integer, got True"),
+        ('{"qid": null, "title": "x"}', "qid must be a string or an integer, got None"),
+        ('{"qid": 1.5, "title": "x"}', "qid must be a string or an integer, got 1.5"),
     ],
 )
 def test_read_topics_rejects_malformed_records(tmp_path, line, reason):
@@ -392,11 +404,11 @@ def test_all_relevant_qrels_matches_oracle(seed, interval):
     index = build_index(multi_window_corpus(seed))
     queries = generate_temporal_queries(TOPICS, index_time_hull(index), interval, 12, seed, index)
     queries += [
-        Query(qid="multi", terms=["disaster", "w001", "w001"], kind="exclusive",
+        Query(qid="multi", terms=["disaster", "w001", "w001"],
               time_constraint=frozenset({TimeWindow.certain(10950, 10980),
                                          TimeWindow(11300, 11320, 11330, 11400),
                                          TimeWindow.instant(11500)})),
-        Query(qid="none", terms=["nosuchterm"], kind="exclusive",
+        Query(qid="none", terms=["nosuchterm"],
               time_constraint=frozenset({TimeWindow.certain(10950, 12000)})),
     ]
     assert queries
@@ -414,7 +426,6 @@ def test_time_filtered_qrels(quake_fixture):
         qid="q1",
         terms=["earthquake"],
         time_constraint=frozenset({TimeWindow.instant(parse_day("1999-08-17"))}),
-        kind="exclusive",
     )
     original = Qrels(
         {

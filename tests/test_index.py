@@ -212,8 +212,12 @@ def test_read_rehashed_mutations_give_index_or_format_error(tmp_path_factory, to
         pass
 
 
+def _whole(index, term):
+    return {p.doc_id for p in index.lists[term].postings}
+
+
 def test_subset_keeps_stats_frozen(toy5_index):
-    keep = {"apple": {"d1", "d3"}, "banana": None}
+    keep = {"apple": {"d1", "d3"}, "banana": _whole(toy5_index, "banana")}
     sub = subset_index(toy5_index, keep)
     assert sorted(sub.lists) == ["apple", "banana"]
     assert [p.doc_id for p in sub.lists["apple"].postings] == ["d1", "d3"]
@@ -233,15 +237,16 @@ def test_subset_drops_emptied_lists(toy5_index):
 def test_pruning_ratio_arithmetic(toy5_index):
     # 16 postings total; keep 12 -> ratio 0.25, then the 1000 -> 600 hand case
     sub = subset_index(
-        toy5_index, {t: None for t in toy5_index.lists if t != "apple"}
+        toy5_index, {t: _whole(toy5_index, t) for t in toy5_index.lists if t != "apple"}
     )
     assert pruning_ratio(toy5_index, sub) == pytest.approx(4 / 16)
     assert 1.0 - 600 / 1000 == pytest.approx(0.4)
 
 
 def test_pruning_ratio_monotone(toy5_index):
-    smaller = subset_index(toy5_index, {"apple": {"d1", "d2"}, "banana": None})
-    larger = subset_index(toy5_index, {"apple": {"d1", "d2", "d3"}, "banana": None})
+    banana = _whole(toy5_index, "banana")
+    smaller = subset_index(toy5_index, {"apple": {"d1", "d2"}, "banana": banana})
+    larger = subset_index(toy5_index, {"apple": {"d1", "d2", "d3"}, "banana": banana})
     assert pruning_ratio(toy5_index, smaller) > pruning_ratio(toy5_index, larger)
 
 

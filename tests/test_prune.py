@@ -51,7 +51,6 @@ def global_only_aspects(term, doc_ids):
         term=term,
         aspects=[Aspect(window=TimeWindow.certain(0, 1000), weight=1.0, is_global=True)],
         doc_map={d: (0,) for d in doc_ids},
-        kind="global",
     )
 
 
@@ -166,17 +165,13 @@ def test_diversify_greedy_meets_bound():
         assert result.value >= bound * oracle_optimum(rel, aset, k) - 1e-12
 
 
-def test_diversify_clamps_oversized_k():
-    rel, aset = make_instance(3)
-    result = diversify(rel, aset, len(rel) + 10)
-    assert result.clamped
-    assert len(result.order) == len(rel)
-
-
 def test_diversify_rejects_negative_k():
+    # and a k beyond the list: `k_for` is the one budget clamp
     rel, aset = make_instance(4)
-    with pytest.raises(PruneError):
-        diversify(rel, aset, -1)
+    for k in (-1, len(rel) + 1, len(rel) + 10):
+        with pytest.raises(PruneError, match=rf"k must be in \[0, {len(rel)}\]"):
+            diversify(rel, aset, k)
+    assert len(diversify(rel, aset, len(rel)).order) == len(rel)
 
 
 def test_diversify_single_global_aspect_is_relevance_topk():

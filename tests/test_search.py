@@ -90,17 +90,6 @@ def test_run_query_validation(rand_index):
         run_query(rand_index, Query(qid="q", terms=["disaster"]), depth=0)
 
 
-def test_query_kind_validation():
-    with pytest.raises(QueryError):
-        Query(qid="q", terms=["a"], kind="fuzzy")
-    with pytest.raises(QueryError):
-        Query(qid="q", terms=["a"], kind="exclusive")  # no time constraint
-    with pytest.raises(QueryError, match="inclusive query 'q' takes no time windows"):
-        Query(qid="q", terms=["a"], time_constraint=frozenset({TimeWindow.instant(0)}))
-    # an empty constraint is no constraint
-    assert Query(qid="q", terms=["a"], time_constraint=frozenset()).kind == "inclusive"
-
-
 @pytest.fixture(scope="module")
 def quake_index():
     d99 = parse_day("1999-08-17")
@@ -118,7 +107,6 @@ def test_exclusive_query_filters_by_time(quake_index):
         qid="q1",
         terms=["earthquake"],
         time_constraint=frozenset({TimeWindow.instant(parse_day("1999-08-17"))}),
-        kind="exclusive",
     )
     assert run_query(quake_index, q).doc_ids() == ["izmit"]
 
@@ -128,7 +116,6 @@ def test_exclusive_query_no_temporal_overlap_is_empty(quake_index):
         qid="q1",
         terms=["earthquake"],
         time_constraint=frozenset({TimeWindow.certain(0, 10)}),
-        kind="exclusive",
     )
     assert run_query(quake_index, q).hits == []
 
@@ -139,7 +126,7 @@ def test_exclusive_subset_of_inclusive(rand_index):
         inc = run_query(rand_index, Query(qid="q", terms=["disaster"]))
         exc = run_query(
             rand_index,
-            Query(qid="q", terms=["disaster"], time_constraint=window, kind="exclusive"),
+            Query(qid="q", terms=["disaster"], time_constraint=window),
         )
         assert set(exc.doc_ids()) <= set(inc.doc_ids())
         for doc in exc.doc_ids():
@@ -186,7 +173,7 @@ def _random_query(rng: random.Random, index, qid: str) -> Query:
             windows.add(TimeWindow(lo, lo + rng.randint(0, 9), lo + 10, lo + 10 + rng.randint(0, 60)))
         else:
             windows.add(TimeWindow.certain(lo, lo + rng.randint(0, 400)))
-    return Query(qid=qid, terms=terms, time_constraint=frozenset(windows), kind="exclusive")
+    return Query(qid=qid, terms=terms, time_constraint=frozenset(windows))
 
 
 def test_run_query_matches_post_filter_oracle(multi_index):
@@ -205,6 +192,8 @@ def test_run_query_inclusive_matches_oracle(multi_index):
     for terms in (["disaster"], ["w001", "w001", "w002"], ["nosuchterm"]):
         q = Query(qid="q", terms=terms)
         assert run_query(multi_index, q) == oracle_run_query(multi_index, q)
+        # an empty constraint is no constraint
+        assert run_query(multi_index, Query("q", terms, frozenset())) == run_query(multi_index, q)
 
 
 def test_run_query_tied_scores_match_oracle():
@@ -217,7 +206,7 @@ def test_run_query_tied_scores_match_oracle():
     index = build_index(Corpus(documents=docs))
     windows = frozenset({TimeWindow.certain(7, 12), TimeWindow.instant(30), TimeWindow(0, 3, 3, 4)})
     for terms in (["x"], ["x", "y"], ["y", "x", "x"]):
-        q = Query(qid="q", terms=terms, time_constraint=windows, kind="exclusive")
+        q = Query(qid="q", terms=terms, time_constraint=windows)
         for depth in (1, 2, 1000):
             got = run_query(index, q, depth)
             assert got == oracle_run_query(index, q, depth)
@@ -271,7 +260,7 @@ def test_run_query_matches_oracle_on_drawn_windows(doc_windows, constraint, term
         for i, ws in enumerate(doc_windows)
     ]
     index = build_index(Corpus(documents=docs))
-    q = Query(qid="q", terms=terms, time_constraint=constraint, kind="exclusive")
+    q = Query(qid="q", terms=terms, time_constraint=constraint)
     assert run_query(index, q, depth) == oracle_run_query(index, q, depth)
 
 
