@@ -52,7 +52,7 @@ def main() -> None:
         for method, ratio, pruned in rows:
             achieved = pruning_ratio(index, pruned)
             survivors = pruned.lists.get(spec.term)
-            b_alive = sum(p.doc_id in b_ids for p in survivors.postings) if survivors else 0
+            b_alive = sum(d in b_ids for d in survivors.doc_ids) if survivors else 0
             map_, ndcg_, _ = evaluate_queries(pruned, queries, qrels)
             print(f"{method:<12}{ratio:>8.2f}{achieved:>10.4f}{b_alive:>9}"
                   f"{map_:>8.3f}{ndcg_:>8.3f}")

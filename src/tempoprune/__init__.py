@@ -48,6 +48,7 @@ from .gmm import GmmFit, fit_gmm, select_k_bic
 from .index import (
     InvertedIndex,
     Posting,
+    PostingList,
     build_index,
     pruning_ratio,
     read_index,

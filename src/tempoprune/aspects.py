@@ -80,9 +80,10 @@ def term_time_series(index: InvertedIndex, term: str, presence_only: bool = Fals
         raise TermNotFoundError(term)
     doc_days = index.doc_days
     counts: dict[int, int] = {}
-    for p in index.lists[term].postings:
-        mass = 1 if presence_only else p.tf
-        for day in doc_days.get(p.doc_id, ()):
+    plist = index.lists[term]
+    for d, tf in zip(plist.doc_ids, plist.tfs):
+        mass = 1 if presence_only else tf
+        for day in doc_days.get(d, ()):
             counts[day] = counts.get(day, 0) + mass
     return TermTimeSeries(term=term, counts=counts)
 
@@ -198,15 +199,15 @@ def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> Aspec
         if not a.is_global and a.center is not None
     ]
     doc_map: dict[str, tuple[int, ...]] = {}
-    for p in index.lists[term].postings:
-        windows = index.doc_times.get(p.doc_id, frozenset())
+    for doc_id in index.lists[term].doc_ids:
+        windows = index.doc_times.get(doc_id, frozenset())
         mapped = {i for w in windows for i in local.meeting(w.b_lo, w.e_hi)}
         if not mapped and windows and centers:
-            rep_days = index.doc_days[p.doc_id]
+            rep_days = index.doc_days[doc_id]
             mapped = {min(centers, key=lambda ic: (min(abs(d - ic[1]) for d in rep_days), ic[0]))[0]}
         if gi is not None:
             mapped.add(gi)
-        doc_map[p.doc_id] = tuple(sorted(mapped))
+        doc_map[doc_id] = tuple(sorted(mapped))
     return replace(aspects, doc_map=doc_map)
 
 

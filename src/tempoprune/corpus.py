@@ -61,6 +61,15 @@ def parse_corpus(path, fmt: str = "jsonl", stop_words: bool = True) -> Corpus:
     return Corpus(documents=docs, n_malformed=len(skipped))
 
 
+def json_line(line: str):
+    """`json.loads` of one JSONL line.  A line nested too deeply for the
+    decoder is a ValueError, as malformed JSON is, not a RecursionError."""
+    try:
+        return json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def _record_id(rec: dict):
     """A JSONL record's `doc_id`, or its `id` as `write_corpus` emits it;
     a record carrying both must give the same value in each."""
@@ -81,7 +90,7 @@ def _parse_jsonl(text: str, stop_words: bool) -> tuple[list[Document], list[str]
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = json_line(line)
             if not isinstance(rec, dict):
                 raise ValueError("record is not a JSON object")
             doc_id = _record_id(rec)

@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass, field
 
 from .aspects import DEFAULT_LAMBDA_W, build_aspect_sets
-from .corpus import tokenize
-from .errors import EvalFormatError, QueryError
+from .corpus import json_line, tokenize
+from .errors import EvalFormatError, PruneError, QueryError
 from .gmm import DEFAULT_K_MAX
 from .index import InvertedIndex, pruning_ratio
 from .prune import JM_LAMBDA, METHODS, TCP_K, cut, discount, k_for, posting_order
@@ -249,7 +249,7 @@ def all_relevant_qrels(queries: list[Query], index: InvertedIndex) -> Qrels:
         for term in q.terms:
             plist = index.lists.get(term)
             if plist is not None:
-                grades.update(((q.qid, p.doc_id), 1) for p in plist.postings if p.doc_id in meeting)
+                grades.update(((q.qid, d), 1) for d in plist.doc_ids if d in meeting)
     return Qrels(grades)
 
 
@@ -271,7 +271,7 @@ def write_queries(queries: list[Query], path) -> None:
 
 def _jsonl_objects(path):
     """("path:line", record) for each non-blank line; QueryError on a line
-    that is not a JSON object."""
+    that is not a JSON object, or is nested too deeply to decode."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -279,8 +279,8 @@ def _jsonl_objects(path):
                 continue
             where = f"{path}:{lineno}"
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                record = json_line(line)
+            except ValueError as exc:
                 raise QueryError(f"{where}: not JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise QueryError(f"{where}: expected a JSON object, got {line:.60}")
@@ -435,10 +435,10 @@ def sweep(
     """
     for m in methods:
         if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {tuple(METHODS)}")
+            raise PruneError(f"unknown method {m!r}; expected one of {tuple(METHODS)}")
     for ratio in ratios:
         if not 0.0 <= ratio < 1.0:
-            raise ValueError(f"ratio must be in [0, 1), got {ratio}")
+            raise PruneError(f"ratio must be in [0, 1), got {ratio}")
     baseline: tuple[float, float, int] | None = None
     report = EvalReport()
     for method in sorted(set(methods)):

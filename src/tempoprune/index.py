@@ -5,7 +5,11 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, compress
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import Corpus
 from .errors import CorpusFormatError, IndexConsistencyError, IndexFormatError
@@ -15,16 +19,24 @@ MAGIC = b"TPIX"
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Posting:
+class Posting(NamedTuple):
     doc_id: str
     tf: int
 
 
 @dataclass
 class PostingList:
+    """One term's postings as two aligned columns, doc ids ascending and
+    unique (`run_query` finds a document's tf by bisection)."""
+
     term: str
-    postings: list[Posting]  # ascending doc_id, unique
+    doc_ids: list[str]
+    tfs: list[int]
+
+    @property
+    def postings(self) -> list[Posting]:
+        """The list as `Posting` records, built anew on each read."""
+        return list(map(Posting, self.doc_ids, self.tfs))
 
 
 @dataclass
@@ -45,7 +57,7 @@ class InvertedIndex:
     pruned: bool = False
 
     def posting_count(self) -> int:
-        return sum(len(pl.postings) for pl in self.lists.values())
+        return sum(len(pl.doc_ids) for pl in self.lists.values())
 
     def terms(self) -> list[str]:
         return sorted(self.lists)
@@ -86,18 +98,18 @@ def build_index(corpus: Corpus) -> InvertedIndex:
         for tok in doc.tokens:
             lists.setdefault(tok, {}).setdefault(doc.doc_id, 0)
             lists[tok][doc.doc_id] += 1
-    plists = {
-        term: PostingList(term, [Posting(d, tf) for d, tf in sorted(counts.items())])
-        for term, counts in sorted(lists.items())
-    }
+    plists = {}
+    for term, counts in sorted(lists.items()):
+        doc_ids = sorted(counts)
+        plists[term] = PostingList(term, doc_ids, [counts[d] for d in doc_ids])
     total = sum(doc_len.values())
     stats = CollectionStats(
         n_docs=len(doc_len),
         doc_len=doc_len,
         total_len=total,
         avgdl=total / len(doc_len),
-        df={t: len(pl.postings) for t, pl in plists.items()},
-        ctf={t: sum(p.tf for p in pl.postings) for t, pl in plists.items()},
+        df={t: len(pl.doc_ids) for t, pl in plists.items()},
+        ctf={t: sum(pl.tfs) for t, pl in plists.items()},
     )
     return InvertedIndex(lists=plists, stats=stats, doc_times=doc_times)
 
@@ -121,24 +133,29 @@ def verify_index(index: InvertedIndex) -> None:
     for term, pl in index.lists.items():
         if term not in stats.df or term not in stats.ctf:
             raise IndexConsistencyError(f"term {term!r} missing from df/ctf")
+        n = len(pl.doc_ids)
+        if len(pl.tfs) != n:
+            raise IndexConsistencyError(
+                f"posting list for {term!r} has {n} doc ids, {len(pl.tfs)} tfs"
+            )
         prev = None
         tf_sum = 0
-        for p in pl.postings:
-            if p.tf < 1:
-                raise IndexConsistencyError(f"non-positive tf for ({term!r}, {p.doc_id!r})")
-            if p.doc_id not in stats.doc_len:
-                raise IndexConsistencyError(f"posting for unknown doc {p.doc_id!r}")
-            if p.tf > stats.doc_len[p.doc_id]:
-                raise IndexConsistencyError(f"tf exceeds doc length for ({term!r}, {p.doc_id!r})")
-            if prev is not None and p.doc_id <= prev:
+        for doc_id, tf in zip(pl.doc_ids, pl.tfs):
+            if tf < 1:
+                raise IndexConsistencyError(f"non-positive tf for ({term!r}, {doc_id!r})")
+            if doc_id not in stats.doc_len:
+                raise IndexConsistencyError(f"posting for unknown doc {doc_id!r}")
+            if tf > stats.doc_len[doc_id]:
+                raise IndexConsistencyError(f"tf exceeds doc length for ({term!r}, {doc_id!r})")
+            if prev is not None and doc_id <= prev:
                 raise IndexConsistencyError(f"posting list for {term!r} not strictly sorted")
-            prev = p.doc_id
-            tf_sum += p.tf
+            prev = doc_id
+            tf_sum += tf
         if index.pruned:
-            if stats.df[term] < len(pl.postings) or stats.ctf[term] < tf_sum:
+            if stats.df[term] < n or stats.ctf[term] < tf_sum:
                 raise IndexConsistencyError(f"frozen stats smaller than pruned list for {term!r}")
         else:
-            if stats.df[term] != len(pl.postings) or stats.ctf[term] != tf_sum:
+            if stats.df[term] != n or stats.ctf[term] != tf_sum:
                 raise IndexConsistencyError(f"df/ctf out of sync for {term!r}")
 
 
@@ -151,13 +168,14 @@ def pruning_ratio(original: InvertedIndex, pruned: InvertedIndex) -> float:
     for term, pl in pruned.lists.items():
         if term not in original.lists:
             raise IndexConsistencyError(f"pruned index has unknown term {term!r}")
-        orig = {p.doc_id: p.tf for p in original.lists[term].postings}
-        for p in pl.postings:
-            if orig.get(p.doc_id) != p.tf:
+        base = original.lists[term]
+        orig = dict(zip(base.doc_ids, base.tfs))
+        for doc_id, tf in zip(pl.doc_ids, pl.tfs):
+            if orig.get(doc_id) != tf:
                 raise IndexConsistencyError(
-                    f"posting ({term!r}, {p.doc_id!r}) is not in the original index"
+                    f"posting ({term!r}, {doc_id!r}) is not in the original index"
                 )
-        kept += len(pl.postings)
+        kept += len(pl.doc_ids)
     return 1.0 - kept / total
 
 
@@ -225,6 +243,78 @@ class _Reader:
             raise IndexFormatError(f"string is not UTF-8: {exc}") from exc
 
 
+# A varint ends at its first byte below 0x80, and each of its bytes carries
+# 7 bits, low first.  A list varint may take 9 bytes (63 bits), so every
+# value fits a uint64.
+_VARINT_MAX = 9
+# Shorter lists decode faster byte by byte: numpy's calls cost about 20 us
+# per list, and the two ways break even near 100 postings.
+_NUMPY_MIN_POSTINGS = 100
+
+
+def _read_columns(
+    r: _Reader, raw: np.ndarray, n: int, docs: list[str], term: str
+) -> tuple[list[str], list[int]]:
+    """The doc ids and tfs of one list of `n` postings at `r.pos`: n doc
+    number gaps, then n tfs.  A doc number gap of `len(docs)` or more is
+    rejected before the gaps are summed, and so is a zero gap after the
+    first: with the document ids ascending, so are a list's."""
+    if n == 0:
+        return [], []
+    if n < _NUMPY_MIN_POSTINGS:
+        values = _varints(r, 2 * n, term)
+    else:
+        values = _varints_numpy(r, raw, 2 * n, term)
+    if max(values[:n]) >= len(docs):
+        raise IndexFormatError(f"term {term!r}: doc id gap of at least {len(docs)} documents")
+    if 0 in values[1:n]:
+        raise IndexFormatError(f"term {term!r}: doc ids not strictly ascending")
+    nums = list(accumulate(values[:n]))
+    if nums[-1] >= len(docs):
+        raise IndexFormatError(f"term {term!r}: posting references unknown document")
+    return [docs[i] for i in nums], values[n:]
+
+
+def _varints(r: _Reader, count: int, term: str) -> list[int]:
+    """`count` varints from `r.pos`, read one byte at a time."""
+    data = r.data
+    values = []
+    value = shift = 0
+    for pos in range(r.pos, len(data)):
+        b = data[pos]
+        if b < 0x80:
+            values.append(value | b << shift)
+            if len(values) == count:
+                r.pos = pos + 1
+                return values
+            value = shift = 0
+        else:
+            value |= (b & 0x7F) << shift
+            shift += 7
+            if shift == 7 * _VARINT_MAX:
+                raise IndexFormatError(f"term {term!r}: varint longer than {_VARINT_MAX} bytes")
+    raise IndexFormatError("truncated index payload")
+
+
+def _varints_numpy(r: _Reader, raw: np.ndarray, count: int, term: str) -> list[int]:
+    """`count` varints from `r.pos`, decoded at once as uint64: a search for
+    their last bytes, then one segment sum of the shifted 7-bit groups."""
+    chunk = raw[r.pos : r.pos + count * _VARINT_MAX + 1]
+    ends = np.flatnonzero(chunk < 0x80)[:count] + 1  # one past each varint
+    complete = len(ends) == count
+    if not complete:  # the open varint needs at least the byte past the chunk
+        ends = np.append(ends, len(chunk) + 1)
+    starts = np.concatenate(([0], ends[:-1]))
+    if (ends - starts).max() > _VARINT_MAX:
+        raise IndexFormatError(f"term {term!r}: varint longer than {_VARINT_MAX} bytes")
+    if not complete:
+        raise IndexFormatError("truncated index payload")
+    shift = 7 * (np.arange(ends[-1]) - np.repeat(starts, ends - starts))
+    bits = (chunk[: ends[-1]] & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
+    r.pos += int(ends[-1])
+    return np.add.reduceat(bits, starts).tolist()
+
+
 def write_index(index: InvertedIndex, path) -> None:
     """Serialize deterministically: same index -> identical bytes."""
     payload = bytearray()
@@ -246,16 +336,14 @@ def write_index(index: InvertedIndex, path) -> None:
         _write_str(payload, term)
         _write_uv(payload, index.stats.df[term])
         _write_uv(payload, index.stats.ctf[term])
-        _write_uv(payload, len(pl.postings))
-        prev = 0
-        first = True
-        for p in pl.postings:
-            num = doc_ord[p.doc_id]
-            _write_uv(payload, num if first else num - prev)
+        _write_uv(payload, len(pl.doc_ids))
+        prev = 0  # the first doc number goes out whole, each later one as a gap
+        for doc_id in pl.doc_ids:
+            num = doc_ord[doc_id]
+            _write_uv(payload, num - prev)
             prev = num
-            first = False
-        for p in pl.postings:
-            _write_uv(payload, p.tf)
+        for tf in pl.tfs:
+            _write_uv(payload, tf)
     flags = 1 if index.pruned else 0
     blob = _HEADER.pack(MAGIC, FORMAT_VERSION, flags, len(payload))
     blob += bytes(payload) + hashlib.sha256(payload).digest()
@@ -293,6 +381,9 @@ def read_index(path) -> InvertedIndex:
         docs.append(doc_id)
         if wins:
             doc_times[doc_id] = frozenset(wins)
+    if any(a >= b for a, b in zip(docs, docs[1:])):
+        raise IndexFormatError(f"{path}: document ids not strictly ascending")
+    raw = np.frombuffer(payload, dtype=np.uint8)
     lists: dict[str, PostingList] = {}
     df: dict[str, int] = {}
     ctf: dict[str, int] = {}
@@ -300,16 +391,7 @@ def read_index(path) -> InvertedIndex:
         term = r.s()
         df[term] = r.uv()
         ctf[term] = r.uv()
-        n_post = r.uv()
-        nums = []
-        cur = 0
-        for i in range(n_post):
-            cur = r.uv() if i == 0 else cur + r.uv()
-            nums.append(cur)
-        if any(num >= len(docs) for num in nums):
-            raise IndexFormatError("posting references unknown document")
-        postings = [Posting(docs[num], r.uv()) for num in nums]
-        lists[term] = PostingList(term, postings)
+        lists[term] = PostingList(term, *_read_columns(r, raw, r.uv(), docs, term))
     if r.pos != len(payload):
         raise IndexFormatError(f"{path}: {len(payload) - r.pos} trailing payload bytes")
     total = sum(doc_len.values())
@@ -334,8 +416,10 @@ def subset_index(index: InvertedIndex, keep: dict[str, set[str]]) -> InvertedInd
     for term in sorted(index.lists):
         if term not in keep:
             continue
+        pl = index.lists[term]
         keep_set = keep[term]
-        retained = [p for p in index.lists[term].postings if p.doc_id in keep_set]
-        if retained:
-            lists[term] = PostingList(term, retained)
+        mask = [d in keep_set for d in pl.doc_ids]
+        if any(mask):
+            doc_ids, tfs = list(compress(pl.doc_ids, mask)), list(compress(pl.tfs, mask))
+            lists[term] = PostingList(term, doc_ids, tfs)
     return InvertedIndex(lists=lists, stats=index.stats, doc_times=index.doc_times, pruned=True)

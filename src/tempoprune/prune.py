@@ -82,17 +82,16 @@ def _jm_scores(index: InvertedIndex, term: str, lam: float) -> list[float]:
         raise TermNotFoundError(term)
     stats = index.stats
     background = lam * stats.ctf[term] / stats.total_len
+    plist = index.lists[term]
     return [
-        (1.0 - lam) * p.tf / stats.doc_len[p.doc_id] + background
-        for p in index.lists[term].postings
+        (1.0 - lam) * tf / stats.doc_len[d] + background for d, tf in zip(plist.doc_ids, plist.tfs)
     ]
 
 
 def relevance_scores(index: InvertedIndex, term: str, lam: float = JM_LAMBDA) -> RelevanceList:
     """Jelinek-Mercer scores of the term's postings, best first, doc_id tiebreak."""
     scores = _jm_scores(index, term, lam)
-    doc_ids = (p.doc_id for p in index.lists[term].postings)
-    entries = sorted(zip(scores, doc_ids), key=lambda e: (-e[0], e[1]))
+    entries = sorted(zip(scores, index.lists[term].doc_ids), key=lambda e: (-e[0], e[1]))
     return RelevanceList(term, [d for _, d in entries], [s for s, _ in entries])
 
 
@@ -197,7 +196,7 @@ def tcp_posting_scores(index: InvertedIndex, term: str) -> list[float]:
     if term not in index.lists:
         raise TermNotFoundError(term)
     idf = math.log(index.stats.n_docs / index.stats.df[term])
-    return [p.tf * idf for p in index.lists[term].postings]
+    return [tf * idf for tf in index.lists[term].tfs]
 
 
 def tcp_cutoff(scores: list[float], k: int = TCP_K) -> float:
@@ -232,15 +231,16 @@ def n2p2_values(index: InvertedIndex, term: str) -> list[float]:
     coll = stats.total_len
     out = []
     degenerate = 0
-    for p in index.lists[term].postings:
-        dlen = stats.doc_len[p.doc_id]
-        pooled = (p.tf + ctf) / (dlen + coll)
+    plist = index.lists[term]
+    for d, tf in zip(plist.doc_ids, plist.tfs):
+        dlen = stats.doc_len[d]
+        pooled = (tf + ctf) / (dlen + coll)
         err = math.sqrt(pooled * (1.0 - pooled) * (1.0 / dlen + 1.0 / coll))
         if err == 0.0:
             degenerate += 1
             out.append(math.inf)
         else:
-            out.append((p.tf / dlen - ctf / coll) / err)
+            out.append((tf / dlen - ctf / coll) / err)
     if degenerate:
         log.warning("2n2p(%r): kept %d postings with degenerate z statistic", term, degenerate)
     return out
@@ -392,7 +392,7 @@ def cut(
     keep: dict[str, set[str]] = {}
     if spec.aspect_model is not None:
         for term, plist in index.lists.items():
-            keep[term] = set(order[term][:k_for(len(plist.postings), k, ratio)])
+            keep[term] = set(order[term][:k_for(len(plist.doc_ids), k, ratio)])
         return subset_index(index, keep), {}
     info: dict = {}
     if epsilon is None:
@@ -401,7 +401,7 @@ def cut(
         info["tuned"] = {"target_ratio": ratio, "epsilon": epsilon, "flagged": tuned.flagged}
     info["epsilon"] = epsilon
     for term, plist in index.lists.items():
-        keep[term] = {p.doc_id for p, v in zip(plist.postings, order[term]) if not v < epsilon}
+        keep[term] = {d for d, v in zip(plist.doc_ids, order[term]) if not v < epsilon}
     return subset_index(index, keep), info
 
 

@@ -9,6 +9,7 @@ through the missing postings.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
@@ -53,7 +54,8 @@ def _tf_part(tf: int, dlen: int, avgdl: float) -> float:
 def run_query(index: InvertedIndex, query: Query, depth: int = DEFAULT_DEPTH) -> RankedResult:
     """Term-at-a-time BM25.  A query with windows first finds the documents
     whose time part meets one of them (`InvertedIndex.docs_meeting`)
-    and scores only their postings.  Top `depth` by (score desc, doc_id asc)."""
+    and scores only their postings, looked up by doc id in each list.
+    Top `depth` by (score desc, doc_id asc)."""
     if depth < 1:
         raise QueryError(f"depth must be >= 1, got {depth}")
     if not query.terms:
@@ -61,15 +63,20 @@ def run_query(index: InvertedIndex, query: Query, depth: int = DEFAULT_DEPTH) ->
     keep = index.docs_meeting(query.time_constraint) if query.time_constraint else None
     acc: dict[str, float] = {}
     avgdl = index.stats.avgdl
+    doc_len = index.stats.doc_len
     for term, count in sorted(Counter(query.terms).items()):
         plist = index.lists.get(term)
         if plist is None:
             continue
-        postings = plist.postings if keep is None else [p for p in plist.postings if p.doc_id in keep]
+        doc_ids, tfs = plist.doc_ids, plist.tfs
+        if keep is None:
+            postings = zip(doc_ids, tfs)
+        else:  # a kept posting's tf is found by bisection in the ascending doc ids
+            postings = [(d, tfs[bisect_left(doc_ids, d)]) for d in keep.intersection(doc_ids)]
         idf = _idf(index, term)
-        for p in postings:
-            w = count * idf * _tf_part(p.tf, index.stats.doc_len[p.doc_id], avgdl)
-            acc[p.doc_id] = acc.get(p.doc_id, 0.0) + w
+        for d, tf in postings:
+            w = count * idf * _tf_part(tf, doc_len[d], avgdl)
+            acc[d] = acc.get(d, 0.0) + w
     ranked = sorted(acc.items(), key=lambda e: (-e[1], e[0]))[:depth]
     return RankedResult(qid=query.qid, hits=ranked)
 

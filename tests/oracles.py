@@ -24,10 +24,14 @@ of the query terms is scored, and each candidate document's windows are
 then tested against every query window.  `oracle_term_time_series` reads
 every window's midpoint afresh for every posting.
 
+`oracle_read_index` is the slow definition of the library's index reader:
+every varint of every posting list read one byte at a time.
+
 `time_filtered_qrels` and `corpus_by_id` are qrels plumbing that only the
 tests use; `multi_window_corpus` is a test corpus whose documents carry
 up to two windows.
 """
+import hashlib
 import math
 import random
 from collections import Counter
@@ -39,10 +43,19 @@ import numpy as np
 
 from tempoprune.aspects import DEFAULT_LAMBDA_W, Aspect, AspectSet, TermTimeSeries, build_aspect_sets
 from tempoprune.corpus import Corpus, Document
-from tempoprune.errors import FitError, QueryError
+from tempoprune.errors import FitError, IndexFormatError, QueryError
 from tempoprune.evaluation import EvalReport, Qrels, SweepRow, evaluate_queries
 from tempoprune.gmm import DEFAULT_K_MAX, VAR_FLOOR, GmmFit
-from tempoprune.index import pruning_ratio
+from tempoprune.index import (
+    _HEADER,
+    FORMAT_VERSION,
+    MAGIC,
+    CollectionStats,
+    InvertedIndex,
+    PostingList,
+    _Reader,
+    pruning_ratio,
+)
 from tempoprune.prune import JM_LAMBDA, METHODS, TCP_K, RelevanceList, discount, prune_index
 from tempoprune.search import B, DEFAULT_DEPTH, K1, Query, RankedResult
 from tempoprune.synth import random_corpus
@@ -589,3 +602,72 @@ def oracle_term_time_series(index, term: str, presence_only: bool = False) -> di
         for w in index.doc_times.get(p.doc_id, frozenset()):
             counts[w.midpoint] = counts.get(w.midpoint, 0) + mass
     return counts
+
+
+# --- index reader (the slow definition of index.read_index) -----------------
+
+def oracle_read_index(path) -> InvertedIndex:
+    """`read_index`, decoding each posting list one varint at a time.  The
+    document ids, and each list's doc numbers, must be strictly ascending,
+    checked against their sorted set.  Its varints are unbounded: a list
+    varint of more than 9 bytes, which `read_index` rejects, decodes here."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < _HEADER.size or data[:4] != MAGIC:
+        raise IndexFormatError(f"{path}: not an index file (bad magic)")
+    _, version, flags, payload_len = _HEADER.unpack_from(data)
+    if version != FORMAT_VERSION:
+        raise IndexFormatError(f"{path}: unsupported format version {version}")
+    end = _HEADER.size + payload_len
+    if len(data) < end + 32:
+        raise IndexFormatError(f"{path}: truncated file, checksum cannot be verified")
+    payload = data[_HEADER.size : end]
+    if hashlib.sha256(payload).digest() != data[end : end + 32]:
+        raise IndexFormatError(f"{path}: checksum mismatch")
+    r = _Reader(payload)
+    docs: list[str] = []
+    doc_len: dict[str, int] = {}
+    doc_times: dict[str, frozenset[TimeWindow]] = {}
+    for _ in range(r.uv()):
+        doc_id = r.s()
+        doc_len[doc_id] = r.uv()
+        wins = []
+        for _ in range(r.uv()):
+            try:
+                wins.append(TimeWindow(*(r.sv() for _ in range(4))))
+            except ValueError as exc:
+                raise IndexFormatError(f"document {doc_id!r}: {exc}") from exc
+        docs.append(doc_id)
+        if wins:
+            doc_times[doc_id] = frozenset(wins)
+    if docs != sorted(set(docs)):
+        raise IndexFormatError(f"{path}: document ids not strictly ascending")
+    lists: dict[str, PostingList] = {}
+    df: dict[str, int] = {}
+    ctf: dict[str, int] = {}
+    for _ in range(r.uv()):
+        term = r.s()
+        df[term] = r.uv()
+        ctf[term] = r.uv()
+        nums = []
+        cur = 0
+        for _ in range(r.uv()):
+            cur += r.uv()
+            nums.append(cur)
+        if any(num >= len(docs) for num in nums):
+            raise IndexFormatError("posting references unknown document")
+        if nums != sorted(set(nums)):
+            raise IndexFormatError(f"term {term!r}: doc ids not strictly ascending")
+        lists[term] = PostingList(term, [docs[num] for num in nums], [r.uv() for _ in nums])
+    if r.pos != len(payload):
+        raise IndexFormatError(f"{path}: {len(payload) - r.pos} trailing payload bytes")
+    total = sum(doc_len.values())
+    stats = CollectionStats(
+        n_docs=len(doc_len),
+        doc_len=doc_len,
+        total_len=total,
+        avgdl=total / len(doc_len) if doc_len else 0.0,
+        df=df,
+        ctf=ctf,
+    )
+    return InvertedIndex(lists=lists, stats=stats, doc_times=doc_times, pruned=bool(flags & 1))

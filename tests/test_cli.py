@@ -400,6 +400,25 @@ def test_eval_malformed_queries_exit_one(cli_dir, tmp_path, capsys):
     assert f"{queries}:1: terms must be a list of strings" in err
 
 
+@pytest.mark.parametrize("subcommand", ["build", "genqueries", "eval"])
+def test_deeply_nested_json_exits_one(cli_dir, tmp_path, capsys, subcommand):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q1 0 d0001 1\n", encoding="utf-8")
+    idx, out = str(cli_dir / "idx.bin"), str(tmp_path / "out")
+    argv = {
+        "build": ["build", "--corpus", str(deep), "--out", out],
+        "genqueries": ["genqueries", "--index", idx, "--topics", str(deep), "--out", out],
+        "eval": ["eval", "--index", idx, "--queries", str(deep), "--qrels", str(qrels)],
+    }[subcommand]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "JSON nested too deeply to decode" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "qrels_line, run_line, message",
     [

@@ -96,6 +96,18 @@ def test_parse_jsonl_bad_window_is_malformed(tmp_path):
     assert corpus.n_malformed == 1
 
 
+def test_parse_jsonl_deeply_nested_line_is_malformed(tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "c.jsonl"
+    path.write_text(deep + "\n" + json.dumps({"id": "d2", "text": "beta"}) + "\n", encoding="utf-8")
+    corpus = parse_corpus(path)
+    assert [d.doc_id for d in corpus.documents] == ["d2"]
+    assert corpus.n_malformed == 1
+    path.write_text(deep + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="first: line 1: JSON nested too deeply to decode"):
+        parse_corpus(path)
+
+
 def test_parse_jsonl_readme_example(tmp_path):
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```jsonl\n(.*?)```", readme, re.DOTALL).group(1)

@@ -380,6 +380,14 @@ def test_read_topics_rejects_malformed_records(tmp_path, line, reason):
         read_topics(path)
 
 
+@pytest.mark.parametrize("read", [read_queries, read_topics], ids=["queries", "topics"])
+def test_readers_reject_deeply_nested_json(tmp_path, read):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n" + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(QueryError, match=r"deep\.jsonl:2: not JSON \(JSON nested too deeply to decode\)"):
+        read(path)
+
+
 # --- derived qrels --------------------------------------------------------
 
 
@@ -632,17 +640,19 @@ def test_sweep_validation(sweep_setup, monkeypatch):
     from tempoprune import evaluation
 
     index, queries, qrels = sweep_setup
-    with pytest.raises(ValueError):
+    with pytest.raises(PruneError, match="unknown method 'pagerank'"):
         sweep(index, queries, qrels, ["pagerank"], [0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(PruneError, match=r"ratio must be in \[0, 1\), got 1.0"):
         sweep(index, queries, qrels, ["tcp"], [1.0])
+    with pytest.raises(PruneError, match=r"ratio must be in \[0, 1\), got -0.1"):
+        sweep(index, queries, qrels, ["tcp"], [-0.1])
 
     def never(*args, **kwargs):
         raise AssertionError("aspect sets built before the ratios were checked")
 
     # every ratio is checked before any work
     monkeypatch.setattr(evaluation, "build_aspect_sets", never)
-    with pytest.raises(ValueError, match=r"ratio must be in \[0, 1\), got 1.0"):
+    with pytest.raises(PruneError, match=r"ratio must be in \[0, 1\), got 1.0"):
         sweep(index, queries, qrels, ["div-simple"], [0.5, 1.0])
 
 

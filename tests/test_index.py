@@ -1,16 +1,21 @@
 """Index construction, structural verification, binary round-trip."""
 import hashlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_read_index
 
+from tempoprune import index as index_module
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import CorpusFormatError, IndexConsistencyError, IndexFormatError
 from tempoprune.index import (
     _HEADER,
+    CollectionStats,
     InvertedIndex,
     Posting,
+    PostingList,
     build_index,
     pruning_ratio,
     read_index,
@@ -41,6 +46,14 @@ def test_build_index_hand_counts():
     assert idx.posting_count() == 3
 
 
+def test_postings_view_reads_the_columns():
+    plist = PostingList("b", ["d1", "d2"], [1, 3])
+    assert plist.postings == [Posting("d1", 1), Posting("d2", 3)]
+    assert plist.postings[1].doc_id == "d2" and plist.postings[1].tf == 3
+    plist.postings.clear()  # a fresh list per read: the columns stay
+    assert plist.doc_ids == ["d1", "d2"] and plist.tfs == [1, 3]
+
+
 def test_build_index_rejects_empty_corpus():
     with pytest.raises(CorpusFormatError):
         build_index(Corpus(documents=[]))
@@ -60,7 +73,7 @@ def test_verify_detects_corruption(toy5_index):
     import copy
 
     broken = copy.deepcopy(toy5_index)
-    broken.lists["apple"].postings[0] = Posting("d1", 99)  # tf > doc length
+    broken.lists["apple"].tfs[0] = 99  # tf > doc length
     with pytest.raises(IndexConsistencyError):
         verify_index(broken)
 
@@ -70,8 +83,13 @@ def test_verify_detects_corruption(toy5_index):
         verify_index(broken)
 
     broken = copy.deepcopy(toy5_index)
-    broken.lists["apple"].postings.reverse()
+    broken.lists["apple"].doc_ids.reverse()
     with pytest.raises(IndexConsistencyError):
+        verify_index(broken)
+
+    broken = copy.deepcopy(toy5_index)
+    broken.lists["apple"].tfs.pop()
+    with pytest.raises(IndexConsistencyError, match="'apple' has 4 doc ids, 3 tfs"):
         verify_index(broken)
 
 
@@ -154,16 +172,42 @@ def toy5_blob(tmp_path_factory, toy5_index) -> bytes:
     return path.read_bytes()
 
 
+# The apple list of toy5: term, df 4, ctf 6, 4 postings, doc number gaps.
+_APPLE_GAPS = b"apple\x04\x06\x04\x00\x01\x01\x02"
+_BIGGEST_9_BYTE_VARINT = b"\xff" * 8 + b"\x7f"  # 2**63 - 1
+
+
+# What `_NUMPY_MIN_POSTINGS` is set to so that every posting list is read
+# by one of the two list decoders.
+DECODERS = {"bytewise": 10**9, "numpy": 1}
+
+
+def _decoding(decoder: str):
+    return mock.patch.object(index_module, "_NUMPY_MIN_POSTINGS", DECODERS[decoder])
+
+
 @pytest.mark.parametrize(
-    "old, new",
+    "old, new, message",
     [
-        (b"\x02d1", b"\x02\xffd"),  # doc id d1 becomes invalid UTF-8
-        (bytes([0xC8, 1] * 4), bytes([0xCA, 1] + [0xC8, 1] * 3)),  # d1: b_lo 101 > b_hi 100
-        (b"", b"\x00"),  # one trailing payload byte
+        (b"\x02d1", b"\x02\xffd", "not UTF-8"),  # doc id d1 becomes invalid UTF-8
+        # d1: b_lo 101 > b_hi 100
+        (bytes([0xC8, 1] * 4), bytes([0xCA, 1] + [0xC8, 1] * 3), "document 'd1'"),
+        (b"", b"\x00", "1 trailing payload bytes"),
+        # apple's first doc number, 0, spread over ten bytes
+        (_APPLE_GAPS, _APPLE_GAPS[:-4] + b"\x80" * 9 + b"\x00\x01\x01\x02",
+         "term 'apple': varint longer than 9 bytes"),
+        # gaps 0, 2**63-1, 2**63-1, 2: a uint64 sum ends on doc number 0
+        (_APPLE_GAPS, _APPLE_GAPS[:-4] + b"\x00" + _BIGGEST_9_BYTE_VARINT * 2 + b"\x02",
+         "term 'apple': doc id gap of at least 5 documents"),
+        # apple's postings d1 d2 d3 d5 become d1 d1 d2 d4
+        (_APPLE_GAPS, _APPLE_GAPS[:-4] + b"\x00\x00\x01\x02",
+         "term 'apple': doc ids not strictly ascending"),
+        (b"\x02d2", b"\x02d0", "document ids not strictly ascending"),  # d1 before d0
     ],
-    ids=["bad-utf8-doc-id", "inconsistent-window", "trailing-bytes"],
+    ids=["bad-utf8-doc-id", "inconsistent-window", "trailing-bytes", "overlong-varint",
+         "wrapping-gaps", "repeated-doc-number", "unsorted-doc-ids"],
 )
-def test_read_rejects_rehashed_bad_payload(tmp_path, toy5_blob, old, new):
+def test_read_rejects_rehashed_bad_payload(tmp_path, toy5_blob, old, new, message):
     payload = _payload(toy5_blob)
     if old:
         assert payload.count(old) == 1
@@ -172,24 +216,25 @@ def test_read_rejects_rehashed_bad_payload(tmp_path, toy5_blob, old, new):
         payload += new
     path = tmp_path / "bad.idx"
     path.write_bytes(_rehashed(toy5_blob, payload))
-    with pytest.raises(IndexFormatError):
-        read_index(path)
+    for decoder in DECODERS:
+        with _decoding(decoder), pytest.raises(IndexFormatError, match=message):
+            read_index(path)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    edits=st.lists(
-        st.tuples(
-            st.sampled_from(["set", "insert", "delete"]),
-            st.integers(min_value=0, max_value=10**6),
-            st.integers(min_value=0, max_value=255),
-        ),
-        min_size=1,
-        max_size=4,
-    )
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "insert", "delete"]),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=255),
+    ),
+    min_size=1,
+    max_size=4,
 )
-def test_read_rehashed_mutations_give_index_or_format_error(tmp_path_factory, toy5_blob, edits):
-    payload = bytearray(_payload(toy5_blob))
+
+
+def _mutated(blob: bytes, edits) -> bytes:
+    """`blob` with `edits` applied to its payload, rehashed."""
+    payload = bytearray(_payload(blob))
     for op, pos, value in edits:
         pos %= len(payload) + 1
         if op == "insert":
@@ -199,8 +244,14 @@ def test_read_rehashed_mutations_give_index_or_format_error(tmp_path_factory, to
                 payload[pos] = value
             else:
                 del payload[pos]
+    return _rehashed(blob, bytes(payload))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=_EDITS)
+def test_read_rehashed_mutations_give_index_or_format_error(tmp_path_factory, toy5_blob, edits):
     path = tmp_path_factory.mktemp("fuzz") / "m.idx"
-    path.write_bytes(_rehashed(toy5_blob, bytes(payload)))
+    path.write_bytes(_mutated(toy5_blob, edits))
     try:
         index = read_index(path)
     except IndexFormatError:
@@ -210,6 +261,74 @@ def test_read_rehashed_mutations_give_index_or_format_error(tmp_path_factory, to
         verify_index(index)
     except IndexConsistencyError:
         pass
+
+
+def _read_both(path, decoder: str):
+    """What `read_index`, with every list read by `decoder`, and
+    `oracle_read_index` make of `path`: an index, or the IndexFormatError
+    raised."""
+    outcomes = []
+    with _decoding(decoder):
+        for read in (read_index, oracle_read_index):
+            try:
+                outcomes.append(read(path))
+            except IndexFormatError as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+_TFS = (1, 2, 127, 128, 16_383, 16_384, 2**62, 2**63 - 1)  # one to nine varint bytes
+
+
+@st.composite
+def _random_index(draw) -> InvertedIndex:
+    """Up to 8 posting lists over up to 300 documents, so that doc number
+    gaps take one or two varint bytes.  Doc ids are arbitrary text (beyond
+    ASCII too) and padding ids "é000"...; tfs come from a few values, so
+    they tie; any list may hold one posting.  Some documents are dated."""
+    names = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+                          min_size=1, max_size=6))
+    doc_ids = sorted(set(names) | {f"é{i:03d}" for i in range(draw(st.integers(0, 300)))})
+    lists = {}
+    for term in draw(st.lists(st.text(min_size=1, max_size=3), unique=True, min_size=1, max_size=8)):
+        nums = sorted(draw(st.sets(st.integers(0, len(doc_ids) - 1), min_size=1, max_size=40)))
+        tfs = draw(st.lists(st.sampled_from(_TFS), min_size=len(nums), max_size=len(nums)))
+        lists[term] = PostingList(term, [doc_ids[i] for i in nums], tfs)
+    days = draw(st.lists(st.integers(-400, 400), max_size=len(doc_ids)))
+    doc_len = {d: 2**63 for d in doc_ids}
+    stats = CollectionStats(
+        n_docs=len(doc_ids), doc_len=doc_len, total_len=sum(doc_len.values()), avgdl=2.0**63,
+        df={t: len(pl.doc_ids) for t, pl in lists.items()},
+        ctf={t: sum(pl.tfs) for t, pl in lists.items()},
+    )
+    doc_times = {d: frozenset({TimeWindow.instant(day)}) for d, day in zip(doc_ids, days)}
+    return InvertedIndex(lists, stats, doc_times, pruned=draw(st.booleans()))
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@settings(max_examples=150, deadline=None)
+@given(index=_random_index())
+def test_read_index_matches_oracle_on_random_indexes(tmp_path_factory, decoder, index):
+    path = tmp_path_factory.mktemp("diff") / "r.idx"
+    write_index(index, path)
+    got, want = _read_both(path, decoder)
+    assert got == want
+    assert got.lists == index.lists
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+@settings(max_examples=300, deadline=None)
+@given(edits=_EDITS)
+def test_read_index_matches_oracle_on_rehashed_mutations(tmp_path_factory, toy5_blob, decoder, edits):
+    path = tmp_path_factory.mktemp("diff") / "m.idx"
+    path.write_bytes(_mutated(toy5_blob, edits))
+    got, want = _read_both(path, decoder)
+    if isinstance(got, IndexFormatError) and "varint longer than 9 bytes" in str(got):
+        return  # the one input the oracle's unbounded varints may accept
+    if isinstance(want, IndexFormatError):
+        assert isinstance(got, IndexFormatError), want
+    else:
+        assert got == want
 
 
 def _whole(index, term):
@@ -254,7 +373,7 @@ def test_pruning_ratio_rejects_foreign_postings(toy5_index):
     import copy
 
     fake = copy.deepcopy(toy5_index)
-    fake.lists["apple"].postings[0] = Posting("d1", 7)
+    fake.lists["apple"].tfs[0] = 7
     with pytest.raises(IndexConsistencyError):
         pruning_ratio(toy5_index, fake)
 
