@@ -9,8 +9,6 @@ from itertools import accumulate, compress
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .corpus import Corpus
 from .errors import CorpusFormatError, IndexConsistencyError, IndexFormatError
 from .timewindows import Stabbing, TimeWindow
@@ -244,40 +242,37 @@ class _Reader:
 
 
 # A varint ends at its first byte below 0x80, and each of its bytes carries
-# 7 bits, low first.  A list varint may take 9 bytes (63 bits), so every
-# value fits a uint64.
+# 7 bits, low first.  A list varint may take 9 bytes (63 bits).
 _VARINT_MAX = 9
-# Shorter lists decode faster byte by byte: numpy's calls cost about 20 us
-# per list, and the two ways break even near 100 postings.
-_NUMPY_MIN_POSTINGS = 100
 
 
-def _read_columns(
-    r: _Reader, raw: np.ndarray, n: int, docs: list[str], term: str
-) -> tuple[list[str], list[int]]:
+def _read_columns(r: _Reader, n: int, docs: list[str], term: str) -> tuple[list[str], list[int]]:
     """The doc ids and tfs of one list of `n` postings at `r.pos`: n doc
     number gaps, then n tfs.  A doc number gap of `len(docs)` or more is
     rejected before the gaps are summed, and so is a zero gap after the
     first: with the document ids ascending, so are a list's."""
     if n == 0:
         return [], []
-    if n < _NUMPY_MIN_POSTINGS:
-        values = _varints(r, 2 * n, term)
-    else:
-        values = _varints_numpy(r, raw, 2 * n, term)
-    if max(values[:n]) >= len(docs):
+    gaps = _varints(r, n, term)
+    tfs = _varints(r, n, term)
+    if max(gaps) >= len(docs):
         raise IndexFormatError(f"term {term!r}: doc id gap of at least {len(docs)} documents")
-    if 0 in values[1:n]:
+    if 0 in gaps[1:]:
         raise IndexFormatError(f"term {term!r}: doc ids not strictly ascending")
-    nums = list(accumulate(values[:n]))
+    nums = list(accumulate(gaps))
     if nums[-1] >= len(docs):
         raise IndexFormatError(f"term {term!r}: posting references unknown document")
-    return [docs[i] for i in nums], values[n:]
+    return [docs[i] for i in nums], tfs
 
 
 def _varints(r: _Reader, count: int, term: str) -> list[int]:
-    """`count` varints from `r.pos`, read one byte at a time."""
+    """`count` varints from `r.pos`.  When each is one byte, as the tfs
+    and the gaps of a dense list are, the bytes are the values."""
     data = r.data
+    head = data[r.pos : r.pos + count]
+    if len(head) == count and head.isascii():
+        r.pos += count
+        return list(head)
     values = []
     value = shift = 0
     for pos in range(r.pos, len(data)):
@@ -294,25 +289,6 @@ def _varints(r: _Reader, count: int, term: str) -> list[int]:
             if shift == 7 * _VARINT_MAX:
                 raise IndexFormatError(f"term {term!r}: varint longer than {_VARINT_MAX} bytes")
     raise IndexFormatError("truncated index payload")
-
-
-def _varints_numpy(r: _Reader, raw: np.ndarray, count: int, term: str) -> list[int]:
-    """`count` varints from `r.pos`, decoded at once as uint64: a search for
-    their last bytes, then one segment sum of the shifted 7-bit groups."""
-    chunk = raw[r.pos : r.pos + count * _VARINT_MAX + 1]
-    ends = np.flatnonzero(chunk < 0x80)[:count] + 1  # one past each varint
-    complete = len(ends) == count
-    if not complete:  # the open varint needs at least the byte past the chunk
-        ends = np.append(ends, len(chunk) + 1)
-    starts = np.concatenate(([0], ends[:-1]))
-    if (ends - starts).max() > _VARINT_MAX:
-        raise IndexFormatError(f"term {term!r}: varint longer than {_VARINT_MAX} bytes")
-    if not complete:
-        raise IndexFormatError("truncated index payload")
-    shift = 7 * (np.arange(ends[-1]) - np.repeat(starts, ends - starts))
-    bits = (chunk[: ends[-1]] & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
-    r.pos += int(ends[-1])
-    return np.add.reduceat(bits, starts).tolist()
 
 
 def write_index(index: InvertedIndex, path) -> None:
@@ -383,7 +359,6 @@ def read_index(path) -> InvertedIndex:
             doc_times[doc_id] = frozenset(wins)
     if any(a >= b for a, b in zip(docs, docs[1:])):
         raise IndexFormatError(f"{path}: document ids not strictly ascending")
-    raw = np.frombuffer(payload, dtype=np.uint8)
     lists: dict[str, PostingList] = {}
     df: dict[str, int] = {}
     ctf: dict[str, int] = {}
@@ -391,7 +366,7 @@ def read_index(path) -> InvertedIndex:
         term = r.s()
         df[term] = r.uv()
         ctf[term] = r.uv()
-        lists[term] = PostingList(term, *_read_columns(r, raw, r.uv(), docs, term))
+        lists[term] = PostingList(term, *_read_columns(r, r.uv(), docs, term))
     if r.pos != len(payload):
         raise IndexFormatError(f"{path}: {len(payload) - r.pos} trailing payload bytes")
     total = sum(doc_len.values())

@@ -1,13 +1,11 @@
 """Index construction, structural verification, binary round-trip."""
 import hashlib
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import oracle_read_index
 
-from tempoprune import index as index_module
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import CorpusFormatError, IndexConsistencyError, IndexFormatError
 from tempoprune.index import (
@@ -177,15 +175,6 @@ _APPLE_GAPS = b"apple\x04\x06\x04\x00\x01\x01\x02"
 _BIGGEST_9_BYTE_VARINT = b"\xff" * 8 + b"\x7f"  # 2**63 - 1
 
 
-# What `_NUMPY_MIN_POSTINGS` is set to so that every posting list is read
-# by one of the two list decoders.
-DECODERS = {"bytewise": 10**9, "numpy": 1}
-
-
-def _decoding(decoder: str):
-    return mock.patch.object(index_module, "_NUMPY_MIN_POSTINGS", DECODERS[decoder])
-
-
 @pytest.mark.parametrize(
     "old, new, message",
     [
@@ -196,7 +185,7 @@ def _decoding(decoder: str):
         # apple's first doc number, 0, spread over ten bytes
         (_APPLE_GAPS, _APPLE_GAPS[:-4] + b"\x80" * 9 + b"\x00\x01\x01\x02",
          "term 'apple': varint longer than 9 bytes"),
-        # gaps 0, 2**63-1, 2**63-1, 2: a uint64 sum ends on doc number 0
+        # gaps 0, 2**63-1, 2**63-1, 2: summed in 64 bits they would end on doc number 0
         (_APPLE_GAPS, _APPLE_GAPS[:-4] + b"\x00" + _BIGGEST_9_BYTE_VARINT * 2 + b"\x02",
          "term 'apple': doc id gap of at least 5 documents"),
         # apple's postings d1 d2 d3 d5 become d1 d1 d2 d4
@@ -216,9 +205,8 @@ def test_read_rejects_rehashed_bad_payload(tmp_path, toy5_blob, old, new, messag
         payload += new
     path = tmp_path / "bad.idx"
     path.write_bytes(_rehashed(toy5_blob, payload))
-    for decoder in DECODERS:
-        with _decoding(decoder), pytest.raises(IndexFormatError, match=message):
-            read_index(path)
+    with pytest.raises(IndexFormatError, match=message):
+        read_index(path)
 
 
 _EDITS = st.lists(
@@ -263,17 +251,15 @@ def test_read_rehashed_mutations_give_index_or_format_error(tmp_path_factory, to
         pass
 
 
-def _read_both(path, decoder: str):
-    """What `read_index`, with every list read by `decoder`, and
-    `oracle_read_index` make of `path`: an index, or the IndexFormatError
-    raised."""
+def _read_both(path):
+    """What `read_index` and `oracle_read_index` make of `path`: an index,
+    or the IndexFormatError raised."""
     outcomes = []
-    with _decoding(decoder):
-        for read in (read_index, oracle_read_index):
-            try:
-                outcomes.append(read(path))
-            except IndexFormatError as exc:
-                outcomes.append(exc)
+    for read in (read_index, oracle_read_index):
+        try:
+            outcomes.append(read(path))
+        except IndexFormatError as exc:
+            outcomes.append(exc)
     return outcomes
 
 
@@ -305,24 +291,22 @@ def _random_index(draw) -> InvertedIndex:
     return InvertedIndex(lists, stats, doc_times, pruned=draw(st.booleans()))
 
 
-@pytest.mark.parametrize("decoder", DECODERS)
 @settings(max_examples=150, deadline=None)
 @given(index=_random_index())
-def test_read_index_matches_oracle_on_random_indexes(tmp_path_factory, decoder, index):
+def test_read_index_matches_oracle_on_random_indexes(tmp_path_factory, index):
     path = tmp_path_factory.mktemp("diff") / "r.idx"
     write_index(index, path)
-    got, want = _read_both(path, decoder)
+    got, want = _read_both(path)
     assert got == want
     assert got.lists == index.lists
 
 
-@pytest.mark.parametrize("decoder", DECODERS)
 @settings(max_examples=300, deadline=None)
 @given(edits=_EDITS)
-def test_read_index_matches_oracle_on_rehashed_mutations(tmp_path_factory, toy5_blob, decoder, edits):
+def test_read_index_matches_oracle_on_rehashed_mutations(tmp_path_factory, toy5_blob, edits):
     path = tmp_path_factory.mktemp("diff") / "m.idx"
     path.write_bytes(_mutated(toy5_blob, edits))
-    got, want = _read_both(path, decoder)
+    got, want = _read_both(path)
     if isinstance(got, IndexFormatError) and "varint longer than 9 bytes" in str(got):
         return  # the one input the oracle's unbounded varints may accept
     if isinstance(want, IndexFormatError):
