@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 from .errors import PruneError, TermNotFoundError
-from .gmm import DEFAULT_K_MAX, EM_MAX_ITER, GmmFit, select_k_bic
+from .gmm import DEFAULT_K_MAX, EM_MAX_ITER, GmmFit, select_k_bic, select_k_bic_each
 from .index import InvertedIndex
 from .timewindows import Stabbing, TimeWindow
 # Unused here: bench/spans.py patches it as an aspects name.
@@ -131,14 +131,14 @@ def _tiled_aspects(series: TermTimeSeries, gamma: int, step: int) -> AspectSet:
 def simple_windows(series: TermTimeSeries, gamma: int) -> AspectSet:
     """Non-overlapping tiling [lo + k*gamma, lo + (k+1)*gamma); empty tiles dropped."""
     if gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+        raise PruneError(f"gamma must be >= 1, got {gamma}")
     return _tiled_aspects(series, gamma, gamma)
 
 
 def sliding_windows(series: TermTimeSeries, gamma: int) -> AspectSet:
     """Half-overlapping windows of length gamma stepping by max(1, gamma // 2)."""
     if gamma < 1:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
+        raise PruneError(f"gamma must be >= 1, got {gamma}")
     return _tiled_aspects(series, gamma, max(1, gamma // 2))
 
 
@@ -146,10 +146,9 @@ def component_window(mean: float, sigma: float) -> TimeWindow:
     return TimeWindow.certain(round_half_up(mean - sigma), round_half_up(mean + sigma))
 
 
-def dynamic_windows(series: TermTimeSeries, k_max: int = DEFAULT_K_MAX, seed: int = 0) -> AspectSet:
-    """One aspect per BIC-selected mixture component: window [mu-sigma, mu+sigma],
-    weight equal to the component's mixing proportion."""
-    fit: GmmFit = select_k_bic(series, k_max, seed)
+def mixture_windows(series: TermTimeSeries, fit: GmmFit) -> AspectSet:
+    """One aspect per component of the mixture `fit` of the series: window
+    [mu-sigma, mu+sigma], weight equal to the component's mixing proportion."""
     aspects = []
     for pi, mu, var in zip(fit.weights, fit.means, fit.variances):
         if pi <= 1e-12:
@@ -162,12 +161,21 @@ def dynamic_windows(series: TermTimeSeries, k_max: int = DEFAULT_K_MAX, seed: in
     return AspectSet(term=series.term, aspects=aspects, span=series.span, converged=fit.converged)
 
 
+def dynamic_windows(series: TermTimeSeries, k_max: int = DEFAULT_K_MAX, seed: int = 0) -> AspectSet:
+    """The mixture windows of the BIC-selected fit."""
+    return mixture_windows(series, select_k_bic(series, k_max, seed))
+
+
+def _check_lambda_w(lambda_w: float) -> None:
+    if not 0.0 <= lambda_w < 1.0:
+        raise PruneError(f"lambda_w must be in [0, 1), got {lambda_w}")
+
+
 def smooth(aspects: AspectSet, lambda_w: float) -> AspectSet:
     """Add a global aspect of weight lambda_w spanning the series range and
     rescale the others by 1 - lambda_w.  lambda_w = 0 is a no-op: the
     zero-weight global aspect is omitted entirely."""
-    if not 0.0 <= lambda_w < 1.0:
-        raise ValueError(f"lambda_w must be in [0, 1), got {lambda_w}")
+    _check_lambda_w(lambda_w)
     if aspects.global_index is not None:
         raise ValueError(f"aspect set for {aspects.term!r} already has a global aspect")
     if lambda_w == 0.0:
@@ -232,6 +240,14 @@ def term_aspects(
     return smooth(aset, lambda_w)
 
 
+def _dynamic_fits(index: InvertedIndex, k_max: int, seed: int, presence_only: bool) -> dict[str, GmmFit]:
+    """The BIC-selected mixture of every dated term, fitted together.  The
+    series are dropped on return: `build_aspect_sets` builds them again one
+    at a time, so that they are not all held while the aspect sets grow."""
+    dated = [s for term in index.terms() if (s := term_time_series(index, term, presence_only)).counts]
+    return dict(zip((s.term for s in dated), select_k_bic_each(dated, k_max, seed)))
+
+
 def build_aspect_sets(
     index: InvertedIndex,
     model: str = "simple",
@@ -242,15 +258,20 @@ def build_aspect_sets(
 ) -> dict[str, AspectSet]:
     """Aspect sets for every indexed term.  Terms with no dated documents get
     a single global aspect so that pruning them degenerates to plain
-    relevance ranking.  Logs one warning naming the dynamic terms whose
+    relevance ranking.  Dynamic terms are fitted together by
+    `select_k_bic_each`.  Logs one warning naming the dynamic terms whose
     BIC-chosen mixture fit stopped at max_iter."""
     if model not in ASPECT_MODELS:
         raise PruneError(f"unknown aspect model {model!r}")
+    _check_lambda_w(lambda_w)  # before any term is fitted
     hull = index_time_hull(index)
+    fits = _dynamic_fits(index, k_max, seed, presence_only) if model == "dynamic" else {}
     sets: dict[str, AspectSet] = {}
     for term in index.terms():
         series = term_time_series(index, term, presence_only)
-        if series.counts:
+        if term in fits:
+            aset = smooth(mixture_windows(series, fits[term]), lambda_w)
+        elif series.counts:
             aset = term_aspects(series, model, lambda_w, seed, k_max)
         else:
             aset = AspectSet(

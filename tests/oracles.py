@@ -10,6 +10,8 @@ greedy step: a full bottom-up pass over the relevance list per pick.
 
 `oracle_fit_gmm`/`oracle_select_k_bic` are the slow definition of the
 library's batched EM: one K at a time, one (days, K) array per fit.
+`oracle_em` is the batch of one series' Ks that the library ran before it
+batched many series; a batch of one series must reproduce it bit for bit.
 
 `oracle_doc_aspect_map` and `oracle_tile_starts` are the slow definitions
 of the library's bisect document map and tiling: every aspect tested
@@ -387,7 +389,7 @@ def make_tune_instance(seed: int):
     return values, method, target
 
 
-# --- per-K EM (the slow definition of gmm._em) -----------------------------
+# --- per-K and per-series EM (the slow definitions of gmm._em) --------------
 
 def _oracle_weighted_choice(rng: np.random.Generator, values: np.ndarray, probs: np.ndarray) -> float:
     return float(values[rng.choice(len(values), p=probs)])
@@ -471,6 +473,89 @@ def oracle_fit_gmm(series: TermTimeSeries, k: int, seed: int, *, max_iter: int =
         ll_trace=trace,
         converged=converged,
     )
+
+
+def oracle_em(series: TermTimeSeries, ks, seed: int, *, max_iter: int = 200, tol: float = 1e-6,
+              var_floor: float = VAR_FLOOR) -> list[GmmFit]:
+    """The fits of every K in `ks` of one series as one batch, as the library
+    ran them before it batched many series: each K seeds from a fresh
+    `default_rng(seed)` and leaves the batch once it converges.  A batch of
+    one series in `gmm._em` must give these floats exactly."""
+    ks = list(ks)
+    if min(ks) < 1:
+        raise ValueError(f"k must be >= 1, got {min(ks)}")
+    day_items = sorted(series.counts.items())
+    days = np.array([d for d, _ in day_items], dtype=float)
+    wts = np.array([c for _, c in day_items], dtype=float)
+    n = float(wts.sum())
+    if max(ks) > n:
+        raise ValueError(f"k={max(ks)} exceeds the {int(n)} points in the series")
+    global_var = max(var_floor, float(np.average((days - np.average(days, weights=wts)) ** 2, weights=wts)))
+
+    sizes = np.array(ks)
+    means = np.concatenate([oracle_seed_means(days, wts, k, np.random.default_rng(seed)) for k in ks])
+    variances = np.full(len(means), global_var)
+    weights = np.repeat(1.0 / sizes, sizes)
+    live = list(range(len(ks)))  # the batch's fits, in row order
+    prev = [-math.inf] * len(ks)
+    traces: list[list[float]] = [[] for _ in ks]
+    fits: list[GmmFit] = [None] * len(ks)  # type: ignore[list-item]
+
+    def finish(f: int, rows: slice, converged: bool) -> None:
+        k = ks[f]
+        order = np.argsort(means[rows], kind="stable")
+        ll = traces[f][-1]
+        fits[f] = GmmFit(
+            k=k,
+            weights=weights[rows][order],
+            means=means[rows][order],
+            variances=variances[rows][order],
+            log_likelihood=ll,
+            bic=-2.0 * ll + (3 * k - 1) * math.log(n),
+            ll_trace=traces[f],
+            converged=converged,
+        )
+
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(ks)), sizes)
+    for _ in range(max_iter):
+        log_pdf = -0.5 * np.log(2.0 * math.pi * variances)[:, None] \
+            - (days[None, :] - means[:, None]) ** 2 / (2.0 * variances[:, None])
+        log_joint = log_pdf + np.log(np.maximum(weights, 1e-300))[:, None]
+        seg_max = np.maximum.reduceat(log_joint, starts)
+        log_norm = seg_max + np.log(np.add.reduceat(np.exp(log_joint - seg_max[owner]), starts))
+        lls = (log_norm @ wts).tolist()
+        done = []
+        for i, (f, ll, prev_ll) in enumerate(zip(live, lls, prev)):
+            traces[f].append(ll)
+            if ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll)):
+                raise FitError(f"{series.term!r}, K={ks[f]}: EM log-likelihood decreased: {prev_ll} -> {ll}")
+            if prev_ll > -math.inf and ll - prev_ll <= tol * max(1.0, abs(ll)):
+                finish(f, slice(starts[i], starts[i] + sizes[i]), converged=True)
+                done.append(i)
+        prev = lls
+        if done:
+            stay = np.ones(len(live), dtype=bool)
+            stay[done] = False
+            if not stay.any():
+                break
+            log_joint, log_norm = log_joint[stay[owner]], log_norm[stay]
+            live = [f for f, s in zip(live, stay) if s]
+            prev = [p for p, s in zip(prev, stay) if s]
+            sizes = sizes[stay]
+            starts = np.cumsum(sizes) - sizes
+            owner = np.repeat(np.arange(len(live)), sizes)
+        resp = np.exp(log_joint - log_norm[owner])
+        weighted = wts * resp
+        soft = np.maximum(weighted.sum(axis=1), 1e-12)
+        weights = soft / n
+        weights = weights / np.add.reduceat(weights, starts)[owner]
+        means = (weighted * days).sum(axis=1) / soft
+        variances = np.maximum((weighted * (days - means[:, None]) ** 2).sum(axis=1) / soft, var_floor)
+    else:
+        for f, start, size in zip(live, starts, sizes):
+            finish(f, slice(start, start + size), converged=False)
+    return fits
 
 
 def oracle_select_k_bic(series: TermTimeSeries, k_max: int = DEFAULT_K_MAX, seed: int = 0) -> GmmFit:

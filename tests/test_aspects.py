@@ -30,6 +30,7 @@ from tempoprune.aspects import (
     term_aspects,
     term_time_series,
 )
+from tempoprune import aspects as aspects_module
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import PruneError, TermNotFoundError
 from tempoprune.index import build_index
@@ -260,9 +261,9 @@ def test_tile_starts_match_scan_oracle(counts, gamma):
 
 def test_tiled_windows_reject_bad_gamma():
     series = TermTimeSeries(term="t", counts={0: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(PruneError, match="gamma must be >= 1, got 0"):
         simple_windows(series, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PruneError, match="gamma must be >= 1, got 0"):
         sliding_windows(series, 0)
 
 
@@ -333,9 +334,9 @@ def test_smooth_zero_is_noop():
 
 
 def test_smooth_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PruneError, match=r"lambda_w must be in \[0, 1\), got 1.0"):
         smooth(_two_aspect_set(), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PruneError, match=r"lambda_w must be in \[0, 1\), got -0.1"):
         smooth(_two_aspect_set(), -0.1)
     with pytest.raises(ValueError):
         smooth(smooth(_two_aspect_set(), 0.3), 0.3)  # already smoothed
@@ -539,6 +540,22 @@ def test_build_aspect_sets_undated_term_goes_global():
     assert aset.aspects[0].is_global
     assert aset.aspects[0].weight == 1.0
     assert aset.doc_map == {"d2": (0,), "d3": (0,)}
+
+
+def test_build_aspect_sets_dynamic_undated_terms_go_global():
+    docs = [_dated("d1", ["x"], 10), Document("d2", ["y"]), Document("d3", ["y"])]
+    sets = build_aspect_sets(build_index(Corpus(documents=docs)), model="dynamic")
+    assert [(a.is_global, a.weight) for a in sets["y"].aspects] == [(True, 1.0)]
+    assert [a.is_global for a in sets["x"].aspects] == [False, True]
+    # no dated document at all: nothing to fit
+    undated = build_aspect_sets(build_index(Corpus(documents=docs[1:])), model="dynamic")
+    assert [(a.is_global, a.weight) for a in undated["y"].aspects] == [(True, 1.0)]
+
+
+def test_build_aspect_sets_checks_lambda_w_before_fitting(rand_index, monkeypatch):
+    monkeypatch.setattr(aspects_module, "select_k_bic_each", lambda *a, **k: pytest.fail("fitted"))
+    with pytest.raises(PruneError, match=r"lambda_w must be in \[0, 1\), got 1.5"):
+        build_aspect_sets(rand_index, model="dynamic", lambda_w=1.5)
 
 
 def test_build_aspect_sets_rejects_unknown_model(rand_index):

@@ -7,10 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import oracle_fit_gmm, oracle_select_k_bic
+from oracles import oracle_em, oracle_fit_gmm, oracle_seed_means, oracle_select_k_bic
 from tempoprune import gmm
 from tempoprune.aspects import TermTimeSeries, build_aspect_sets, component_window, term_time_series
-from tempoprune.errors import FitError
+from tempoprune.errors import FitError, PruneError
 from tempoprune.gmm import VAR_FLOOR, fit_gmm, select_k_bic
 from tempoprune.index import build_index
 from tempoprune.synth import random_corpus
@@ -89,10 +89,10 @@ def test_fit_deterministic_for_seed():
 
 def test_k_must_be_positive_and_at_most_n():
     series = TermTimeSeries(term="t", counts={1: 2, 2: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(PruneError, match="'t': k must be >= 1, got 0"):
         fit_gmm(series, 0, seed=0)
-    with pytest.raises(ValueError):
-        fit_gmm(series, 4, seed=0)  # only 3 points
+    with pytest.raises(PruneError, match="'t': k=4 exceeds the 3 points in the series"):
+        fit_gmm(series, 4, seed=0)
 
 
 def test_bic_formula():
@@ -131,12 +131,12 @@ def test_k_max_capped_by_distinct_days():
 
 def test_k_max_validation():
     series = TermTimeSeries(term="t", counts={5: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(PruneError, match="k_max must be >= 1, got 0"):
         select_k_bic(series, k_max=0, seed=0)
 
 
 def test_select_k_bic_rejects_empty_series():
-    with pytest.raises(ValueError, match="'quiet' is empty"):
+    with pytest.raises(PruneError, match="series for 'quiet' is empty"):
         select_k_bic(TermTimeSeries(term="quiet", counts={}), k_max=3, seed=0)
 
 
@@ -247,18 +247,20 @@ def test_batched_fit_gmm_matches_per_k_oracle(seed):
 
 
 class _DriftingLog:
-    """numpy, except that every np.log result drifts lower than the last,
-    so the log-likelihood falls from one iteration to the next."""
+    """numpy, except that every np.log result after the first `start` calls
+    drifts lower than the last, so the log-likelihood falls from one
+    iteration to the next."""
 
-    def __init__(self):
+    def __init__(self, start=0):
         self.calls = 0
+        self.start = start
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def log(self, x):
+    def log(self, x, **kwargs):
         self.calls += 1
-        return np.log(x) - 1e-3 * self.calls
+        return np.log(x, **kwargs) - 1e-3 * max(0, self.calls - self.start)
 
 
 def test_forced_decrease_raises_fit_error_naming_term_and_k(monkeypatch):
@@ -268,3 +270,155 @@ def test_forced_decrease_raises_fit_error_naming_term_and_k(monkeypatch):
         fit_gmm(series, 3, seed=0)
     with pytest.raises(FitError, match=r"'burst', K=1: EM log-likelihood decreased"):
         select_k_bic(series, k_max=3, seed=0)
+    # In a batch of many terms the error still names the failing term and
+    # K.  "calm" has fewer days, so it is first in the batch; its one fit
+    # converges in two iterations (three np.log calls each), before the drift.
+    calm = TermTimeSeries(term="calm", counts={50: 9})
+    monkeypatch.setattr(gmm, "np", _DriftingLog(start=6))
+    with pytest.raises(FitError, match=r"'burst', K=2: EM log-likelihood decreased"):
+        gmm.select_k_bic_each([series, calm], k_max=3, seed=0)
+
+
+# --- many series in one batch ------------------------------------------------
+
+
+def _assert_identical(fast, slow):
+    assert fast.k == slow.k
+    assert fast.converged == slow.converged
+    assert fast.ll_trace == slow.ll_trace
+    assert fast.log_likelihood == slow.log_likelihood
+    assert fast.bic == slow.bic
+    for field in ("weights", "means", "variances"):
+        assert np.array_equal(getattr(fast, field), getattr(slow, field))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_batch_of_one_series_equals_per_series_oracle_exactly(seed):
+    series = _differential_series(seed)
+    ks = range(1, min(1 + seed % 10, len(series.counts)) + 1)
+    [fits] = gmm._em([(series, ks)], seed, max_iter=gmm.EM_MAX_ITER, tol=gmm.EM_TOL, var_floor=VAR_FLOOR)
+    slow = oracle_em(series, ks, seed)
+    assert len(fits) == len(slow)
+    for fast, ref in zip(fits, slow):
+        _assert_identical(fast, ref)
+    _assert_identical(select_k_bic(series, k_max=1 + seed % 10, seed=seed), min(slow, key=lambda f: f.bic))
+    _assert_identical(fit_gmm(series, ks[-1], seed), oracle_em(series, [ks[-1]], seed)[0])
+
+
+def _many_series() -> list[TermTimeSeries]:
+    """Every shape of `_differential_series`, plus series that share a day
+    count, tie their counts, have fewer days than k_max, or put mixture
+    components on single days (the variance floor, where a window bound
+    sits on round_half_up's .5 boundary)."""
+    rng = random.Random(5)
+    many = [_differential_series(seed) for seed in range(60)]
+    for i in range(6):  # the same day count, 12 days each
+        many.append(TermTimeSeries(term=f"same{i}", counts={d: rng.randint(1, 9) for d in rng.sample(range(600), 12)}))
+    many += [
+        TermTimeSeries(term="one-day", counts={77: 5}),
+        TermTimeSeries(term="one-point", counts={3: 1}),
+        TermTimeSeries(term="two-day", counts={10: 4, 11: 4}),
+        TermTimeSeries(term="tied", counts={5: 3, 40: 3, 41: 3, 90: 3}),
+        TermTimeSeries(term="spikes", counts={100: 40, 160: 40, 300: 25, 301: 25}),
+        TermTimeSeries(term="spike-tail", counts={229: 60, 230: 1, 400: 30, 402: 30, 404: 1}),
+    ]
+    return many
+
+
+def _grouped(monkeypatch, budget):
+    """select_k_bic_each under `budget`, and the number of batches it ran."""
+    monkeypatch.setattr(gmm, "EM_CELL_BUDGET", budget)
+    batches = []
+    em = gmm._em
+
+    def counting(batch, *args, **kwargs):
+        batches.append(len(batch))
+        return em(batch, *args, **kwargs)
+
+    monkeypatch.setattr(gmm, "_em", counting)
+    return batches
+
+
+@pytest.mark.parametrize("budget", [gmm.EM_CELL_BUDGET, 1])
+def test_select_k_bic_each_matches_per_series_oracle(monkeypatch, budget):
+    """Budget 1 leaves groups as large as the largest series."""
+    many = _many_series()
+    batches = _grouped(monkeypatch, budget)
+    k_max = 6
+    fast = gmm.select_k_bic_each(many, k_max=k_max, seed=3)
+    assert sum(batches) == len(many)
+    assert len([b for b in batches if b > 1]) >= 3
+    collapsed = 0
+    for series, fit in zip(many, fast):
+        slow = oracle_select_k_bic(series, k_max=k_max, seed=3)
+        assert fit.k == slow.k, series.term
+        assert _windows(fit) == _windows(slow), series.term
+        assert len(fit.ll_trace) == len(slow.ll_trace), series.term
+        assert fit.ll_trace == pytest.approx(slow.ll_trace, rel=1e-9)
+        assert fit.converged == slow.converged
+        collapsed += int((fit.variances == VAR_FLOOR).sum())
+    assert collapsed  # some chosen components sit at the variance floor
+
+
+def test_select_k_bic_each_of_no_series_is_empty():
+    assert gmm.select_k_bic_each([], k_max=3, seed=0) == []
+
+
+def test_select_k_bic_each_checks_every_series_before_fitting(monkeypatch):
+    em = gmm._em
+    fitted = []
+    monkeypatch.setattr(gmm, "_em", lambda batch, *a, **k: fitted.append(batch))
+    series = [TermTimeSeries(term="t", counts={1: 2}), TermTimeSeries(term="quiet", counts={})]
+    with pytest.raises(PruneError, match="series for 'quiet' is empty"):
+        gmm.select_k_bic_each(series, k_max=3, seed=0)
+    with pytest.raises(PruneError, match="k_max must be >= 1, got 0"):
+        gmm.select_k_bic_each(series[:1], k_max=0, seed=0)
+    with pytest.raises(PruneError, match="'t': k=3 exceeds the 2 points in the series"):
+        em([(series[0], [1]), (series[0], [3])], 0, max_iter=5, tol=1e-6, var_floor=VAR_FLOOR)
+    assert fitted == []
+
+
+def test_build_aspect_sets_dynamic_uses_the_per_series_fits():
+    index = build_index(random_corpus(n_docs=120, seed=6, vocab_size=20))
+    sets = build_aspect_sets(index, model="dynamic", k_max=4, seed=2, lambda_w=0.0)
+    for term, aset in sets.items():
+        series = term_time_series(index, term)
+        if not series.counts:
+            continue
+        slow = oracle_select_k_bic(series, k_max=4, seed=2)
+        kept = [i for i, w in enumerate(slow.weights) if w > 1e-12]
+        assert [a.window for a in aset.aspects] == [_windows(slow)[i] for i in kept], term
+        assert [a.center for a in aset.aspects] == pytest.approx(slow.means[kept], rel=1e-9)
+        assert aset.converged == slow.converged
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 9, 10, 16, 17, 25, 129, 130, 131, 300])
+def test_block_sums_take_the_association_of_reduceat(k):
+    """A fit's sum over its rows, taken over the middle axis of its K block,
+    equals np.add.reduceat over the rows bit for bit."""
+    rng = np.random.default_rng(k)
+    rows = rng.random((3 * k, 5)) * np.exp(rng.normal(0.0, 8.0, (3 * k, 5)))
+    block = rows.reshape(3, k, 5)
+    want = np.add.reduceat(rows, np.arange(3) * k)
+    assert np.array_equal(block[:, 0] + gmm._pairwise_sum(block[:, 1:]), want)
+
+
+# --- prefix-shared seeding ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_prefix_seeding_equals_per_k_seeding(seed):
+    series = _differential_series(seed) if seed < 24 else [
+        TermTimeSeries(term="tied", counts={5: 3, 40: 3, 41: 3, 90: 3}),
+        TermTimeSeries(term="few", counts={10: 4, 11: 4}),
+        TermTimeSeries(term="one", counts={8: 2}),
+        TermTimeSeries(term="tied-few", counts={1: 7, 2: 7, 3: 7}),
+        TermTimeSeries(term="wide", counts={d: 1 + d % 3 for d in range(0, 300, 7)}),
+        TermTimeSeries(term="pair", counts={0: 1, 1000: 1}),
+    ][seed - 24]
+    days = np.array(sorted(series.counts), dtype=float)
+    wts = np.array([series.counts[d] for d in sorted(series.counts)], dtype=float)
+    k_max = 8
+    seeded = gmm._seed_means(days, wts, range(1, k_max + 1), np.random.default_rng(seed))
+    for k, means in zip(range(1, k_max + 1), seeded):
+        assert np.array_equal(means, oracle_seed_means(days, wts, k, np.random.default_rng(seed))), k
