@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from html import unescape
 from pathlib import Path
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, TempopruneError
 from .timewindows import TimeWindow, day_number
 
 log = logging.getLogger(__name__)
@@ -43,10 +43,23 @@ class Corpus:
     n_malformed: int = 0
 
 
+def read_text(path, error: type[TempopruneError], lines=str.splitlines) -> str:
+    """The text of a UTF-8 file, for every reader of text input.  Bytes that
+    are not UTF-8 raise `error` naming path:line, the line found by
+    `lines`, which splits text as the calling reader does."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(lines(data[: exc.start].decode("utf-8") + "."))
+        bad = f"byte 0x{data[exc.start]:02x} at offset {exc.start} ({exc.reason})"
+        raise error(f"{path}:{line}: not UTF-8: {bad}") from None
+
+
 def parse_corpus(path, fmt: str = "jsonl", stop_words: bool = True) -> Corpus:
     """Parse a corpus file.  Malformed records are counted, not dropped silently."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path, CorpusFormatError)
     if fmt == "jsonl":
         docs, skipped = _parse_jsonl(text, stop_words)
     elif fmt == "trec":

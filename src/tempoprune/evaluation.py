@@ -11,14 +11,16 @@ methods exist and what levels they take is `prune.METHODS`'s business.
 """
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .aspects import DEFAULT_LAMBDA_W, build_aspect_sets
-from .corpus import json_line, tokenize
+from .corpus import json_line, read_text, tokenize
 from .errors import EvalFormatError, PruneError, QueryError
 from .gmm import DEFAULT_K_MAX
 from .index import InvertedIndex, pruning_ratio
@@ -97,8 +99,22 @@ def _split_lines(lines, path, n_fields: int):
         yield lineno, fields
 
 
-def read_qrels(path) -> Qrels:
+@contextmanager
+def _text_file(path, error):
+    """`path` open as UTF-8 text.  Bytes that are not UTF-8 raise `error`
+    naming path:line, the line counted as iterating over the file counts
+    it (`read_text` finds it)."""
     with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+            return
+        except UnicodeDecodeError:
+            pass
+    read_text(path, error, lambda text: io.StringIO(text, newline=None).readlines())
+
+
+def read_qrels(path) -> Qrels:
+    with _text_file(path, EvalFormatError) as fh:
         return Qrels.from_lines(fh, path)
 
 
@@ -271,8 +287,8 @@ def write_queries(queries: list[Query], path) -> None:
 
 def _jsonl_objects(path):
     """("path:line", record) for each non-blank line; QueryError on a line
-    that is not a JSON object, or is nested too deeply to decode."""
-    with open(path, encoding="utf-8") as fh:
+    that is not UTF-8 or not a JSON object, or is nested too deeply to decode."""
+    with _text_file(path, QueryError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -352,7 +368,7 @@ def read_run(path) -> list[RankedResult]:
     per-qid results, rank order restored from scores.  A bad line raises
     EvalFormatError naming path:line."""
     by_qid: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _text_file(path, EvalFormatError) as fh:
         for lineno, (qid, _, doc, _, s, _) in _split_lines(fh, path, 6):
             try:
                 score = float(s)

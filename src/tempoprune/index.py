@@ -6,6 +6,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
+from operator import sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -158,7 +159,9 @@ def verify_index(index: InvertedIndex) -> None:
 
 
 def pruning_ratio(original: InvertedIndex, pruned: InvertedIndex) -> float:
-    """1 - retained/original posting mass; requires pruned to be a sub-index."""
+    """1 - retained/original posting mass; requires pruned to be a sub-index.
+    One walk of a base list confirms a pruned list in its order; any other
+    is checked against the base list's doc_id -> tf table."""
     total = original.posting_count()
     if total == 0:
         raise IndexConsistencyError("original index has no postings")
@@ -167,12 +170,14 @@ def pruning_ratio(original: InvertedIndex, pruned: InvertedIndex) -> float:
         if term not in original.lists:
             raise IndexConsistencyError(f"pruned index has unknown term {term!r}")
         base = original.lists[term]
-        orig = dict(zip(base.doc_ids, base.tfs))
-        for doc_id, tf in zip(pl.doc_ids, pl.tfs):
-            if orig.get(doc_id) != tf:
-                raise IndexConsistencyError(
-                    f"posting ({term!r}, {doc_id!r}) is not in the original index"
-                )
+        rest = zip(base.doc_ids, base.tfs)
+        if not all(p in rest for p in zip(pl.doc_ids, pl.tfs)):
+            orig = dict(zip(base.doc_ids, base.tfs))
+            for doc_id, tf in zip(pl.doc_ids, pl.tfs):
+                if orig.get(doc_id) != tf:
+                    raise IndexConsistencyError(
+                        f"posting ({term!r}, {doc_id!r}) is not in the original index"
+                    )
         kept += len(pl.doc_ids)
     return 1.0 - kept / total
 
@@ -313,13 +318,15 @@ def write_index(index: InvertedIndex, path) -> None:
         _write_uv(payload, index.stats.df[term])
         _write_uv(payload, index.stats.ctf[term])
         _write_uv(payload, len(pl.doc_ids))
-        prev = 0  # the first doc number goes out whole, each later one as a gap
-        for doc_id in pl.doc_ids:
-            num = doc_ord[doc_id]
-            _write_uv(payload, num - prev)
-            prev = num
-        for tf in pl.tfs:
-            _write_uv(payload, tf)
+        # the first doc number goes out whole, each later one as a gap; a
+        # run of one-byte varints (the tfs, a dense list's gaps) is its values
+        nums = list(map(doc_ord.__getitem__, pl.doc_ids))
+        for run in (nums[:1], list(map(sub, nums[1:], nums)), pl.tfs):
+            if run and 0 <= min(run) and max(run) < 0x80:
+                payload += bytes(run)
+            else:
+                for value in run:
+                    _write_uv(payload, value)
     flags = 1 if index.pruned else 0
     blob = _HEADER.pack(MAGIC, FORMAT_VERSION, flags, len(payload))
     blob += bytes(payload) + hashlib.sha256(payload).digest()
@@ -382,19 +389,25 @@ def read_index(path) -> InvertedIndex:
 
 
 def subset_index(index: InvertedIndex, keep: dict[str, set[str]]) -> InvertedIndex:
-    """Sub-index with per-term retained doc sets; terms not in `keep` go.
+    """Sub-index with per-term retained doc sets; terms not in `keep` go."""
+    return _compressed(index, [
+        d in keep.get(term, ()) for term in index.terms() for d in index.lists[term].doc_ids
+    ])
+
+
+def _compressed(index: InvertedIndex, mask: list[bool]) -> InvertedIndex:
+    """Sub-index of the postings `mask` marks, one flag per posting, the
+    lists in `index.terms()` order; lists left with no posting go.
 
     Stats and doc times are carried over untouched: retrieval on a pruned
     index deliberately runs with build-time df/ctf/lengths.
     """
     lists: dict[str, PostingList] = {}
-    for term in sorted(index.lists):
-        if term not in keep:
-            continue
+    end = 0
+    for term in index.terms():
         pl = index.lists[term]
-        keep_set = keep[term]
-        mask = [d in keep_set for d in pl.doc_ids]
-        if any(mask):
-            doc_ids, tfs = list(compress(pl.doc_ids, mask)), list(compress(pl.tfs, mask))
-            lists[term] = PostingList(term, doc_ids, tfs)
+        start, end = end, end + len(pl.doc_ids)
+        keep = mask[start:end]
+        if any(keep):
+            lists[term] = PostingList(term, list(compress(pl.doc_ids, keep)), list(compress(pl.tfs, keep)))
     return InvertedIndex(lists=lists, stats=index.stats, doc_times=index.doc_times, pruned=True)

@@ -22,13 +22,16 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, pairwise
+
+import numpy as np
 
 from .aspects import AspectSet, round_half_up
 from .errors import PruneError, SelectionExhausted, TermNotFoundError
-from .index import InvertedIndex, subset_index
+from .index import InvertedIndex, _compressed, subset_index
 
 log = logging.getLogger(__name__)
 
@@ -76,22 +79,18 @@ class RelevanceList:
         return len(self.doc_ids)
 
 
-def _jm_scores(index: InvertedIndex, term: str, lam: float) -> list[float]:
-    """P(d|t) = (1-lam) * tf/|d| + lam * ctf/|C| (Jelinek-Mercer), posting order."""
+def relevance_scores(index: InvertedIndex, term: str, lam: float = JM_LAMBDA) -> RelevanceList:
+    """Jelinek-Mercer scores P(d|t) = (1-lam) * tf/|d| + lam * ctf/|C| of
+    the term's postings, best first, doc_id tiebreak."""
     if term not in index.lists:
         raise TermNotFoundError(term)
     stats = index.stats
     background = lam * stats.ctf[term] / stats.total_len
     plist = index.lists[term]
-    return [
-        (1.0 - lam) * tf / stats.doc_len[d] + background for d, tf in zip(plist.doc_ids, plist.tfs)
-    ]
-
-
-def relevance_scores(index: InvertedIndex, term: str, lam: float = JM_LAMBDA) -> RelevanceList:
-    """Jelinek-Mercer scores of the term's postings, best first, doc_id tiebreak."""
-    scores = _jm_scores(index, term, lam)
-    entries = sorted(zip(scores, index.lists[term].doc_ids), key=lambda e: (-e[0], e[1]))
+    entries = sorted(
+        (((1.0 - lam) * tf / stats.doc_len[d] + background, d) for d, tf in zip(plist.doc_ids, plist.tfs)),
+        key=lambda e: (-e[0], e[1]),
+    )
     return RelevanceList(term, [d for _, d in entries], [s for s, _ in entries])
 
 
@@ -191,83 +190,70 @@ def diversify(rel: RelevanceList, aspects: AspectSet, k: int) -> DiversifyResult
 
 # --- threshold baselines ------------------------------------------------
 
-def tcp_posting_scores(index: InvertedIndex, term: str) -> list[float]:
-    """tf * ln(N/df) per posting, aligned with posting order."""
-    if term not in index.lists:
-        raise TermNotFoundError(term)
-    idf = math.log(index.stats.n_docs / index.stats.df[term])
-    return [tf * idf for tf in index.lists[term].tfs]
-
-
-def tcp_cutoff(scores: list[float], k: int = TCP_K) -> float:
-    """z_t: the k-th highest score, or the minimum when the list is shorter."""
-    if k < 1:
-        raise PruneError(f"k must be >= 1, got {k}")
-    if len(scores) <= k:
-        return min(scores)
-    return sorted(scores, reverse=True)[k - 1]
-
-
-def ipu_values(index: InvertedIndex, term: str, lam: float = JM_LAMBDA) -> list[float]:
-    """Entropy contribution A(d,t) = -q ln q, q the list-normalized JM score.
-
-    Aligned with posting order.
-    """
-    scores = _jm_scores(index, term, lam)
-    total = math.fsum(scores)
-    return [-q * math.log(q) for q in (s / total for s in scores)]
-
-
-def n2p2_values(index: InvertedIndex, term: str) -> list[float]:
-    """Two-proportion z statistic comparing tf/|d| against ctf/|C|.
-
-    A degenerate standard error (pooled proportion 0 or 1) yields +inf so
-    the posting survives any threshold; the count is logged.
-    """
-    if term not in index.lists:
-        raise TermNotFoundError(term)
-    stats = index.stats
-    ctf = stats.ctf[term]
-    coll = stats.total_len
-    out = []
-    degenerate = 0
-    plist = index.lists[term]
-    for d, tf in zip(plist.doc_ids, plist.tfs):
-        dlen = stats.doc_len[d]
-        pooled = (tf + ctf) / (dlen + coll)
-        err = math.sqrt(pooled * (1.0 - pooled) * (1.0 / dlen + 1.0 / coll))
-        if err == 0.0:
-            degenerate += 1
-            out.append(math.inf)
-        else:
-            out.append((tf / dlen - ctf / coll) / err)
-    if degenerate:
-        log.warning("2n2p(%r): kept %d postings with degenerate z statistic", term, degenerate)
-    return out
-
-
 def threshold_values(
     index: InvertedIndex, method: str, zk: int = TCP_K, lam: float = JM_LAMBDA
-) -> dict[str, list[float]]:
-    """Per-posting statistics, posting order, with the shared contract
-    "pruned iff value < epsilon".  TCP values are score/z_t; a term whose
-    cutoff is zero keeps its whole list, encoded as +inf."""
-    values: dict[str, list[float]] = {}
-    for term in index.terms():
-        if method == "tcp":
-            scores = tcp_posting_scores(index, term)
-            z = tcp_cutoff(scores, zk)
-            if z <= 0.0:
-                values[term] = [math.inf] * len(scores)
-            else:
-                values[term] = [s / z for s in scores]
-        elif method == "ipu":
-            values[term] = ipu_values(index, term, lam)
-        elif method == "2n2p":
-            values[term] = n2p2_values(index, term)
-        else:
-            raise PruneError(f"unknown threshold method {method!r}")
-    return values
+) -> np.ndarray:
+    """Every posting's statistic in one float64 array, the lists in
+    `index.terms()` order, each in posting order; a posting is pruned iff
+    its statistic is below epsilon.  tcp: tf * ln(N/df) over z_t, the
+    term's zk-th highest score (its lowest in a shorter list), or +inf for
+    the whole list when z_t <= 0.  ipu: -q ln q, q a Jelinek-Mercer score
+    over the `math.fsum` of its term's.  2n2p: the two-proportion z
+    statistic of tf/|d| against ctf/|C|, +inf (and a warning per term)
+    where its standard error is 0.  The floats equal the per-posting
+    definitions in tests/oracles.py: numpy's + - * / and sqrt round
+    correctly, as Python's do, ints below 2**53 convert exactly, and every
+    log is `math.log`."""
+    if method not in ("tcp", "ipu", "2n2p"):
+        raise PruneError(f"unknown threshold method {method!r}")
+    if method == "tcp" and zk < 1:
+        raise PruneError(f"k must be >= 1, got {zk}")
+    stats = index.stats
+    terms = index.terms()
+    plists = [index.lists[t] for t in terms]
+    lens = np.fromiter((len(pl.tfs) for pl in plists), np.intp, len(plists))
+    total = int(lens.sum())
+    tf = np.fromiter(chain.from_iterable(pl.tfs for pl in plists), np.float64, total)
+    if not total:
+        return tf
+    seg = np.repeat(np.arange(len(terms)), lens)
+
+    def per_term(values) -> np.ndarray:
+        return np.fromiter(values, np.float64, len(terms))[seg]
+
+    if method == "tcp":
+        idf = [math.log(stats.n_docs / stats.df[t]) for t in terms]
+        scores = tf * per_term(idf)
+        # z_t sits min(k, length) places from the end of the term's slice
+        # in ascending order (an empty list's index is clipped, and unused)
+        ends = np.cumsum(lens)
+        picks = np.lexsort((scores, seg))[np.minimum(ends - np.minimum(lens, zk), total - 1)]
+        z = scores[picks][seg]
+        out = np.full(total, np.inf)
+        np.divide(scores, z, out=out, where=z > 0.0)
+        return out
+    doc_len = np.fromiter(
+        map(stats.doc_len.__getitem__, chain.from_iterable(pl.doc_ids for pl in plists)),
+        np.float64, total,
+    )
+    if method == "ipu":
+        background = per_term(lam * stats.ctf[t] / stats.total_len for t in terms)
+        scores = (1.0 - lam) * tf / doc_len + background
+        slices = [slice(a, b) for a, b in pairwise(accumulate(lens.tolist(), initial=0))]
+        q = scores / per_term(math.fsum(scores[s].tolist()) for s in slices)
+        logs = chain.from_iterable(map(math.log, q[s].tolist()) for s in slices)
+        return -q * np.fromiter(logs, np.float64, total)
+    ctf = per_term(stats.ctf[t] for t in terms)
+    coll = stats.total_len
+    pooled = (tf + ctf) / (doc_len + coll)
+    err = np.sqrt(pooled * (1.0 - pooled) * (1.0 / doc_len + 1.0 / coll))
+    out = np.full(total, np.inf)
+    diff = tf / doc_len - per_term(stats.ctf[t] / coll for t in terms)
+    np.divide(diff, err, out=out, where=err != 0.0)
+    for t, n in zip(terms, np.bincount(seg[err == 0.0], minlength=len(terms)).tolist()):
+        if n:
+            log.warning("2n2p(%r): kept %d postings with degenerate z statistic", t, n)
+    return out
 
 
 # --- epsilon tuning, levels, and one order cut per level ----------------------
@@ -296,23 +282,27 @@ def tune_epsilon(
     return _tune(threshold_values(index, method, zk, lam), method, target_ratio)
 
 
-def _tune(values: dict[str, list[float]], method: str, target_ratio: float) -> TuneResult:
-    flat = sorted(v for vals in values.values() for v in vals)
+def _tune(values: np.ndarray, method: str, target_ratio: float) -> TuneResult:
+    flat = np.sort(values)
     total = len(flat)
     if total == 0 or flat[0] == math.inf:
         return TuneResult(0.0, 0.0, abs(target_ratio) > RATIO_TOLERANCE)
+
+    def pruned_by(eps: float) -> float:
+        return int(np.searchsorted(flat, eps)) / total
+
     lo = 0.0
     cap = METHODS[method].epsilon_cap
-    hi = cap if cap is not None else flat[bisect_left(flat, math.inf) - 1] + 1.0
+    hi = cap if cap is not None else float(flat[np.searchsorted(flat, math.inf) - 1]) + 1.0
     # flat[i] prunes at most target * total postings and the next larger
     # statistic (or hi) more, so one of the two, clamped to [lo, hi], is
     # the best epsilon unless lo prunes as many.
     i = min(int(min(max(target_ratio, 0.0), 1.0) * total), total - 1)
-    above = bisect_right(flat, flat[i])
-    bracket = (flat[i], flat[above] if above < total else hi)
-    best = TuneResult(lo, bisect_left(flat, lo) / total, False)
+    above = int(np.searchsorted(flat, flat[i], side="right"))
+    bracket = (float(flat[i]), float(flat[above]) if above < total else hi)
+    best = TuneResult(lo, pruned_by(lo), False)
     for eps in sorted({min(max(e, lo), hi) for e in bracket}):
-        r = bisect_left(flat, eps) / total
+        r = pruned_by(eps)
         if abs(r - target_ratio) < abs(best.achieved - target_ratio):
             best = TuneResult(eps, r, False)
     best.flagged = abs(best.achieved - target_ratio) > RATIO_TOLERANCE
@@ -360,12 +350,12 @@ def k_for(list_len: int, k: int | None = None, ratio: float | None = None) -> in
 def posting_order(
     index: InvertedIndex, method: str, aspect_sets: dict[str, AspectSet] | None,
     depth: Callable[[int], int], zk: int = TCP_K, lam: float = JM_LAMBDA,
-) -> dict[str, list]:
-    """What every level of `method` cuts, per term.  div-*: the first
+) -> dict[str, list] | np.ndarray:
+    """What every level of `method` cuts.  div-*: per term, the first
     `depth(list length)` `diversify` picks over the `aspect_sets` of the
     method's model; the next pick depends only on the picks made, so a
-    deeper order extends a shallower one.  tcp/ipu/2n2p: `threshold_values`
-    (aspect sets and depth unused)."""
+    deeper order extends a shallower one.  tcp/ipu/2n2p: the
+    `threshold_values` array (aspect sets and depth unused)."""
     if METHODS[method].aspect_model is None:
         return threshold_values(index, method, zk, lam)
     if aspect_sets is None:
@@ -381,28 +371,29 @@ def posting_order(
 
 
 def cut(
-    index: InvertedIndex, method: str, order: dict[str, list], *,
+    index: InvertedIndex, method: str, order, *,
     ratio: float | None = None, k: int | None = None, epsilon: float | None = None,
 ) -> tuple[InvertedIndex, dict]:
     """One level of a `posting_order`, as `prune_index` returns it.  div-*:
     each term keeps the first `k_for(current list length)` picks, which
     `order` must hold.  tcp/ipu/2n2p: a ratio is tuned to an epsilon on
-    `order`; the postings whose statistic is not below epsilon stay."""
+    the `order` array; one mask keeps the postings whose statistic is not
+    below epsilon."""
     spec = check_prune_args(method, ratio=ratio, k=k, epsilon=epsilon)
-    keep: dict[str, set[str]] = {}
     if spec.aspect_model is not None:
+        keep: dict[str, set[str]] = {}
         for term, plist in index.lists.items():
             keep[term] = set(order[term][:k_for(len(plist.doc_ids), k, ratio)])
         return subset_index(index, keep), {}
+    if len(order) != index.posting_count():
+        raise PruneError(f"{len(order)} statistics for {index.posting_count()} postings")
     info: dict = {}
     if epsilon is None:
         tuned = _tune(order, method, ratio)
         epsilon = tuned.epsilon
         info["tuned"] = {"target_ratio": ratio, "epsilon": epsilon, "flagged": tuned.flagged}
     info["epsilon"] = epsilon
-    for term, plist in index.lists.items():
-        keep[term] = {d for d, v in zip(plist.doc_ids, order[term]) if not v < epsilon}
-    return subset_index(index, keep), info
+    return _compressed(index, (~(order < epsilon)).tolist()), info
 
 
 def prune_index(

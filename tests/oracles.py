@@ -26,8 +26,16 @@ of the query terms is scored, and each candidate document's windows are
 then tested against every query window.  `oracle_term_time_series` reads
 every window's midpoint afresh for every posting.
 
-`oracle_read_index` is the slow definition of the library's index reader:
-every varint of every posting list read one byte at a time.
+`oracle_read_index` and `oracle_write_index` are the slow definitions of
+the library's index reader and writer: every varint of every posting list
+read or written one at a time.
+
+`tcp_posting_scores`, `tcp_cutoff`, `ipu_values`, `n2p2_values` and
+`oracle_threshold_values` are the slow definitions of the library's
+threshold statistics: one term, then one posting, at a time in Python
+floats.  `oracle_cut` keeps postings through per-term keep sets, and
+`oracle_pruning_ratio` checks every pruned posting against a doc_id -> tf
+table of its base list.
 
 `time_filtered_qrels` and `corpus_by_id` are qrels plumbing that only the
 tests use; `multi_window_corpus` is a test corpus whose documents carry
@@ -45,7 +53,7 @@ import numpy as np
 
 from tempoprune.aspects import DEFAULT_LAMBDA_W, Aspect, AspectSet, TermTimeSeries, build_aspect_sets
 from tempoprune.corpus import Corpus, Document
-from tempoprune.errors import FitError, IndexFormatError, QueryError
+from tempoprune.errors import FitError, IndexConsistencyError, IndexFormatError, QueryError
 from tempoprune.evaluation import EvalReport, Qrels, SweepRow, evaluate_queries
 from tempoprune.gmm import DEFAULT_K_MAX, VAR_FLOOR, GmmFit
 from tempoprune.index import (
@@ -335,6 +343,115 @@ def bm25_score(index, terms, doc_id: str, k1: float = 2.0, b: float = 0.75) -> f
         idf = math.log((n_docs - df + 0.5) / (df + 0.5))
         score += terms.count(term) * idf * tf * (k1 + 1.0) / (tf + k1 * norm)
     return score
+
+
+# --- per-term threshold statistics (the slow definitions of prune.threshold_values)
+
+def tcp_posting_scores(index, term: str) -> list[float]:
+    """tf * ln(N/df) per posting, aligned with posting order."""
+    idf = math.log(index.stats.n_docs / index.stats.df[term])
+    return [tf * idf for tf in index.lists[term].tfs]
+
+
+def tcp_cutoff(scores: list[float], k: int = TCP_K) -> float:
+    """z_t: the k-th highest score, or the minimum when the list is shorter."""
+    if len(scores) <= k:
+        return min(scores)
+    return sorted(scores, reverse=True)[k - 1]
+
+
+def oracle_jm_scores(index, term: str, lam: float = JM_LAMBDA) -> list[float]:
+    """P(d|t) = (1-lam) * tf/|d| + lam * ctf/|C| (Jelinek-Mercer), posting order."""
+    stats = index.stats
+    background = lam * stats.ctf[term] / stats.total_len
+    plist = index.lists[term]
+    return [
+        (1.0 - lam) * tf / stats.doc_len[d] + background for d, tf in zip(plist.doc_ids, plist.tfs)
+    ]
+
+
+def ipu_values(index, term: str, lam: float = JM_LAMBDA) -> list[float]:
+    """Entropy contribution A(d,t) = -q ln q, q the list-normalized JM score."""
+    scores = oracle_jm_scores(index, term, lam)
+    total = math.fsum(scores)
+    return [-q * math.log(q) for q in (s / total for s in scores)]
+
+
+def n2p2_values(index, term: str) -> list[float]:
+    """Two-proportion z statistic comparing tf/|d| against ctf/|C|.  A
+    degenerate standard error (pooled proportion 0 or 1) yields +inf, so
+    the posting survives any threshold."""
+    stats = index.stats
+    ctf = stats.ctf[term]
+    coll = stats.total_len
+    out = []
+    plist = index.lists[term]
+    for d, tf in zip(plist.doc_ids, plist.tfs):
+        dlen = stats.doc_len[d]
+        pooled = (tf + ctf) / (dlen + coll)
+        err = math.sqrt(pooled * (1.0 - pooled) * (1.0 / dlen + 1.0 / coll))
+        out.append(math.inf if err == 0.0 else (tf / dlen - ctf / coll) / err)
+    return out
+
+
+def oracle_threshold_values(index, method: str, zk: int = TCP_K, lam: float = JM_LAMBDA) -> dict:
+    """Per-term statistics, posting order, one term at a time: TCP's are
+    score/z_t, or +inf for the whole list when z_t <= 0."""
+    values = {}
+    for term in index.terms():
+        if method == "tcp":
+            scores = tcp_posting_scores(index, term)
+            z = tcp_cutoff(scores, zk)
+            values[term] = [math.inf] * len(scores) if z <= 0.0 else [s / z for s in scores]
+        elif method == "ipu":
+            values[term] = ipu_values(index, term, lam)
+        else:
+            values[term] = n2p2_values(index, term)
+    return values
+
+
+def split_by_term(index, values) -> dict:
+    """A flat sequence of per-posting values, lists in `index.terms()` order,
+    as one Python list per term."""
+    flat = [float(v) for v in values]
+    assert len(flat) == index.posting_count()
+    out, start = {}, 0
+    for term in index.terms():
+        end = start + len(index.lists[term].doc_ids)
+        out[term], start = flat[start:end], end
+    return out
+
+
+def oracle_cut(index, values: dict, epsilon: float) -> InvertedIndex:
+    """The sub-index of the postings whose statistic is not below epsilon,
+    one keep set per term; emptied lists go, stats stay."""
+    lists = {}
+    for term, plist in sorted(index.lists.items()):
+        keep = {d for d, v in zip(plist.doc_ids, values[term]) if not v < epsilon}
+        kept = [(d, tf) for d, tf in zip(plist.doc_ids, plist.tfs) if d in keep]
+        if kept:
+            lists[term] = PostingList(term, [d for d, _ in kept], [tf for _, tf in kept])
+    return InvertedIndex(lists=lists, stats=index.stats, doc_times=index.doc_times, pruned=True)
+
+
+def oracle_pruning_ratio(original, pruned) -> float:
+    """`pruning_ratio` by a doc_id -> tf table of each base list."""
+    total = original.posting_count()
+    if total == 0:
+        raise IndexConsistencyError("original index has no postings")
+    kept = 0
+    for term, pl in pruned.lists.items():
+        if term not in original.lists:
+            raise IndexConsistencyError(f"pruned index has unknown term {term!r}")
+        base = original.lists[term]
+        orig = dict(zip(base.doc_ids, base.tfs))
+        for doc_id, tf in zip(pl.doc_ids, pl.tfs):
+            if orig.get(doc_id) != tf:
+                raise IndexConsistencyError(
+                    f"posting ({term!r}, {doc_id!r}) is not in the original index"
+                )
+        kept += len(pl.doc_ids)
+    return 1.0 - kept / total
 
 
 def oracle_tune(values: dict, method: str, target: float) -> tuple[float, float]:
@@ -756,3 +873,55 @@ def oracle_read_index(path) -> InvertedIndex:
         ctf=ctf,
     )
     return InvertedIndex(lists=lists, stats=stats, doc_times=doc_times, pruned=bool(flags & 1))
+
+
+# --- index writer (the slow definition of index.write_index) ----------------
+
+def _oracle_uv(buf: bytearray, value: int) -> None:
+    if value < 0:
+        raise ValueError("varint must be non-negative")
+    while True:
+        b = value & 0x7F
+        value >>= 7
+        buf.append(b | (0x80 if value else 0))
+        if not value:
+            return
+
+
+def oracle_write_index(index: InvertedIndex, path) -> None:
+    """`write_index`, writing every varint of every posting list one at a
+    time: each doc number as the gap from the one before it (the first
+    from 0), then the tfs."""
+    payload = bytearray()
+    docs = sorted(index.stats.doc_len)
+    doc_ord = {d: i for i, d in enumerate(docs)}
+    _oracle_uv(payload, len(docs))
+    for doc_id in docs:
+        raw = doc_id.encode("utf-8")
+        _oracle_uv(payload, len(raw))
+        payload.extend(raw)
+        _oracle_uv(payload, index.stats.doc_len[doc_id])
+        windows = sorted(index.doc_times.get(doc_id, frozenset()))
+        _oracle_uv(payload, len(windows))
+        for w in windows:
+            for v in (w.b_lo, w.b_hi, w.e_lo, w.e_hi):
+                _oracle_uv(payload, 2 * v if v >= 0 else -2 * v - 1)
+    _oracle_uv(payload, len(index.lists))
+    for term in sorted(index.lists):
+        pl = index.lists[term]
+        raw = term.encode("utf-8")
+        _oracle_uv(payload, len(raw))
+        payload.extend(raw)
+        _oracle_uv(payload, index.stats.df[term])
+        _oracle_uv(payload, index.stats.ctf[term])
+        _oracle_uv(payload, len(pl.doc_ids))
+        prev = 0
+        for doc_id in pl.doc_ids:
+            num = doc_ord[doc_id]
+            _oracle_uv(payload, num - prev)
+            prev = num
+        for tf in pl.tfs:
+            _oracle_uv(payload, tf)
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, 1 if index.pruned else 0, len(payload))
+    with open(path, "wb") as fh:
+        fh.write(header + bytes(payload) + hashlib.sha256(payload).digest())

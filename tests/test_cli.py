@@ -433,3 +433,24 @@ def test_eval_malformed_qrels_or_run_exit_one(tmp_path, capsys, qrels_line, run_
     run.write_text(run_line + "\n", encoding="utf-8")
     assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 1
     assert f"{tmp_path}/{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["build", "genqueries", "eval-queries", "eval-qrels", "eval-run"])
+def test_bytes_that_are_not_utf8_exit_one(cli_dir, tmp_path, capsys, subcommand):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    good_qrels = tmp_path / "qrels.txt"
+    good_qrels.write_text("q1 0 d0001 1\n", encoding="utf-8")
+    idx, out = str(cli_dir / "idx.bin"), str(tmp_path / "out")
+    argv = {
+        "build": ["build", "--corpus", str(bad), "--out", out],
+        "genqueries": ["genqueries", "--index", idx, "--topics", str(bad), "--out", out],
+        "eval-queries": ["eval", "--index", idx, "--queries", str(bad), "--qrels", str(good_qrels)],
+        "eval-qrels": ["eval", "--index", idx, "--queries", str(bad), "--qrels", str(bad)],
+        "eval-run": ["eval", "--run", str(bad), "--qrels", str(good_qrels)],
+    }[subcommand]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}:1: not UTF-8: byte 0xff at offset 0 (invalid start byte)" in err
+    assert "Traceback" not in err

@@ -208,3 +208,24 @@ def test_write_then_parse_roundtrip(tmp_path, toy5_corpus):
     for a, b in zip(back.documents, toy5_corpus.documents):
         assert a.tokens == b.tokens
         assert a.time_part == b.time_part
+
+
+# --- bytes that are not UTF-8 -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fmt, data, where",
+    [
+        # JSONL records are str.splitlines lines: a form feed ends one
+        ("jsonl", b'{"doc_id": "a", "text": "x"}\r\n\x0c{"doc_id": "b", "text": "\xff"}\n', "3"),
+        ("jsonl", b"\xc3(", "1"),
+        ("trec", b"<DOC>\n<DOCNO>a</DOCNO>\n<TEXT>caf\xe9</TEXT>\n</DOC>\n", "3"),
+        ("trec", b"<DOC><DOCNO>a</DOCNO><TEXT>x\xe2\x82", "1"),
+    ],
+    ids=["jsonl-line-3", "jsonl-line-1", "trec-line-3", "trec-truncated"],
+)
+def test_parse_corpus_names_the_line_of_bytes_that_are_not_utf8(tmp_path, fmt, data, where):
+    path = tmp_path / f"corpus.{fmt}"
+    path.write_bytes(data)
+    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:{where}: not UTF-8: byte 0x"):
+        parse_corpus(path, fmt)

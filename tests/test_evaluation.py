@@ -485,8 +485,7 @@ def test_tune_epsilon_flag_consistent(rand_index):
 
 def test_tune_epsilon_achieved_matches_value_array(rand_index):
     tune = tune_epsilon(rand_index, "ipu", 0.4)
-    values = threshold_values(rand_index, "ipu")
-    flat = [v for vals in values.values() for v in vals]
+    flat = threshold_values(rand_index, "ipu").tolist()
     frac = sum(1 for v in flat if v < tune.epsilon) / len(flat)
     assert frac == pytest.approx(tune.achieved)
 
@@ -680,3 +679,29 @@ def test_sweep_cuts_equal_one_prune_per_ratio_on_two_bursts(burst_setup):
 def test_sweep_cuts_equal_one_prune_per_ratio_at_a_flagged_target(sweep_setup):
     report = _assert_sweeps_equal(sweep_setup, ["tcp"], [0.5, 0.95])
     assert [r.flagged for r in report.rows] == [False, True]
+
+
+# --- bytes that are not UTF-8 -------------------------------------------------
+
+
+_QUERY = b'{"qid": "q1", "terms": ["w001"]}'
+_TOPIC = b'{"qid": "t1", "title": "w001"}'
+
+
+@pytest.mark.parametrize(
+    "read, error, data",
+    [
+        (read_queries, QueryError, _QUERY + b"\n\x0c\r" + _QUERY[:-2] + b'\xff"]}\n'),
+        (read_topics, QueryError, _TOPIC + b"\n\x0c\r" + _TOPIC[:-2] + b'\xed\xa0\x80"}\n'),
+        (read_qrels, EvalFormatError, b"q1 0 d1 1\n\x0c\rq1 0 d\x80 1\n"),
+        (read_run, EvalFormatError, b"q1 Q0 d1 1 2.0 t\n\x0c\rq1 Q0 d2 2 1.\xc0 t\n"),
+    ],
+    ids=["queries", "topics", "qrels", "runs"],
+)
+def test_readers_name_the_line_of_bytes_that_are_not_utf8(tmp_path, read, error, data):
+    # each reader counts lines as iterating over the file in text mode
+    # does: the form feed ends no line, the carriage return ends line 2
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(error, match=rf"^{re.escape(str(path))}:3: not UTF-8: byte 0x[0-9a-f]{{2}} at offset"):
+        read(path)

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_read_index
+from oracles import oracle_pruning_ratio, oracle_read_index, oracle_write_index
 
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import CorpusFormatError, IndexConsistencyError, IndexFormatError
@@ -376,3 +376,124 @@ def test_pruned_flag_survives_roundtrip(tmp_path, toy5_index):
     path = tmp_path / "p.idx"
     write_index(sub, path)
     assert read_index(path).pruned
+
+
+# --- pruning_ratio against its per-posting definition ---------------------------
+
+
+def _ratio_outcome(check, original, pruned):
+    try:
+        return check(original, pruned)
+    except IndexConsistencyError as exc:
+        return str(exc)
+
+
+def _with_lists(index, lists: dict) -> InvertedIndex:
+    return InvertedIndex(
+        {t: PostingList(t, list(ids), list(tfs)) for t, (ids, tfs) in lists.items()},
+        index.stats, index.doc_times, pruned=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "lists, message",
+    [
+        ({"kiwi": (["d1"], [1])}, "pruned index has unknown term 'kiwi'"),
+        ({"apple": (["d1"], [7])}, "posting ('apple', 'd1') is not in the original index"),
+        ({"apple": (["d1", "d4"], [2, 1])}, "posting ('apple', 'd4') is not in the original index"),
+        ({"apple": (["d3", "d1", "d9"], [2, 2, 1])}, "posting ('apple', 'd9') is not in the original index"),
+        ({"apple": (["d1"], [2]), "banana": (["zz"], [1])}, "posting ('banana', 'zz') is not in the original index"),
+    ],
+    ids=["unknown-term", "tf-differs", "doc-not-in-list", "unsorted-then-foreign", "second-list"],
+)
+def test_pruning_ratio_rejections_match_oracle(toy5_index, lists, message):
+    pruned = _with_lists(toy5_index, lists)
+    with pytest.raises(IndexConsistencyError) as exc:
+        pruning_ratio(toy5_index, pruned)
+    assert str(exc.value) == message
+    assert _ratio_outcome(oracle_pruning_ratio, toy5_index, pruned) == message
+
+
+def test_pruning_ratio_rejects_an_index_without_postings(toy5_index):
+    empty = subset_index(toy5_index, {})
+    with pytest.raises(IndexConsistencyError, match="original index has no postings"):
+        pruning_ratio(empty, empty)
+
+
+def test_pruning_ratio_accepts_unsorted_and_repeated_subset_postings(toy5_index):
+    # neither is a subsequence of the base list; the doc_id -> tf table
+    # accepts both, as it did before
+    apple = toy5_index.lists["apple"]
+    for ids, tfs in ((apple.doc_ids[::-1], apple.tfs[::-1]), (apple.doc_ids[:1] * 2, apple.tfs[:1] * 2)):
+        pruned = _with_lists(toy5_index, {"apple": (ids, tfs)})
+        assert pruning_ratio(toy5_index, pruned) == oracle_pruning_ratio(toy5_index, pruned)
+
+
+@settings(max_examples=150, deadline=None)
+@given(index=_random_index(), data=st.data())
+def test_pruning_ratio_matches_oracle_on_random_sub_lists(index, data):
+    lists = {}
+    for term, pl in index.lists.items():
+        pairs = [p for p in zip(pl.doc_ids, pl.tfs) if data.draw(st.booleans())]
+        if data.draw(st.integers(0, 3)) == 0:
+            pairs = data.draw(st.permutations(pairs))
+        if data.draw(st.integers(0, 3)) == 0:
+            doc = data.draw(st.sampled_from(sorted(index.stats.doc_len)))
+            pairs.insert(data.draw(st.integers(0, len(pairs))), (doc, data.draw(st.sampled_from(_TFS))))
+        lists[term] = ([d for d, _ in pairs], [tf for _, tf in pairs])
+    if data.draw(st.booleans()):
+        lists["\x00unknown"] = (["x"], [1])
+    pruned = _with_lists(index, lists)
+    assert _ratio_outcome(pruning_ratio, index, pruned) == _ratio_outcome(oracle_pruning_ratio, index, pruned)
+
+
+# --- the writer against its per-varint definition ---------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(index=_random_index())
+def test_write_index_matches_oracle_on_random_indexes(tmp_path_factory, index):
+    path = tmp_path_factory.mktemp("write")
+    write_index(index, path / "fast.idx")
+    oracle_write_index(index, path / "slow.idx")
+    assert (path / "fast.idx").read_bytes() == (path / "slow.idx").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "nums, tfs",
+    [
+        ([0, 127, 254], [127, 127, 127]),  # gaps of 127: one byte each
+        ([0, 128, 255], [128, 1, 127]),  # gaps and a tf of 128: two bytes
+        ([128, 129, 130], [1, 1, 1]),  # a first doc number of 128, one-byte gaps
+        ([200], [2**63 - 1]),  # one posting, both values wide
+        ([5, 6, 300], [1, 2**63 - 1, 3]),  # one wide gap, one wide tf
+    ],
+)
+def test_write_index_matches_oracle_at_varint_boundaries(tmp_path, nums, tfs):
+    docs = [f"d{i:03d}" for i in range(301)]
+    index = InvertedIndex(
+        {"t": PostingList("t", [docs[n] for n in nums], tfs)},
+        CollectionStats(n_docs=301, doc_len={d: 2**63 for d in docs}, total_len=301 * 2**63,
+                        avgdl=2.0**63, df={"t": len(nums)}, ctf={"t": sum(tfs)}),
+        {},
+    )
+    write_index(index, tmp_path / "fast.idx")
+    oracle_write_index(index, tmp_path / "slow.idx")
+    assert (tmp_path / "fast.idx").read_bytes() == (tmp_path / "slow.idx").read_bytes()
+    assert read_index(tmp_path / "fast.idx").lists == index.lists
+
+
+def test_write_index_rejects_negative_values_as_before(tmp_path, toy5_index):
+    import copy
+
+    for column in ("tfs", "doc_ids"):
+        bad = copy.deepcopy(toy5_index)
+        pl = bad.lists["apple"]
+        if column == "tfs":
+            pl.tfs[1] = -1
+        else:
+            pl.doc_ids.reverse()  # a negative doc number gap
+        with pytest.raises(ValueError, match="varint must be non-negative"):
+            write_index(bad, tmp_path / "bad.idx")
+        with pytest.raises(ValueError, match="varint must be non-negative"):
+            oracle_write_index(bad, tmp_path / "bad.idx")

@@ -4,23 +4,30 @@ import random
 
 import pytest
 
+import numpy as np
 from oracles import (
     ScanState,
     make_instance,
     make_tied_instance,
     make_tune_instance,
     oracle_criterion,
+    oracle_cut,
     oracle_next_best,
     oracle_optimum,
+    oracle_pruning_ratio,
+    oracle_threshold_values,
     oracle_tune,
     scan_diversify,
     scan_next_best,
+    split_by_term,
+    tcp_posting_scores,
 )
 from tempoprune.aspects import Aspect, AspectSet, build_aspect_sets
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import PruneError, SelectionExhausted, TermNotFoundError
 from tempoprune.index import build_index, pruning_ratio, subset_index, write_index
 from tempoprune.prune import (
+    METHODS,
     RATIO_TOLERANCE,
     RelevanceList,
     SelectionState,
@@ -28,15 +35,11 @@ from tempoprune.prune import (
     discount,
     diversified_topk_prune,
     diversify,
-    ipu_values,
     k_for,
-    n2p2_values,
     next_best,
     posting_order,
     prune_index,
     relevance_scores,
-    tcp_cutoff,
-    tcp_posting_scores,
     threshold_prune,
     threshold_values,
     tune_epsilon,
@@ -350,40 +353,46 @@ def test_tcp_scores_toy5(toy5_index, baseline_oracle):
         assert s == pytest.approx(want, abs=1e-9)
 
 
-def test_tcp_cutoff():
-    assert tcp_cutoff([5.0, 1.0, 4.0, 2.0, 3.0], k=2) == 4.0
-    assert tcp_cutoff([5.0, 1.0], k=10) == 1.0  # short list: minimum
-    with pytest.raises(PruneError):
-        tcp_cutoff([1.0], k=0)
+def test_tcp_cutoff(toy5_index):
+    # apple's tfs are 2, 1, 2, 1: z is the k-th highest score, or the
+    # minimum when the list is shorter than k
+    idf = math.log(5 / 4)
+    for zk, z in ((1, 2 * idf), (2, 2 * idf), (3, idf), (4, idf), (10, idf)):
+        values = split_by_term(toy5_index, threshold_values(toy5_index, "tcp", zk=zk))
+        assert values["apple"] == [2 * idf / z, idf / z, 2 * idf / z, idf / z], zk
+    with pytest.raises(PruneError, match="k must be >= 1"):
+        threshold_values(toy5_index, "tcp", zk=0)
 
 
 def test_ipu_uniform_lists():
     # equal scores: q = 1/n, A = (1/n) ln n for every posting
     docs = [Document(f"d{i}", ["t", "x"]) for i in range(4)]
     idx = build_index(Corpus(documents=docs))
-    values = ipu_values(idx, "t")
+    values = split_by_term(idx, threshold_values(idx, "ipu"))["t"]
     assert values == pytest.approx([0.25 * math.log(4.0)] * 4)
 
 
-def test_ipu_matches_oracle_csv(toy5_index, baseline_oracle):
-    for term in toy5_index.terms():
-        postings = toy5_index.lists[term].postings
-        for p, v in zip(postings, ipu_values(toy5_index, term)):
-            want = float(baseline_oracle[(term, p.doc_id)]["ipu_a"])
+def _assert_values_match_oracle_csv(index, baseline_oracle, method, column):
+    values = split_by_term(index, threshold_values(index, method))
+    for term in index.terms():
+        for doc_id, v in zip(index.lists[term].doc_ids, values[term]):
+            want = float(baseline_oracle[(term, doc_id)][column])
             assert v == pytest.approx(want, abs=1e-9)
+
+
+def test_ipu_matches_oracle_csv(toy5_index, baseline_oracle):
+    _assert_values_match_oracle_csv(toy5_index, baseline_oracle, "ipu", "ipu_a")
 
 
 def test_n2p2_matches_oracle_csv(toy5_index, baseline_oracle):
-    for term in toy5_index.terms():
-        postings = toy5_index.lists[term].postings
-        for p, v in zip(postings, n2p2_values(toy5_index, term)):
-            want = float(baseline_oracle[(term, p.doc_id)]["n2p2_z"])
-            assert v == pytest.approx(want, abs=1e-9)
+    _assert_values_match_oracle_csv(toy5_index, baseline_oracle, "2n2p", "n2p2_z")
 
 
-def test_n2p2_degenerate_error_kept():
+def test_n2p2_degenerate_error_kept(caplog):
     idx = build_index(Corpus(documents=[Document("d1", ["t", "t"])]))
-    assert n2p2_values(idx, "t") == [math.inf]
+    with caplog.at_level("WARNING", logger="tempoprune.prune"):
+        assert threshold_values(idx, "2n2p").tolist() == [math.inf]
+    assert caplog.messages == ["2n2p('t'): kept 1 postings with degenerate z statistic"]
     pruned = threshold_prune(idx, "2n2p", 99.0)
     assert [p.doc_id for p in pruned.lists["t"].postings] == ["d1"]
 
@@ -414,7 +423,7 @@ def test_baseline_retained_sets_match_oracle(toy5_index, baseline_oracle):
 
 def test_threshold_boundary_value_is_kept(toy5_index):
     # apple under zk=2: normalized values are exactly 1.0 and 0.5
-    values = threshold_values(toy5_index, "tcp", zk=2)["apple"]
+    values = split_by_term(toy5_index, threshold_values(toy5_index, "tcp", zk=2))["apple"]
     assert values == pytest.approx([1.0, 0.5, 1.0, 0.5])
     at_half = threshold_prune(toy5_index, "tcp", 0.5, zk=2)
     assert _retained(at_half, "apple") == {"d1", "d2", "d3", "d5"}
@@ -425,7 +434,7 @@ def test_threshold_boundary_value_is_kept(toy5_index):
 def test_tcp_all_kept_when_cutoff_nonpositive():
     # single-doc collection: idf = ln(1/1) = 0, so z_t = 0 and nothing prunes
     idx = build_index(Corpus(documents=[Document("d1", ["t", "u"])]))
-    values = threshold_values(idx, "tcp")
+    values = split_by_term(idx, threshold_values(idx, "tcp"))
     assert values["t"] == [math.inf]
     pruned = threshold_prune(idx, "tcp", 1.0)
     assert _retained(pruned, "t") == {"d1"}
@@ -497,14 +506,14 @@ def test_threshold_prune_validation(toy5_index):
 def test_tune_matches_oracle_on_tied_instances():
     for seed in range(2500):
         values, method, target = make_tune_instance(seed)
-        got = _tune(values, method, target)
+        got = _tune(np.array([v for vals in values.values() for v in vals]), method, target)
         assert (got.epsilon, got.achieved) == oracle_tune(values, method, target), seed
         assert got.flagged == (abs(got.achieved - target) > RATIO_TOLERANCE), seed
 
 
 @pytest.mark.parametrize("method", ["tcp", "ipu", "2n2p"])
 def test_tune_epsilon_matches_oracle_on_a_real_index(seed4_index, method):
-    values = threshold_values(seed4_index, method)
+    values = oracle_threshold_values(seed4_index, method)
     for target in (0.1, 0.2, 0.5, 0.7):
         got = tune_epsilon(seed4_index, method, target)
         assert (got.epsilon, got.achieved) == oracle_tune(values, method, target), target
@@ -519,7 +528,7 @@ def test_tune_epsilon_lands_between_statistics_one_ulp_apart(seed4_index):
     # 31 tcp statistics sit at 0.3333333333333333, one ulp below
     # 0.33333333333333337; a float bisection cannot split them and missed
     # the 0.2 target (196/1108 = 0.177, flagged).
-    flat = sorted(v for vals in threshold_values(seed4_index, "tcp").values() for v in vals)
+    flat = sorted(threshold_values(seed4_index, "tcp").tolist())
     assert (len(flat), flat.count(1.0 / 3.0)) == (1108, 31)
     tuned = tune_epsilon(seed4_index, "tcp", 0.2)
     assert tuned.achieved == 227 / 1108
@@ -530,8 +539,9 @@ def test_tune_epsilon_lands_between_statistics_one_ulp_apart(seed4_index):
 
 
 def test_ipu_values_equal_the_relevance_list_definition(rand_index):
-    # ipu_values reads JM scores in posting order; the definition goes
+    # threshold_values reads JM scores in posting order; the definition goes
     # through the sorted relevance list and maps scores back by doc_id.
+    values = split_by_term(rand_index, threshold_values(rand_index, "ipu"))
     for term in rand_index.terms():
         rel = relevance_scores(rand_index, term)
         by_doc = dict(zip(rel.doc_ids, rel.scores))
@@ -540,4 +550,132 @@ def test_ipu_values_equal_the_relevance_list_definition(rand_index):
             -(by_doc[p.doc_id] / total) * math.log(by_doc[p.doc_id] / total)
             for p in rand_index.lists[term].postings
         ]
-        assert ipu_values(rand_index, term) == want, term
+        assert values[term] == want, term
+
+
+# --- the threshold array program against its per-term definitions ----------------
+
+
+def _threshold_corpus(seed: int) -> Corpus:
+    """Few tokens from a small vocabulary, so statistics tie within and
+    across terms; "every" is in every document (tcp: idf 0, so +inf), and
+    the rarest words make single-posting lists and lists shorter than zk."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(rng.randint(2, 12))]
+    docs = []
+    for i in range(rng.randint(1, 40)):
+        tokens = ["every"] * rng.randint(1, 2)
+        tokens += rng.choices(vocab, weights=range(len(vocab), 0, -1), k=rng.randint(0, 6))
+        docs.append(Document(f"d{i:02d}", tokens))
+    return Corpus(documents=docs)
+
+
+def _threshold_indexes():
+    """Built indexes with ties, plus one pruned index whose frozen df/ctf
+    exceed its lists."""
+    for seed in range(40):
+        index = build_index(_threshold_corpus(seed))
+        yield f"seed{seed}", index
+        if seed % 8 == 0:
+            yield f"seed{seed}-pruned", threshold_prune(index, "tcp", 0.6, zk=2)
+
+
+def _flat(values: dict) -> list[float]:
+    return [v for vals in values.values() for v in vals]
+
+
+@pytest.mark.parametrize("method", ["tcp", "ipu", "2n2p"])
+def test_threshold_values_equal_the_per_term_definitions(method):
+    zks, lams = ((1, 2, 3, 10), (0.6,)) if method == "tcp" else ((10,), (0.6, 0.2, 1e-9))
+    for name, index in _threshold_indexes():
+        for zk in zks:
+            for lam in lams:
+                got = threshold_values(index, method, zk, lam)
+                assert got.dtype == np.float64
+                assert got.tolist() == _flat(oracle_threshold_values(index, method, zk, lam)), name
+
+
+def test_threshold_values_equal_the_per_term_definitions_on_real_indexes(
+    toy5_index, rand_index, burst_setup
+):
+    for index in (toy5_index, rand_index, burst_setup[2]):
+        for method in ("tcp", "ipu", "2n2p"):
+            want = _flat(oracle_threshold_values(index, method))
+            assert threshold_values(index, method).tolist() == want, method
+
+
+def test_tcp_term_in_every_document_is_kept_whole():
+    index = build_index(_threshold_corpus(3))
+    values = split_by_term(index, threshold_values(index, "tcp"))
+    assert index.stats.df["every"] == index.stats.n_docs
+    assert values["every"] == [math.inf] * index.stats.n_docs
+    assert all(v < math.inf for t, vals in values.items() if t != "every" for v in vals)
+
+
+def test_tcp_single_posting_and_short_lists_cut_at_their_minimum():
+    index = build_index(Corpus(documents=[
+        Document("d1", ["a", "a", "b", "c"]), Document("d2", ["b", "c", "c"]), Document("d3", ["c"]),
+    ]))
+    values = split_by_term(index, threshold_values(index, "tcp", zk=2))
+    assert values["a"] == [1.0]  # one posting: z is its own score
+    assert values["b"] == [1.0, 1.0]  # a tie at the 2nd highest
+    idf = math.log(3 / 3)  # c is in every document
+    assert idf == 0.0 and values["c"] == [math.inf] * 3
+    assert values == oracle_threshold_values(index, "tcp", zk=2)
+
+
+def test_n2p2_degenerate_postings_warn_once_per_term(caplog):
+    # a one-term collection: ctf = |C| and tf = |d|, so every pooled
+    # proportion is 1 and every standard error 0
+    index = build_index(Corpus(documents=[Document(f"d{i}", ["t"] * (i + 1)) for i in range(3)]))
+    with caplog.at_level("WARNING", logger="tempoprune.prune"):
+        values = threshold_values(index, "2n2p")
+    assert values.tolist() == _flat(oracle_threshold_values(index, "2n2p")) == [math.inf] * 3
+    assert caplog.messages == ["2n2p('t'): kept 3 postings with degenerate z statistic"]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="tempoprune.prune"):
+        threshold_values(build_index(_threshold_corpus(5)), "2n2p")
+    assert caplog.messages == []
+
+
+def test_threshold_values_of_an_empty_index_are_empty(toy5_index):
+    empty = subset_index(toy5_index, {})
+    for method in ("tcp", "ipu", "2n2p"):
+        assert threshold_values(empty, method).tolist() == []
+    with pytest.raises(PruneError, match="unknown threshold method"):
+        threshold_values(toy5_index, "div-simple")
+
+
+def _epsilons(values: list[float]) -> list[float]:
+    """Every distinct finite statistic, the floats just around each, and 0."""
+    finite = sorted({v for v in values if v != math.inf})
+    around = {math.nextafter(v, math.inf) for v in finite} | {math.nextafter(v, -math.inf) for v in finite}
+    return sorted({0.0, *finite, *around})
+
+
+@pytest.mark.parametrize("method", ["tcp", "ipu", "2n2p"])
+def test_cut_and_tune_equal_their_definitions(method):
+    cap = METHODS[method].epsilon_cap
+    for name, index in _threshold_indexes():
+        values = oracle_threshold_values(index, method)
+        order = threshold_values(index, method)
+        for eps in _epsilons(_flat(values)):
+            if eps < 0.0 or (cap is not None and eps > cap):
+                continue
+            pruned, info = cut(index, method, order, epsilon=eps)
+            assert info == {"epsilon": eps}
+            assert pruned == oracle_cut(index, values, eps), (name, eps)
+        for ratio in (0.1, 0.25, 0.5, 0.75, 0.9):
+            want_eps, want_achieved = oracle_tune(values, method, ratio)
+            got = _tune(order, method, ratio)
+            assert (got.epsilon, got.achieved) == (want_eps, want_achieved), (name, ratio)
+            pruned, info = cut(index, method, order, ratio=ratio)
+            assert info["tuned"]["epsilon"] == info["epsilon"] == want_eps
+            assert pruned == oracle_cut(index, values, want_eps), (name, ratio)
+            assert pruning_ratio(index, pruned) == oracle_pruning_ratio(index, pruned)
+            assert pruning_ratio(index, pruned) == pytest.approx(want_achieved, abs=1e-12)
+
+
+def test_cut_rejects_statistics_of_another_index(toy5_index, rand_index):
+    with pytest.raises(PruneError, match=r"\d+ statistics for 16 postings"):
+        cut(toy5_index, "ipu", threshold_values(rand_index, "ipu"), ratio=0.5)
