@@ -18,9 +18,9 @@ iteration count and decrease check.
 `fit_gmm` (one K) and `select_k_bic` (K = 1..k_max) fit one series, a
 batch with no padding.  `select_k_bic_each` sorts many series by their
 number of distinct days and fits them in groups of at most
-`EM_CELL_BUDGET` padded cells (or as many as its largest series needs);
-padding reorders numpy's pairwise sums
-over days, so a series fitted among others can differ from its own
+`EM_CELL_BUDGET` padded cells (or as many as its largest series needs),
+every group in one shared workspace.  Padding reorders numpy's pairwise
+sums over days, so a series fitted among others can differ from its own
 `select_k_bic` in the last digits.
 """
 from __future__ import annotations
@@ -41,9 +41,11 @@ DEFAULT_K_MAX = 10
 EM_MAX_ITER = 200
 EM_TOL = 1e-6
 # Padded component-day cells per batch of series: large enough that numpy's
-# per-call overhead is shared by many series, small enough that the
-# batch's arrays stay a few hundred KiB.
-EM_CELL_BUDGET = 8192
+# per-call overhead is shared by many series, small enough that the shared
+# workspace stays about 1.1 MiB (see `_regions`).  On the em-dynamic
+# benchmark corpora, 16,384 cells took about 1.15x the EM time of 32,768,
+# and 65,536 took no less, with 1.65x the traced peak.
+EM_CELL_BUDGET = 32768
 
 
 @dataclass
@@ -116,10 +118,25 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _regions(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], max_iter: int) -> list[int]:
+    """The sizes, in floats, of the workspace regions `_em` carves for
+    `batch`: three (rows, days) arrays, two (fits, days) arrays and the
+    (max_iter, fits) trace."""
+    width = max(len(series.counts) for series, _ in batch)
+    rows = sum(sum(ks) for _, ks in batch)
+    fits = sum(len(ks) for _, ks in batch)
+    return [rows * width] * 3 + [fits * width] * 2 + [max_iter * fits]
+
+
 def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, max_iter: int,
-        tol: float, var_floor: float) -> list[list[GmmFit]]:
+        tol: float, var_floor: float, work: np.ndarray | None = None,
+        best: bool = False) -> list[list[GmmFit]]:
     """Fit a K-component mixture for every K of every series in `batch`, all
-    in one array program; returns each series' fits in the order of its Ks.
+    in one array program; returns each series' fits in the order of its Ks,
+    or, with `best`, its lowest-BIC fit only (ties: the smaller K), the one
+    fit whose log-likelihood trace is built.
+    Its arrays are views of `work`, at least `sum(_regions(batch, max_iter))`
+    floats, so that many batches can share one; None allocates it.
 
     Every series is checked before any is fitted.  Every K seeds as if from
     a fresh `default_rng(seed)`, so a fit depends neither on the other Ks
@@ -160,16 +177,20 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
     means = np.concatenate([seeded[ik] for ik in order])
     variances = np.repeat(global_var[fit_series], fit_k)
     weights = np.concatenate([np.full(k, 1.0 / k) for k in fit_k])
-    # The (rows, days) arrays are views of three buffers; a view shrinks as
-    # fits leave, so the loop allocates no (rows, days) array.
-    cells = len(means) * width
-    bufs = [np.empty(cells) for _ in range(3)]
+    # The (rows, days) and (fits, days) arrays are views of regions of
+    # `work`; a view shrinks as fits leave, so the loop allocates no array
+    # that grows with the days.
+    regions = _regions(batch, max_iter)
+    if work is None:
+        work = np.empty(sum(regions))
+    *bufs, trace = np.split(work[:sum(regions)], np.cumsum(regions)[:-1])
+    bufs, fit_bufs, trace = bufs[:3], bufs[3:], trace.reshape(max_iter, len(fit_k))
 
     live = np.arange(len(fit_k))  # the batch's fits, in row order
     sizes = np.array(fit_k)
     prev, prev_scale = np.full(len(fit_k), -math.inf), np.full(len(fit_k), math.inf)
-    trace = np.empty((max_iter, len(fit_k)))
     fits: list[GmmFit] = [None] * len(fit_k)  # type: ignore[list-item]
+    iters = [0] * len(fit_k)  # each fit's length of `trace`, set when it ends
 
     def layout():
         """The live fits' row starts and owners; the (rows, days) views; each
@@ -181,8 +202,10 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
         owner = np.repeat(np.arange(len(live)), sizes)
         row_series = fit_series[live][owner]
         views = [buf[:len(owner) * width].reshape(len(owner), width) for buf in bufs]
-        days.take(row_series, axis=0, out=views[0])
-        seg_max, log_norm = np.empty((len(live), width)), np.empty((len(live), width))
+        # every take has its indices in range; mode="clip" writes to `out`
+        # directly, where the default mode would fill a temporary copy first
+        days.take(row_series, axis=0, out=views[0], mode="clip")
+        seg_max, log_norm = (buf[:len(live) * width].reshape(len(live), width) for buf in fit_bufs)
         blocks = []
         edges = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(live)]
         for a, b in zip(edges, edges[1:]):
@@ -200,8 +223,8 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
         k = fit_k[f]
         rows = slice(starts[j], starts[j] + k)
         by_mean = np.argsort(means[rows], kind="stable")
-        ll_trace = trace[:it + 1, f].tolist()
-        ll = ll_trace[-1]
+        ll = float(trace[it, f])
+        iters[f] = it + 1
         fits[f] = GmmFit(
             k=k,
             weights=weights[rows][by_mean],
@@ -209,7 +232,7 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
             variances=variances[rows][by_mean],
             log_likelihood=ll,
             bic=-2.0 * ll + (3 * k - 1) * math.log(n[fit_series[f]]),
-            ll_trace=ll_trace,
+            ll_trace=[],  # filled from `trace` for the fits returned
             converged=converged,
         )
 
@@ -223,13 +246,16 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
         # log_norm = each fit's log-sum-exp over its rows
         for joint, _, _, top, _ in blocks:
             np.maximum.reduce(joint, axis=1, out=top)
-        np.subtract(log_joint, seg_max.take(owner, axis=0, out=tmp), out=tmp)
+        np.subtract(log_joint, seg_max.take(owner, axis=0, out=tmp, mode="clip"), out=tmp)
         np.exp(tmp, out=tmp)
         for _, first, rest, _, total in blocks:
             np.add(first, _pairwise_sum(rest), out=total)
         np.add(seg_max, np.log(log_norm, out=log_norm), out=log_norm)
-        # each series' log-likelihoods: its rows, unpadded, times its day weights
-        grouped, series_lls = log_norm[by_series], np.empty(len(live))
+        # each series' log-likelihoods: its rows, unpadded, times its day
+        # weights; its rows are gathered in seg_max, which is free until the
+        # next E-step
+        grouped = log_norm.take(by_series, axis=0, out=seg_max, mode="clip")
+        series_lls = np.empty(len(live))
         for a, b, nd, col in runs:
             np.matmul(grouped[a:b, :nd], col, out=series_lls[a:b])
         lls = np.empty(len(live))
@@ -253,9 +279,9 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
         # M-step, in place: log_joint -> responsibilities -> weighted
         # responsibilities.  It also runs on the rows of fits that just
         # converged, whose results are then dropped: rows are independent.
-        np.subtract(log_joint, log_norm.take(owner, axis=0, out=tmp), out=log_joint)
+        np.subtract(log_joint, log_norm.take(owner, axis=0, out=tmp, mode="clip"), out=log_joint)
         np.exp(log_joint, out=log_joint)
-        weighted = np.multiply(wts.take(row_series, axis=0, out=tmp), log_joint, out=log_joint)
+        weighted = np.multiply(wts.take(row_series, axis=0, out=tmp, mode="clip"), log_joint, out=log_joint)
         soft = np.maximum(weighted.sum(axis=1), 1e-12)
         weights = soft / row_n
         weights = weights / np.add.reduceat(weights, starts)[owner]
@@ -273,7 +299,13 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
         for j in range(len(live)):
             finish(j, max_iter - 1, converged=False)
     index = {ik: f for f, ik in enumerate(order)}
-    return [[fits[index[i, k]] for k in ks] for i, (_, ks) in enumerate(batch)]
+    picked = [[index[i, k] for k in ks] for i, (_, ks) in enumerate(batch)]
+    if best:
+        picked = [[min(fs, key=lambda f: fits[f].bic)] for fs in picked]
+    for fs in picked:
+        for f in fs:
+            fits[f].ll_trace = trace[:iters[f], f].tolist()
+    return [[fits[f] for f in fs] for fs in picked]
 
 
 def fit_gmm(series: "TermTimeSeries", k: int, seed: int, *, max_iter: int = EM_MAX_ITER,
@@ -306,12 +338,13 @@ def select_k_bic_each(series: Sequence["TermTimeSeries"], k_max: int = DEFAULT_K
             rows = 0
         groups[-1].append(i)
         rows += size
+    batches = [[(series[i], ks[i]) for i in group] for group in groups]
+    work = np.empty(max((sum(_regions(batch, EM_MAX_ITER)) for batch in batches), default=0))
     chosen: list[GmmFit] = [None] * len(series)  # type: ignore[list-item]
-    for group in groups:
-        fitted = _em([(series[i], ks[i]) for i in group], seed,
-                     max_iter=EM_MAX_ITER, tol=EM_TOL, var_floor=VAR_FLOOR)
-        for i, fits in zip(group, fitted):
-            chosen[i] = min(fits, key=lambda fit: fit.bic)
+    for group, batch in zip(groups, batches):
+        for i, [fit] in zip(group, _em(batch, seed, max_iter=EM_MAX_ITER, tol=EM_TOL,
+                                       var_floor=VAR_FLOOR, work=work, best=True)):
+            chosen[i] = fit
     return chosen
 
 

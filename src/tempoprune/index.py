@@ -25,8 +25,8 @@ class Posting(NamedTuple):
 
 @dataclass
 class PostingList:
-    """One term's postings as two aligned columns, doc ids ascending and
-    unique (`run_query` finds a document's tf by bisection)."""
+    """One term's postings as two aligned columns, never empty, doc ids
+    ascending and unique (`run_query` finds a document's tf by bisection)."""
 
     term: str
     doc_ids: list[str]
@@ -133,6 +133,8 @@ def verify_index(index: InvertedIndex) -> None:
         if term not in stats.df or term not in stats.ctf:
             raise IndexConsistencyError(f"term {term!r} missing from df/ctf")
         n = len(pl.doc_ids)
+        if n == 0:
+            raise IndexConsistencyError(f"posting list for {term!r} is empty")
         if len(pl.tfs) != n:
             raise IndexConsistencyError(
                 f"posting list for {term!r} has {n} doc ids, {len(pl.tfs)} tfs"
@@ -253,11 +255,12 @@ _VARINT_MAX = 9
 
 def _read_columns(r: _Reader, n: int, docs: list[str], term: str) -> tuple[list[str], list[int]]:
     """The doc ids and tfs of one list of `n` postings at `r.pos`: n doc
-    number gaps, then n tfs.  A doc number gap of `len(docs)` or more is
-    rejected before the gaps are summed, and so is a zero gap after the
-    first: with the document ids ascending, so are a list's."""
+    number gaps, then n tfs.  A list of no postings is rejected, as no index
+    writes one.  A doc number gap of `len(docs)` or more is rejected before
+    the gaps are summed, and so is a zero gap after the first: with the
+    document ids ascending, so are a list's."""
     if n == 0:
-        return [], []
+        raise IndexFormatError(f"term {term!r}: empty posting list")
     gaps = _varints(r, n, term)
     tfs = _varints(r, n, term)
     if max(gaps) >= len(docs):

@@ -856,6 +856,8 @@ def oracle_read_index(path) -> InvertedIndex:
         for _ in range(r.uv()):
             cur += r.uv()
             nums.append(cur)
+        if not nums:
+            raise IndexFormatError(f"term {term!r}: empty posting list")
         if any(num >= len(docs) for num in nums):
             raise IndexFormatError("posting references unknown document")
         if nums != sorted(set(nums)):

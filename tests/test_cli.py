@@ -10,8 +10,8 @@ import json
 import pytest
 
 from tempoprune.cli import main
-from tempoprune.corpus import write_corpus
-from tempoprune.index import read_index, verify_index
+from tempoprune.corpus import Corpus, Document, write_corpus
+from tempoprune.index import PostingList, build_index, read_index, verify_index, write_index
 from tempoprune.synth import random_corpus
 
 
@@ -453,4 +453,20 @@ def test_bytes_that_are_not_utf8_exit_one(cli_dir, tmp_path, capsys, subcommand)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"error: {bad}:1: not UTF-8: byte 0xff at offset 0 (invalid start byte)" in err
+    assert "Traceback" not in err
+
+
+def test_prune_of_an_index_with_an_empty_list_exits_one(tmp_path, capsys):
+    """A list of no postings (df 0) is an index format error, not a
+    division by zero in the tcp statistics."""
+    index = build_index(Corpus(documents=[Document("d1", ["a", "b", "a"]), Document("d2", ["b"])]))
+    index.lists["c"] = PostingList("c", [], [])
+    index.stats.df["c"] = index.stats.ctf["c"] = 0
+    write_index(index, tmp_path / "idx.bin")
+    capsys.readouterr()
+    argv = ["prune", "--in", str(tmp_path / "idx.bin"), "--out", str(tmp_path / "out.bin"),
+            "--method", "tcp", "--ratio", "0.5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: term 'c': empty posting list" in err
     assert "Traceback" not in err

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_em, oracle_fit_gmm, oracle_seed_means, oracle_select_k_bic
-from tempoprune import gmm
+from tempoprune import aspects, gmm
 from tempoprune.aspects import TermTimeSeries, build_aspect_sets, component_window, term_time_series
 from tempoprune.errors import FitError, PruneError
 from tempoprune.gmm import VAR_FLOOR, fit_gmm, select_k_bic
@@ -311,7 +311,7 @@ def _many_series() -> list[TermTimeSeries]:
     components on single days (the variance floor, where a window bound
     sits on round_half_up's .5 boundary)."""
     rng = random.Random(5)
-    many = [_differential_series(seed) for seed in range(60)]
+    many = [_differential_series(seed) for seed in range(100)]  # several batches at the default budget
     for i in range(6):  # the same day count, 12 days each
         many.append(TermTimeSeries(term=f"same{i}", counts={d: rng.randint(1, 9) for d in rng.sample(range(600), 12)}))
     many += [
@@ -339,7 +339,10 @@ def _grouped(monkeypatch, budget):
     return batches
 
 
-@pytest.mark.parametrize("budget", [gmm.EM_CELL_BUDGET, 1])
+ONE_BATCH = 2**40  # a budget that holds every series of `_many_series` at once
+
+
+@pytest.mark.parametrize("budget", [gmm.EM_CELL_BUDGET, 1, ONE_BATCH])
 def test_select_k_bic_each_matches_per_series_oracle(monkeypatch, budget):
     """Budget 1 leaves groups as large as the largest series."""
     many = _many_series()
@@ -347,7 +350,10 @@ def test_select_k_bic_each_matches_per_series_oracle(monkeypatch, budget):
     k_max = 6
     fast = gmm.select_k_bic_each(many, k_max=k_max, seed=3)
     assert sum(batches) == len(many)
-    assert len([b for b in batches if b > 1]) >= 3
+    if budget == ONE_BATCH:
+        assert batches == [len(many)]
+    else:
+        assert len([b for b in batches if b > 1]) >= 3
     collapsed = 0
     for series, fit in zip(many, fast):
         slow = oracle_select_k_bic(series, k_max=k_max, seed=3)
@@ -390,6 +396,30 @@ def test_build_aspect_sets_dynamic_uses_the_per_series_fits():
         assert [a.window for a in aset.aspects] == [_windows(slow)[i] for i in kept], term
         assert [a.center for a in aset.aspects] == pytest.approx(slow.means[kept], rel=1e-9)
         assert aset.converged == slow.converged
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_bench_shaped_dynamic_aspects_equal_each_term_fitted_alone(monkeypatch, seed):
+    """On the em-dynamic benchmark's corpora (300 documents, 50 terms,
+    k_max 5, EM seed = corpus seed), fitting the terms in batches keeps
+    every term's K and windows those of the term fitted alone."""
+    index = build_index(random_corpus(n_docs=300, seed=seed, vocab_size=50))
+    chosen = {}
+    each = gmm.select_k_bic_each
+
+    def recording(series, *args, **kwargs):
+        fits = each(series, *args, **kwargs)
+        chosen.update(zip((s.term for s in series), fits))
+        return fits
+
+    monkeypatch.setattr(aspects, "select_k_bic_each", recording)
+    sets = build_aspect_sets(index, model="dynamic", k_max=5, seed=seed, lambda_w=0.0)
+    assert len(chosen) > 40
+    for term, fit in chosen.items():
+        alone = select_k_bic(term_time_series(index, term), k_max=5, seed=seed)
+        assert fit.k == alone.k, term
+        kept = [i for i, w in enumerate(alone.weights) if w > 1e-12]
+        assert [a.window for a in sets[term].aspects] == [_windows(alone)[i] for i in kept], term
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 9, 10, 16, 17, 25, 129, 130, 131, 300])

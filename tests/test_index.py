@@ -91,6 +91,22 @@ def test_verify_detects_corruption(toy5_index):
         verify_index(broken)
 
 
+def test_empty_posting_list_is_rejected(tmp_path):
+    """No index writes a list of no postings (`subset_index` drops emptied
+    lists), so `verify_index` and both readers reject one, naming the term."""
+    index = build_index(_mini_corpus())
+    assert all(pl.doc_ids for pl in index.lists.values())
+    index.lists["c"] = PostingList("c", [], [])
+    index.stats.df["c"] = index.stats.ctf["c"] = 0
+    with pytest.raises(IndexConsistencyError, match="posting list for 'c' is empty"):
+        verify_index(index)
+    path = tmp_path / "e.idx"
+    write_index(index, path)
+    for read in (read_index, oracle_read_index):
+        with pytest.raises(IndexFormatError, match="term 'c': empty posting list"):
+            read(path)
+
+
 def test_write_is_deterministic(tmp_path, rand_index):
     p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
     write_index(rand_index, p1)
