@@ -299,6 +299,67 @@ def _varints(r: _Reader, count: int, term: str) -> list[int]:
     raise IndexFormatError("truncated index payload")
 
 
+def _read_documents(r: _Reader) -> tuple[list[str], dict[str, int], dict[str, frozenset[TimeWindow]]]:
+    """The document section at `r.pos`: each document's id, length and
+    windows, in file order.  One-byte varints, as an id's byte count, a
+    length and a window count mostly are, are read in place, and others
+    through `r.uv`; a document's window bounds are decoded in one pass,
+    with no bound on a varint's length, as `r.sv` decodes them."""
+    data = r.data
+    docs: list[str] = []
+    doc_len: dict[str, int] = {}
+    doc_times: dict[str, frozenset[TimeWindow]] = {}
+    try:
+        for _ in range(r.uv()):
+            pos = r.pos
+            size = data[pos]
+            if size < 0x80:
+                pos += 1
+            else:
+                size = r.uv()
+                pos = r.pos
+            raw = data[pos : pos + size]
+            if len(raw) < size:
+                raise IndexFormatError("truncated index payload")
+            try:
+                doc_id = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IndexFormatError(f"string is not UTF-8: {exc}") from exc
+            pos += size
+            length, n_win = data[pos], data[pos + 1]  # fewer than two bytes left is a truncation
+            if length < 0x80 and n_win < 0x80:
+                pos += 2
+            else:
+                r.pos = pos
+                length, n_win = r.uv(), r.uv()
+                pos = r.pos
+            docs.append(doc_id)
+            doc_len[doc_id] = length
+            if n_win:
+                bounds = []  # the 4 * n_win bounds, unzigzagged
+                value = shift = 0
+                need = 4 * n_win
+                while need:
+                    b = data[pos]
+                    pos += 1
+                    if b < 0x80:
+                        value |= b << shift
+                        bounds.append((value >> 1) ^ -(value & 1))
+                        value = shift = 0
+                        need -= 1
+                    else:
+                        value |= (b & 0x7F) << shift
+                        shift += 7
+                try:
+                    doc_times[doc_id] = frozenset(TimeWindow(*bounds[i : i + 4]) for i in range(0, len(bounds), 4))
+                except ValueError as exc:
+                    raise IndexFormatError(f"document {doc_id!r}: {exc}") from exc
+            r.pos = pos
+    except IndexError:  # data[pos] past the end
+        raise IndexFormatError("truncated index payload") from None
+    return docs, doc_len, doc_times
+
+
 def write_index(index: InvertedIndex, path) -> None:
     """Serialize deterministically: same index -> identical bytes."""
     payload = bytearray()
@@ -350,23 +411,7 @@ def read_index(path) -> InvertedIndex:
     if hashlib.sha256(payload).digest() != data[end : end + 32]:
         raise IndexFormatError(f"{path}: checksum mismatch")
     r = _Reader(payload)
-    n_docs = r.uv()
-    docs: list[str] = []
-    doc_len: dict[str, int] = {}
-    doc_times: dict[str, frozenset[TimeWindow]] = {}
-    for _ in range(n_docs):
-        doc_id = r.s()
-        doc_len[doc_id] = r.uv()
-        n_win = r.uv()
-        wins = []
-        for _ in range(n_win):
-            try:
-                wins.append(TimeWindow(*(r.sv() for _ in range(4))))
-            except ValueError as exc:
-                raise IndexFormatError(f"document {doc_id!r}: {exc}") from exc
-        docs.append(doc_id)
-        if wins:
-            doc_times[doc_id] = frozenset(wins)
+    docs, doc_len, doc_times = _read_documents(r)
     if any(a >= b for a, b in zip(docs, docs[1:])):
         raise IndexFormatError(f"{path}: document ids not strictly ascending")
     lists: dict[str, PostingList] = {}

@@ -6,9 +6,11 @@ subprocesses.  A small seeded corpus is staged once per module and the
 build -> prune -> query -> eval chain runs over the staged artifacts.
 """
 import json
+import os
 
 import pytest
 
+from tempoprune import gmm
 from tempoprune.cli import main
 from tempoprune.corpus import Corpus, Document, write_corpus
 from tempoprune.index import PostingList, build_index, read_index, verify_index, write_index
@@ -116,6 +118,30 @@ def test_prune_div_manifest_reports_achieved_ratio(cli_dir, capsys):
     pruned = read_index(out)
     assert pruned.pruned
     verify_index(pruned)
+
+
+def test_div_dynamic_prune_on_forked_workers_writes_the_one_process_bytes(cli_dir, tmp_path, monkeypatch):
+    """With its EM groups shared among forked workers, a div-dynamic prune
+    writes the index and manifest of the one-process prune, and leaves no
+    process behind."""
+    out = tmp_path / "dyn.bin"
+    manifest = tmp_path / "dyn.bin.manifest.json"
+    argv = ["prune", "--in", str(cli_dir / "idx.bin"), "--out", str(out),
+            "--method", "div-dynamic", "--ratio", "0.5", "--k-max", "5", "--seed", "0"]
+    monkeypatch.setattr(gmm, "EM_CELL_BUDGET", 1)  # about one group per term
+    monkeypatch.setattr(gmm, "_cpus", lambda: 1)
+    assert main(argv) == 0
+    alone = out.read_bytes(), manifest.read_bytes()
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(gmm.os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(gmm, "_cpus", lambda: 3)
+    monkeypatch.setattr(gmm, "FORK_MIN_CELLS", 0)
+    assert main(argv) == 0
+    assert forks == [1, 1]
+    assert (out.read_bytes(), manifest.read_bytes()) == alone
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_prune_threshold_tuned_manifest(cli_dir, tmp_path, capsys):

@@ -331,6 +331,40 @@ def test_read_index_matches_oracle_on_rehashed_mutations(tmp_path_factory, toy5_
         assert got == want
 
 
+def _long_varint_index() -> InvertedIndex:
+    """A document id of 200 UTF-8 bytes, a length of 2**70 and 130
+    windows, some with bounds of -2**70 and 2**70: every varint of the
+    document section that can take more than one byte does."""
+    long_id = "é" * 100
+    windows = {TimeWindow.certain(day, day + 1000) for day in range(128)}
+    windows |= {TimeWindow(-(2**70), -5, 3, 2**70), TimeWindow(-(2**63), 2**63, 2**63, 2**64)}
+    doc_len = {long_id: 2**70, "b": 1}
+    stats = CollectionStats(n_docs=2, doc_len=doc_len, total_len=2**70 + 1, avgdl=(2**70 + 1) / 2,
+                            df={"t": 2}, ctf={"t": 2})
+    lists = {"t": PostingList("t", ["b", long_id], [1, 1])}
+    return InvertedIndex(lists, stats, {long_id: frozenset(windows), "b": frozenset({TimeWindow.instant(-3)})})
+
+
+def test_read_index_decodes_long_document_varints(tmp_path):
+    index = _long_varint_index()
+    path = tmp_path / "long.idx"
+    write_index(index, path)
+    assert read_index(path) == oracle_read_index(path) == index
+
+
+def test_every_truncation_of_the_document_section_is_a_format_error(tmp_path):
+    path = tmp_path / "long.idx"
+    write_index(_long_varint_index(), path)
+    blob = path.read_bytes()
+    payload = _payload(blob)
+    assert payload.count(b"\x01\x01t") == 1
+    end = payload.index(b"\x01\x01t")  # one term, "t": the document section ends before it
+    for cut in range(end):
+        path.write_bytes(_rehashed(blob, payload[:cut]))
+        with pytest.raises(IndexFormatError, match="truncated index payload"):
+            read_index(path)
+
+
 def _whole(index, term):
     return {p.doc_id for p in index.lists[term].postings}
 
