@@ -29,7 +29,6 @@ from .errors import (
     IndexFormatError,
     PruneError,
     QueryError,
-    SelectionExhausted,
     TempopruneError,
     TermNotFoundError,
 )
@@ -63,7 +62,6 @@ from .prune import (
     cut,
     diversify,
     k_for,
-    next_best,
     posting_order,
     prune_index,
     relevance_scores,

@@ -115,6 +115,8 @@ def fd_window_size(series: TermTimeSeries) -> int:
 
 
 def _tiled_aspects(series: TermTimeSeries, gamma: int, step: int) -> AspectSet:
+    if gamma < 1:
+        raise PruneError(f"gamma must be >= 1, got {gamma}")
     lo, hi = series.span
     days = sorted(series.counts)
     starts = []
@@ -130,15 +132,11 @@ def _tiled_aspects(series: TermTimeSeries, gamma: int, step: int) -> AspectSet:
 
 def simple_windows(series: TermTimeSeries, gamma: int) -> AspectSet:
     """Non-overlapping tiling [lo + k*gamma, lo + (k+1)*gamma); empty tiles dropped."""
-    if gamma < 1:
-        raise PruneError(f"gamma must be >= 1, got {gamma}")
     return _tiled_aspects(series, gamma, gamma)
 
 
 def sliding_windows(series: TermTimeSeries, gamma: int) -> AspectSet:
     """Half-overlapping windows of length gamma stepping by max(1, gamma // 2)."""
-    if gamma < 1:
-        raise PruneError(f"gamma must be >= 1, got {gamma}")
     return _tiled_aspects(series, gamma, max(1, gamma // 2))
 
 

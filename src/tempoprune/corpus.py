@@ -5,6 +5,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from datetime import date
 from html import unescape
 from pathlib import Path
 
@@ -139,16 +140,12 @@ def _parse_trec_date(raw: str) -> int | None:
     """Publication day number from a DATE tag, or None if unrecognizable."""
     m = _ISO_DATE_RE.search(raw)
     if m:
-        from datetime import date
-
         try:
             return day_number(date.fromisoformat(m.group(1)))
         except ValueError:
             return None
     m = _LONG_DATE_RE.search(raw)
     if m:
-        from datetime import date
-
         month_name, rest = m.group(1).split(" ", 1)
         day_s, year_s = rest.replace(",", "").split()
         month = _MONTHS.get(month_name)

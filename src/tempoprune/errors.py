@@ -25,10 +25,6 @@ class PruneError(TempopruneError):
     """Invalid pruning request (missing aspects, bad config)."""
 
 
-class SelectionExhausted(PruneError):
-    """next_best called with every posting already selected."""
-
-
 class FitError(TempopruneError):
     """A mixture fit broke an EM invariant: the log-likelihood decreased."""
 

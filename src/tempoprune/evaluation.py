@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .aspects import DEFAULT_LAMBDA_W, build_aspect_sets
@@ -99,18 +98,11 @@ def _split_lines(lines, path, n_fields: int):
         yield lineno, fields
 
 
-@contextmanager
-def _text_file(path, error):
-    """`path` open as UTF-8 text.  Bytes that are not UTF-8 raise `error`
-    naming path:line, the line counted as iterating over the file counts
-    it (`read_text` finds it)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield fh
-            return
-        except UnicodeDecodeError:
-            pass
-    read_text(path, error, lambda text: io.StringIO(text, newline=None).readlines())
+def _text_file(path, error) -> io.StringIO:
+    """`path`'s text (`read_text`), its lines split on universal newlines;
+    bytes that are not UTF-8 raise `error` naming path:line."""
+    text = read_text(path, error, lambda t: io.StringIO(t, newline=None).readlines())
+    return io.StringIO(text, newline=None)
 
 
 def read_qrels(path) -> Qrels:
@@ -168,6 +160,8 @@ def evaluate_results(
     results: list[RankedResult], qrels: Qrels, depth: int = DEFAULT_DEPTH, discount: str = "ln"
 ) -> tuple[float, float, int]:
     """(MAP, mean NDCG, evaluated-query count), excluding zero-relevant qids."""
+    if depth < 1:
+        raise QueryError(f"depth must be >= 1, got {depth}")
     aps = []
     ndcgs = []
     for res in results:

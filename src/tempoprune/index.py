@@ -205,10 +205,6 @@ def _zigzag(n: int) -> int:
     return 2 * n if n >= 0 else -2 * n - 1
 
 
-def _unzigzag(z: int) -> int:
-    return (z >> 1) if z % 2 == 0 else -(z + 1) // 2
-
-
 def _write_str(buf: bytearray, s: str) -> None:
     raw = s.encode("utf-8")
     _write_uv(buf, len(raw))
@@ -232,9 +228,6 @@ class _Reader:
             if not b & 0x80:
                 return value
             shift += 7
-
-    def sv(self) -> int:
-        return _unzigzag(self.uv())
 
     def s(self) -> str:
         n = self.uv()
@@ -304,7 +297,7 @@ def _read_documents(r: _Reader) -> tuple[list[str], dict[str, int], dict[str, fr
     windows, in file order.  One-byte varints, as an id's byte count, a
     length and a window count mostly are, are read in place, and others
     through `r.uv`; a document's window bounds are decoded in one pass,
-    with no bound on a varint's length, as `r.sv` decodes them."""
+    with no bound on a varint's length."""
     data = r.data
     docs: list[str] = []
     doc_len: dict[str, int] = {}

@@ -30,7 +30,7 @@ from itertools import accumulate, chain, pairwise
 import numpy as np
 
 from .aspects import AspectSet, round_half_up
-from .errors import PruneError, SelectionExhausted, TermNotFoundError
+from .errors import PruneError, TermNotFoundError
 from .index import InvertedIndex, _compressed, subset_index
 
 log = logging.getLogger(__name__)
@@ -106,7 +106,6 @@ class SelectionState:
     """
 
     n_aspects: int
-    selected_positions: set[int] = field(default_factory=set)
     members: list[list[int]] = field(init=False)
     heap: list[tuple[float, int, int]] | None = field(default=None, init=False)
     disc: list[float] = field(default_factory=list, init=False)
@@ -144,48 +143,32 @@ def next_best(rel: RelevanceList, state: SelectionState, aspects: AspectSet) -> 
     bound on the current one.  The heap top is recomputed until a gain
     computed at the current stamp surfaces; that candidate beats every
     other.  Ties go to the higher-relevance doc, then to the ascending
-    doc_id, which is the list position in the heap key.
+    doc_id, which is the list position in the heap key.  Each call pops
+    one position, so at most len(rel) calls have a pick to return.
     """
     if state.heap is None:
         state.disc = [math.nan] + [discount(j) for j in range(1, len(rel) + 2)]
         state.heap = [(-_gain(rel, state, aspects, pos), pos, 0) for pos in range(len(rel))]
         heapq.heapify(state.heap)
     heap = state.heap
-    stamp = len(state.selected_positions)
-    while heap and heap[0][2] != stamp:
+    stamp = len(rel) - len(heap)
+    while heap[0][2] != stamp:
         pos = heap[0][1]
         heapq.heapreplace(heap, (-_gain(rel, state, aspects, pos), pos, stamp))
-    if not heap:
-        raise SelectionExhausted(f"every posting of {rel.term!r} is already selected")
     neg_gain, best_pos, _ = heapq.heappop(heap)
-    state.selected_positions.add(best_pos)
     chosen = rel.doc_ids[best_pos]
     for w in aspects.doc_map[chosen]:
         insort(state.members[w], best_pos)
     return chosen, -neg_gain
 
 
-@dataclass
-class DiversifyResult:
-    term: str
-    order: list[str]
-    gains: list[float]
-    value: float
-
-
-def diversify(rel: RelevanceList, aspects: AspectSet, k: int) -> DiversifyResult:
-    """Greedy selection of k postings, 0 <= k <= len(rel); `k_for` bounds
-    every budget the prune path passes."""
+def diversify(rel: RelevanceList, aspects: AspectSet, k: int) -> list[str]:
+    """The first k greedy picks, 0 <= k <= len(rel); `k_for` bounds every
+    budget the prune path passes.  `next_best` returns each pick's gain."""
     if not 0 <= k <= len(rel):
         raise PruneError(f"k must be in [0, {len(rel)}] for {rel.term!r}, got {k}")
     state = SelectionState(n_aspects=len(aspects.aspects))
-    order: list[str] = []
-    gains: list[float] = []
-    for _ in range(k):
-        doc, gain = next_best(rel, state, aspects)
-        order.append(doc)
-        gains.append(gain)
-    return DiversifyResult(term=rel.term, order=order, gains=gains, value=math.fsum(gains))
+    return [next_best(rel, state, aspects)[0] for _ in range(k)]
 
 
 # --- threshold baselines ------------------------------------------------
@@ -366,7 +349,7 @@ def posting_order(
     order = {}
     for term in index.terms():
         rel = relevance_scores(index, term, lam)
-        order[term] = diversify(rel, aspect_sets[term], depth(len(rel))).order
+        order[term] = diversify(rel, aspect_sets[term], depth(len(rel)))
     return order
 
 

@@ -808,6 +808,12 @@ def oracle_term_time_series(index, term: str, presence_only: bool = False) -> di
 
 # --- index reader (the slow definition of index.read_index) -----------------
 
+def _read_signed(r: _Reader) -> int:
+    """One zigzag varint: 0, 1, 2, 3, ... stand for 0, -1, 1, -2, ..."""
+    z = r.uv()
+    return z >> 1 if z % 2 == 0 else -(z + 1) // 2
+
+
 def oracle_read_index(path) -> InvertedIndex:
     """`read_index`, decoding each posting list one varint at a time.  The
     document ids, and each list's doc numbers, must be strictly ascending,
@@ -836,7 +842,7 @@ def oracle_read_index(path) -> InvertedIndex:
         wins = []
         for _ in range(r.uv()):
             try:
-                wins.append(TimeWindow(*(r.sv() for _ in range(4))))
+                wins.append(TimeWindow(*(_read_signed(r) for _ in range(4))))
             except ValueError as exc:
                 raise IndexFormatError(f"document {doc_id!r}: {exc}") from exc
         docs.append(doc_id)

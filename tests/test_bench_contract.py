@@ -1,6 +1,7 @@
 """What the benchmark in bench/ relies on: the names its tracer patches
-exist, every import kept only for the tracer is still patched, and every
-workload's `prune` arguments parse and are accepted.
+exist, every import kept only for the tracer is still patched, every
+workload's `prune` arguments parse and are accepted, and the library
+attributes its checks and counters read are there.
 
 Both bench modules are imported read-only; importing them runs nothing.
 """
@@ -9,7 +10,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from tempoprune import gmm
 from tempoprune.cli import build_parser
+from tempoprune.corpus import Corpus, Document
+from tempoprune.index import build_index
 from tempoprune.prune import check_prune_args
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -44,6 +48,19 @@ def test_every_workload_prune_parses():
                 ["prune", "--in", "base.bin", "--out", "pruned.bin", "--seed", "1", *extra]
             )
             check_prune_args(args.method, ratio=args.ratio, k=args.k, epsilon=args.epsilon)
+
+
+def test_posting_records_the_bench_reads():
+    # bench/run.py and bench/selftest.py compare pruned lists, and
+    # bench/spans.py counts scored postings, through `PostingList.postings`
+    index = build_index(Corpus(documents=[Document("d1", ["a", "b"]), Document("d2", ["a"])]))
+    assert [p.doc_id for p in index.lists["a"].postings] == ["d1", "d2"]
+    assert len(index.lists["b"].postings) == 1
+
+
+def test_fit_max_iter_default_the_tracer_reads():
+    # bench/spans.py counts fits that stop at `fit_gmm`'s default max_iter
+    assert isinstance(gmm.fit_gmm.__kwdefaults__["max_iter"], int)
 
 
 def test_every_tracer_only_import_is_traced():

@@ -461,6 +461,19 @@ def test_eval_malformed_qrels_or_run_exit_one(tmp_path, capsys, qrels_line, run_
     assert f"{tmp_path}/{message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_eval_run_depth_below_one_exits_one(tmp_path, capsys, depth):
+    qrels, run = tmp_path / "qrels.txt", tmp_path / "run.txt"
+    qrels.write_text("".join(f"q1 0 d{i} 1\n" for i in range(3)), encoding="utf-8")
+    run.write_text("".join(f"q1 Q0 d{i} {i + 1} {3 - i}.0 tag\n" for i in range(3)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--qrels", str(qrels), "--depth", depth]) == 1
+    captured = capsys.readouterr()
+    assert f"depth must be >= 1, got {depth}" in captured.err
+    assert "ndcg=" not in captured.out
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("subcommand", ["build", "genqueries", "eval-queries", "eval-qrels", "eval-run"])
 def test_bytes_that_are_not_utf8_exit_one(cli_dir, tmp_path, capsys, subcommand):
     bad = tmp_path / "bad.txt"

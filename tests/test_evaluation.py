@@ -142,6 +142,16 @@ def test_evaluate_results_all_excluded():
     assert evaluate_results([ranked("q", ["a"])], Qrels()) == (0.0, 0.0, 0)
 
 
+@pytest.mark.parametrize("depth", [0, -1, -2])
+def test_evaluate_results_rejects_depth_below_one(depth):
+    # a run file's hits are scored here, not through run_query, which
+    # rejects the same depths
+    results = [ranked("q", ["a", "b", "c"])]
+    qrels = Qrels({("q", "a"): 1, ("q", "b"): 1, ("q", "c"): 1})
+    with pytest.raises(QueryError, match=f"^depth must be >= 1, got {depth}$"):
+        evaluate_results(results, qrels, depth=depth)
+
+
 # --- qrels --------------------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from oracles import (
 )
 from tempoprune.aspects import Aspect, AspectSet, build_aspect_sets
 from tempoprune.corpus import Corpus, Document
-from tempoprune.errors import PruneError, SelectionExhausted, TermNotFoundError
+from tempoprune.errors import PruneError, TermNotFoundError
 from tempoprune.index import build_index, pruning_ratio, subset_index, write_index
 from tempoprune.prune import (
     METHODS,
@@ -47,6 +47,14 @@ from tempoprune.prune import (
 )
 from tempoprune.synth import random_corpus
 from tempoprune.timewindows import TimeWindow
+
+
+def _picks(rel, aset, k):
+    """(docs, gains) of the first k `next_best` calls: `diversify`'s picks
+    with the gain of each."""
+    state = SelectionState(n_aspects=len(aset.aspects))
+    picks = [next_best(rel, state, aset) for _ in range(k)]
+    return [doc for doc, _ in picks], [gain for _, gain in picks]
 
 
 def global_only_aspects(term, doc_ids):
@@ -127,7 +135,10 @@ def test_next_best_matches_oracle():
             assert got_doc == want_doc
             assert got_gain == pytest.approx(want_gain, abs=1e-12)
             selected.add(got_doc)
-            assert pos[got_doc] in state.selected_positions
+            # the heap holds exactly the unselected positions
+            assert sorted(p for _, p, _ in state.heap) == [
+                pos[d] for d in rel.doc_ids if d not in selected
+            ]
 
 
 def test_next_best_tie_prefers_higher_score_then_doc_id():
@@ -139,23 +150,14 @@ def test_next_best_tie_prefers_higher_score_then_doc_id():
     assert next_best(rel, state, aset)[0] == "dc"
 
 
-def test_next_best_exhausted():
-    rel = RelevanceList(term="t", doc_ids=["d1"], scores=[0.4])
-    aset = global_only_aspects("t", ["d1"])
-    state = SelectionState(n_aspects=1)
-    next_best(rel, state, aset)
-    with pytest.raises(SelectionExhausted):
-        next_best(rel, state, aset)
-
-
 def test_diversify_gains_telescope_and_diminish():
     for seed in range(25):
         rel, aset = make_instance(seed)
-        result = diversify(rel, aset, len(rel))
-        assert result.value == pytest.approx(oracle_criterion(result.order, rel, aset), abs=1e-9)
-        for a, b in zip(result.gains, result.gains[1:]):
+        order, gains = _picks(rel, aset, len(rel))
+        assert math.fsum(gains) == pytest.approx(oracle_criterion(order, rel, aset), abs=1e-9)
+        for a, b in zip(gains, gains[1:]):
             assert b <= a + 1e-12
-        assert sorted(result.order) == sorted(rel.doc_ids)
+        assert sorted(order) == sorted(rel.doc_ids)
 
 
 def test_diversify_greedy_meets_bound():
@@ -164,8 +166,8 @@ def test_diversify_greedy_meets_bound():
     for seed in range(20):
         rel, aset = make_instance(seed, max_docs=8, max_aspects=3)
         k = min(3, len(rel))
-        result = diversify(rel, aset, k)
-        assert result.value >= bound * oracle_optimum(rel, aset, k) - 1e-12
+        _, gains = _picks(rel, aset, k)
+        assert math.fsum(gains) >= bound * oracle_optimum(rel, aset, k) - 1e-12
 
 
 def test_diversify_rejects_negative_k():
@@ -174,7 +176,7 @@ def test_diversify_rejects_negative_k():
     for k in (-1, len(rel) + 1, len(rel) + 10):
         with pytest.raises(PruneError, match=rf"k must be in \[0, {len(rel)}\]"):
             diversify(rel, aset, k)
-    assert len(diversify(rel, aset, len(rel)).order) == len(rel)
+    assert len(diversify(rel, aset, len(rel))) == len(rel)
 
 
 def test_diversify_single_global_aspect_is_relevance_topk():
@@ -182,8 +184,7 @@ def test_diversify_single_global_aspect_is_relevance_topk():
         rel, _ = make_instance(seed)
         aset = global_only_aspects(rel.term, rel.doc_ids)
         k = max(1, len(rel) // 2)
-        result = diversify(rel, aset, k)
-        assert result.order == rel.doc_ids[:k]
+        assert diversify(rel, aset, k) == rel.doc_ids[:k]
 
 
 # --- lazy greedy against the full-list scan ----------------------------------
@@ -195,9 +196,8 @@ def test_lazy_greedy_matches_scan_on_tied_instances():
         rel, aset = make_tied_instance(seed)
         k = rng.randint(0, len(rel))
         order, gains = scan_diversify(rel, aset, k)
-        result = diversify(rel, aset, k)
-        assert result.order == order, seed
-        assert result.gains == gains, seed
+        assert diversify(rel, aset, k) == order, seed
+        assert _picks(rel, aset, k) == (order, gains), seed
 
 
 def test_lazy_greedy_and_scan_exhaust_together():
@@ -207,10 +207,9 @@ def test_lazy_greedy_and_scan_exhaust_together():
         scan = ScanState(n_aspects=len(aset.aspects))
         for _ in range(len(rel)):
             assert next_best(rel, lazy, aset) == scan_next_best(rel, scan, aset)
-        assert lazy.selected_positions == scan.selected_positions == set(range(len(rel)))
+        assert scan.selected_positions == set(range(len(rel)))
         assert scan_next_best(rel, scan, aset) is None
-        with pytest.raises(SelectionExhausted):
-            next_best(rel, lazy, aset)
+        assert lazy.heap == []
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -226,9 +225,8 @@ def test_lazy_prune_matches_scan_on_real_lists(seed, model, tmp_path):
         # greedy picks do not depend on k: one scan serves both budgets
         order, gains = scan_diversify(rel, aspect_sets[term], max(ks))
         for keep, k in zip(scan_keep, ks):
-            result = diversify(rel, aspect_sets[term], k)
-            assert result.order == order[:k], term
-            assert result.gains == gains[:k], term
+            assert diversify(rel, aspect_sets[term], k) == order[:k], term
+            assert _picks(rel, aspect_sets[term], k) == (order[:k], gains[:k]), term
             keep[term] = set(order[:k])
     for ratio, keep in zip(ratios, scan_keep):
         lazy = diversified_topk_prune(index, aspect_sets, ratio=ratio)
@@ -292,7 +290,7 @@ def test_full_posting_order_cut_at_every_k_equals_diversify(monkeypatch):
         monkeypatch.setattr(prune, "relevance_scores", lambda *args: rel)
         order = posting_order(index, "div-simple", {"tied": aset}, lambda n: n)["tied"]
         for k in range(1, len(rel) + 1):
-            want = diversify(rel, aset, k).order
+            want = diversify(rel, aset, k)
             assert order[:k] == want, (seed, k)
             pruned, info = cut(index, "div-simple", {"tied": order}, k=k)
             assert {p.doc_id for p in pruned.lists["tied"].postings} == set(want), (seed, k)
