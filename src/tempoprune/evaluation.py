@@ -98,16 +98,18 @@ def _split_lines(lines, path, n_fields: int):
         yield lineno, fields
 
 
-def _text_file(path, error) -> io.StringIO:
-    """`path`'s text (`read_text`), its lines split on universal newlines;
-    bytes that are not UTF-8 raise `error` naming path:line."""
-    text = read_text(path, error, lambda t: io.StringIO(t, newline=None).readlines())
-    return io.StringIO(text, newline=None)
+def _text_lines(path, error):
+    """`path`'s lines as read (UTF-8, universal newlines); bytes that are not UTF-8 raise `error`."""
+    try:
+        with open(path, encoding="utf-8", newline=None) as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        read_text(path, error, lambda t: io.StringIO(t, newline=None).readlines())
+        raise
 
 
 def read_qrels(path) -> Qrels:
-    with _text_file(path, EvalFormatError) as fh:
-        return Qrels.from_lines(fh, path)
+    return Qrels.from_lines(_text_lines(path, EvalFormatError), path)
 
 
 def write_qrels(qrels: Qrels, path) -> None:
@@ -282,19 +284,18 @@ def write_queries(queries: list[Query], path) -> None:
 def _jsonl_objects(path):
     """("path:line", record) for each non-blank line; QueryError on a line
     that is not UTF-8 or not a JSON object, or is nested too deeply to decode."""
-    with _text_file(path, QueryError) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json_line(line)
-            except ValueError as exc:
-                raise QueryError(f"{where}: not JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise QueryError(f"{where}: expected a JSON object, got {line:.60}")
-            yield where, record
+    for lineno, line in enumerate(_text_lines(path, QueryError), 1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json_line(line)
+        except ValueError as exc:
+            raise QueryError(f"{where}: not JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise QueryError(f"{where}: expected a JSON object, got {line:.60}")
+        yield where, record
 
 
 def _is_day_quadruple(w) -> bool:
@@ -362,15 +363,14 @@ def read_run(path) -> list[RankedResult]:
     per-qid results, rank order restored from scores.  A bad line raises
     EvalFormatError naming path:line."""
     by_qid: dict[str, list[tuple[str, float]]] = {}
-    with _text_file(path, EvalFormatError) as fh:
-        for lineno, (qid, _, doc, _, s, _) in _split_lines(fh, path, 6):
-            try:
-                score = float(s)
-            except ValueError:
-                raise EvalFormatError(f"{path}:{lineno}: score must be a number, got {s!r:.60}") from None
-            if not math.isfinite(score):
-                raise EvalFormatError(f"{path}:{lineno}: score must be finite, got {s!r:.60}")
-            by_qid.setdefault(qid, []).append((doc, score))
+    for lineno, (qid, _, doc, _, s, _) in _split_lines(_text_lines(path, EvalFormatError), path, 6):
+        try:
+            score = float(s)
+        except ValueError:
+            raise EvalFormatError(f"{path}:{lineno}: score must be a number, got {s!r:.60}") from None
+        if not math.isfinite(score):
+            raise EvalFormatError(f"{path}:{lineno}: score must be finite, got {s!r:.60}")
+        by_qid.setdefault(qid, []).append((doc, score))
     results = []
     for qid in sorted(by_qid):
         hits = sorted(by_qid[qid], key=lambda e: (-e[1], e[0]))

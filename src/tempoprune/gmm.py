@@ -21,22 +21,21 @@ number of distinct days and fits them in groups of at most
 `EM_CELL_BUDGET` padded cells (or as many as its largest series needs),
 every group in one shared workspace.  Padding reorders numpy's pairwise
 sums over days, so a series fitted among others can differ from its own
-`select_k_bic` in the last digits.  Large calls share their groups with
-forked worker processes, one per further CPU; a group is always fitted
-whole, so the fits do not depend on the number of CPUs.
+`select_k_bic` in the last digits.  The groups are the tasks of one
+`workers.fork_map`, each fitted whole in one process, so the fits do not
+depend on the number of CPUs.
 """
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import FitError, PruneError, TempopruneError
+from .errors import FitError, PruneError
+from .workers import fork_map
 
 if TYPE_CHECKING:  # pragma: no cover
     from .aspects import TermTimeSeries
@@ -51,13 +50,9 @@ EM_TOL = 1e-6
 # benchmark corpora, 16,384 cells took about 1.15x the EM time of 32,768,
 # and 65,536 took no less, with 1.65x the traced peak.
 EM_CELL_BUDGET = 32768
-# Padded cells in all below which `select_k_bic_each` forks no worker.  A
-# fork, the reply and the wait add about 6-8 ms on a 2-vCPU host, and a
-# group runs about as many iterations whatever its size, so a second share
-# pays only once it holds about a whole group: on bench-shaped inputs two
-# shares lost below about 50,000 cells and won above about 66,000.  Three
-# groups' worth keeps a margin above that.
-FORK_MIN_CELLS = 98304
+# Padded cells in all below which `select_k_bic_each` forks no worker: two
+# pinned processes broke even at about 40,000 cells (README, "Forked workers").
+FORK_MIN_CELLS = 65536
 
 
 @dataclass
@@ -351,111 +346,12 @@ def select_k_bic_each(series: Sequence["TermTimeSeries"], k_max: int = DEFAULT_K
         groups[-1].append(i)
         rows += size
     batches = [[(series[i], ks[i]) for i in group] for group in groups]
-    chosen: list[GmmFit] = [None] * len(series)  # type: ignore[list-item]
-    for group, fits in zip(groups, _fit_batches(batches, seed)):
-        for i, [fit] in zip(group, fits):
-            chosen[i] = fit
-    return chosen
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _fit_batches(batches: Sequence[Sequence[tuple["TermTimeSeries", Sequence[int]]]],
-                 seed: int) -> list[list[list[GmmFit]]]:
-    """Every batch's lowest-BIC fits, in order.  The batches are dealt to
-    min(CPUs, batches) shares, largest first to the share with the fewest
-    padded cells; this process fits the first share and a forked child each
-    other one, replying with one pickle through a pipe.  A batch is fitted
-    whole in one process, so its fits do not depend on the shares.  With
-    fewer than `FORK_MIN_CELLS` cells in all, one CPU or no `os.fork`,
-    there is one share and no child.  When batches fail, the error of the
-    first in order is raised, once every child has ended."""
-    cells = [_regions(batch, EM_MAX_ITER)[0] for batch in batches]
-    forking = hasattr(os, "fork") and len(batches) > 1 and sum(cells) >= FORK_MIN_CELLS
-    shares = _shares(cells, min(_cpus(), len(batches)) if forking else 1)
-    pipes = {}  # child pid -> the read end of its reply pipe
-    data: dict[int, bytes] = {}
-    try:
-        for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:  # the child replies, then leaves with no cleanup and no stdio flush
-                status = 1
-                try:
-                    os.close(read_end)
-                    with open(write_end, "wb") as pipe:
-                        pickle.dump(_fit_share(batches, share, seed), pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            pipes[pid] = open(read_end, "rb")
-        replies = [_fit_share(batches, shares[0], seed)]
-        # every pipe is read to its end before any child is waited for: a
-        # child blocks on a full pipe until its reply is read
-        data = {pid: pipe.read() for pid, pipe in pipes.items()}
-    finally:
-        interrupted = len(data) < len(pipes)  # then no reply is awaited
-        ended = {}
-        for pid, pipe in pipes.items():
-            pipe.close()
-            if interrupted:
-                os.kill(pid, signal.SIGKILL)
-            ended[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    for pid, status in ended.items():
-        if status:
-            how = f"signal {-status}" if status < 0 else f"exit status {status}"
-            raise TempopruneError(f"EM worker process {pid} ended without a reply ({how})")
-    replies += [pickle.loads(reply) for reply in data.values()]
-    fitted = {}
-    failures = []
-    for done, failure in replies:
-        fitted.update(done)
-        if failure:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return [fitted[b] for b in range(len(batches))]
-
-
-def _shares(cells: list[int], n: int) -> list[list[int]]:
-    """The batches, by index, dealt to `n` shares: largest first (ties: in
-    order), each to the share with the fewest cells so far (ties: the
-    first); each share in batch order."""
-    shares: list[list[int]] = [[] for _ in range(n)]
-    loads = [0] * n
-    for b in sorted(range(len(cells)), key=lambda b: -cells[b]):
-        s = loads.index(min(loads))
-        shares[s].append(b)
-        loads[s] += cells[b]
-    return [sorted(share) for share in shares]
-
-
-def _fit_share(batches: Sequence[Sequence[tuple["TermTimeSeries", Sequence[int]]]], share: list[int],
-               seed: int) -> tuple[dict[int, list[list[GmmFit]]], tuple[int, Exception] | None]:
-    """The fits of the batches `share` names, in order, in one workspace,
-    up to the first batch that raises: ({batch: fits}, (batch, error) or
-    None)."""
-    work = np.empty(max((sum(_regions(batches[b], EM_MAX_ITER)) for b in share), default=0))
-    fitted = {}
-    for b in share:
-        try:
-            fitted[b] = _em(batches[b], seed, max_iter=EM_MAX_ITER, tol=EM_TOL,
-                            var_floor=VAR_FLOOR, work=work, best=True)
-        except Exception as exc:  # the caller raises the first batch's error
-            return fitted, (b, exc)
-    return fitted, None
+    work = np.empty(max((sum(_regions(b, EM_MAX_ITER)) for b in batches), default=0))
+    fitted = fork_map(lambda b: _em(batches[b], seed, max_iter=EM_MAX_ITER, tol=EM_TOL, var_floor=VAR_FLOOR,
+                                    work=work, best=True),
+                      [_regions(b, EM_MAX_ITER)[0] for b in batches], FORK_MIN_CELLS)
+    chosen = dict(zip(chain.from_iterable(groups), chain.from_iterable(fitted)))
+    return [chosen[i][0] for i in range(len(series))]
 
 
 def select_k_bic(series: "TermTimeSeries", k_max: int = DEFAULT_K_MAX, seed: int = 0) -> GmmFit:

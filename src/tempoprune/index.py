@@ -201,6 +201,20 @@ def _write_uv(buf: bytearray, value: int) -> None:
             return
 
 
+def _write_uvs(buf: bytearray, values: list[int]) -> None:
+    """`_write_uv` of each value in turn, in one pass; values all below 0x80 are their own bytes."""
+    if values and min(values) < 0:
+        raise ValueError("varint must be non-negative")
+    if values and max(values) < 0x80:
+        buf += bytes(values)
+        return
+    for value in values:
+        while value >= 0x80:
+            buf.append(value & 0x7F | 0x80)
+            value >>= 7
+        buf.append(value)
+
+
 def _zigzag(n: int) -> int:
     return 2 * n if n >= 0 else -2 * n - 1
 
@@ -375,15 +389,10 @@ def write_index(index: InvertedIndex, path) -> None:
         _write_uv(payload, index.stats.df[term])
         _write_uv(payload, index.stats.ctf[term])
         _write_uv(payload, len(pl.doc_ids))
-        # the first doc number goes out whole, each later one as a gap; a
-        # run of one-byte varints (the tfs, a dense list's gaps) is its values
+        # the first doc number goes out whole, each later one as a gap
         nums = list(map(doc_ord.__getitem__, pl.doc_ids))
         for run in (nums[:1], list(map(sub, nums[1:], nums)), pl.tfs):
-            if run and 0 <= min(run) and max(run) < 0x80:
-                payload += bytes(run)
-            else:
-                for value in run:
-                    _write_uv(payload, value)
+            _write_uvs(payload, run)
     flags = 1 if index.pruned else 0
     blob = _HEADER.pack(MAGIC, FORMAT_VERSION, flags, len(payload))
     blob += bytes(payload) + hashlib.sha256(payload).digest()

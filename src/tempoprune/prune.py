@@ -15,7 +15,9 @@ is a `cut` of one `posting_order` per method: the first `k_for` greedy
 picks of each term (div-*), or the postings whose statistic is not below
 epsilon (tcp/ipu/2n2p).  `next_best` runs lazy greedy; its slow
 definitions (the criterion from scratch, the full-list scan) live in
-tests/oracles.py.
+tests/oracles.py.  The greedy terms are the tasks of one
+`workers.fork_map`, each term run whole in one process, so the picks do
+not depend on the number of CPUs.
 """
 from __future__ import annotations
 
@@ -32,12 +34,16 @@ import numpy as np
 from .aspects import AspectSet, round_half_up
 from .errors import PruneError, TermNotFoundError
 from .index import InvertedIndex, _compressed, subset_index
+from .workers import fork_map
 
 log = logging.getLogger(__name__)
 
 JM_LAMBDA = 0.6
 TCP_K = 10
 RATIO_TOLERANCE = 0.01
+# List length times greedy depth, summed over terms, below which `posting_order`
+# forks no worker: two pinned processes broke even near 40,000 (README, "Forked workers").
+FORK_MIN_PICK_CELLS = 80_000
 
 
 @dataclass(frozen=True)
@@ -346,11 +352,12 @@ def posting_order(
     missing = [t for t in index.terms() if t not in aspect_sets]
     if missing:
         raise PruneError(f"no aspect set for terms: {missing[:5]}")
-    order = {}
-    for term in index.terms():
-        rel = relevance_scores(index, term, lam)
-        order[term] = diversify(rel, aspect_sets[term], depth(len(rel)))
-    return order
+    terms = index.terms()
+    sizes = [len(index.lists[t].doc_ids) for t in terms]
+    depths = list(map(depth, sizes))
+    picks = fork_map(lambda i: diversify(relevance_scores(index, terms[i], lam), aspect_sets[terms[i]], depths[i]),
+                     [n * k for n, k in zip(sizes, depths)], FORK_MIN_PICK_CELLS)
+    return dict(zip(terms, picks))
 
 
 def cut(

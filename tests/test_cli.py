@@ -6,10 +6,10 @@ subprocesses.  A small seeded corpus is staged once per module and the
 build -> prune -> query -> eval chain runs over the staged artifacts.
 """
 import json
-import os
 
 import pytest
 
+from forking import assert_no_child_left, forking, in_one_process
 from tempoprune import gmm
 from tempoprune.cli import main
 from tempoprune.corpus import Corpus, Document, write_corpus
@@ -121,27 +121,22 @@ def test_prune_div_manifest_reports_achieved_ratio(cli_dir, capsys):
 
 
 def test_div_dynamic_prune_on_forked_workers_writes_the_one_process_bytes(cli_dir, tmp_path, monkeypatch):
-    """With its EM groups shared among forked workers, a div-dynamic prune
-    writes the index and manifest of the one-process prune, and leaves no
-    process behind."""
+    """With its EM groups and greedy terms shared among forked workers, a
+    div-dynamic prune writes the index and manifest of the one-process
+    prune, and leaves no process behind."""
     out = tmp_path / "dyn.bin"
     manifest = tmp_path / "dyn.bin.manifest.json"
     argv = ["prune", "--in", str(cli_dir / "idx.bin"), "--out", str(out),
             "--method", "div-dynamic", "--ratio", "0.5", "--k-max", "5", "--seed", "0"]
     monkeypatch.setattr(gmm, "EM_CELL_BUDGET", 1)  # about one group per term
-    monkeypatch.setattr(gmm, "_cpus", lambda: 1)
+    in_one_process(monkeypatch)
     assert main(argv) == 0
     alone = out.read_bytes(), manifest.read_bytes()
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(gmm.os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(gmm, "_cpus", lambda: 3)
-    monkeypatch.setattr(gmm, "FORK_MIN_CELLS", 0)
+    forks = forking(monkeypatch, cpus=3)
     assert main(argv) == 0
-    assert forks == [1, 1]
+    assert forks == [1] * 4  # two children for the EM groups, two for the greedy
     assert (out.read_bytes(), manifest.read_bytes()) == alone
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
 
 
 def test_prune_threshold_tuned_manifest(cli_dir, tmp_path, capsys):

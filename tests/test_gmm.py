@@ -8,14 +8,14 @@ import signal
 import subprocess
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from forking import Placement, assert_no_child_left, forking, in_one_process, within
 from oracles import oracle_em, oracle_fit_gmm, oracle_seed_means, oracle_select_k_bic
-from tempoprune import aspects, gmm
+from tempoprune import aspects, gmm, workers
 from tempoprune.aspects import TermTimeSeries, build_aspect_sets, component_window, term_time_series
 from tempoprune.errors import FitError, PruneError, TempopruneError
 from tempoprune.gmm import VAR_FLOOR, fit_gmm, select_k_bic
@@ -333,8 +333,10 @@ def _many_series() -> list[TermTimeSeries]:
 
 
 def _grouped(monkeypatch, budget):
-    """select_k_bic_each under `budget`, and the number of batches it ran."""
+    """select_k_bic_each under `budget`, in this process, and the number of
+    batches it ran."""
     monkeypatch.setattr(gmm, "EM_CELL_BUDGET", budget)
+    in_one_process(monkeypatch)
     batches = []
     em = gmm._em
 
@@ -464,70 +466,51 @@ def test_prefix_seeding_equals_per_k_seeding(seed):
 # --- groups fitted in forked workers -----------------------------------------
 
 
-def _forking(monkeypatch, cpus=2):
-    """Force the worker map: `cpus` CPUs and no size floor; returns the list
-    that each fork appends to, in this process."""
-    monkeypatch.setattr(gmm, "_cpus", lambda: cpus)
-    monkeypatch.setattr(gmm, "FORK_MIN_CELLS", 0)
-    forks = []
-    fork = os.fork
-
-    def counting():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(gmm.os, "fork", counting)
-    return forks
-
-
-def _in_one_process(monkeypatch, series, k_max, seed):
-    monkeypatch.setattr(gmm, "_cpus", lambda: 1)
-    return gmm.select_k_bic_each(series, k_max=k_max, seed=seed)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextmanager
-def _within(seconds):
-    """Fail, rather than hang, when the block takes longer than `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _bench_series(seed):
     """The dated terms of the em-dynamic benchmark's corpus."""
     index = build_index(random_corpus(n_docs=300, seed=seed, vocab_size=50))
     return [s for s in (term_time_series(index, t) for t in index.terms()) if s.counts]
 
 
-def _first_terms(monkeypatch, series, k_max, seed):
-    """The first term of each batch that `select_k_bic_each` fits, in its
-    order, and those of the batches this process fits when forking."""
+def _groups(monkeypatch, series, k_max, seed):
+    """The first term of each group that `select_k_bic_each` fits, in
+    order, and that of the group of the first claim."""
     em = gmm._em
     seen = []
 
     def recording(batch, *args, **kwargs):
-        seen.append(batch[0][0].term)
+        seen.append((batch[0][0].term, gmm._regions(batch, gmm.EM_MAX_ITER)[0]))
         return em(batch, *args, **kwargs)
 
     monkeypatch.setattr(gmm, "_em", recording)
-    _in_one_process(monkeypatch, series, k_max, seed)
-    every, seen[:] = list(seen), []
-    _forking(monkeypatch, cpus=3)
+    in_one_process(monkeypatch)
     gmm.select_k_bic_each(series, k_max=k_max, seed=seed)
     monkeypatch.setattr(gmm, "_em", em)
-    return every, list(seen)
+    return [t for t, _ in seen], seen[workers._claims([cells for _, cells in seen])[0][0]][0]
+
+
+def _placed(monkeypatch, failing, held, awaited):
+    """Place the EM groups (`Placement`): this process holds in the group
+    whose first term is `held` until a child has fitted the one of
+    `awaited`; the groups of the `failing` terms raise FitError wherever
+    they are fitted."""
+    place = Placement(monkeypatch, cpus=3)
+    em = gmm._em
+
+    def placed(batch, *args, **kwargs):
+        term = batch[0][0].term
+        try:
+            if term == held and place.here():
+                place.hold()
+            if term in failing:
+                raise FitError(f"{term!r}: failed")
+            return em(batch, *args, **kwargs)
+        finally:
+            if term == awaited and not place.here():
+                place.ran()
+
+    monkeypatch.setattr(gmm, "_em", placed)
+    return place
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -535,123 +518,126 @@ def _first_terms(monkeypatch, series, k_max, seed):
 def test_worker_fits_equal_the_one_process_fits(monkeypatch, budget, cpus):
     many = _many_series()
     monkeypatch.setattr(gmm, "EM_CELL_BUDGET", budget)
-    alone = _in_one_process(monkeypatch, many, 6, 3)
-    forks = _forking(monkeypatch, cpus)
-    with _within(120):
+    in_one_process(monkeypatch)
+    alone = gmm.select_k_bic_each(many, k_max=6, seed=3)
+    forks = forking(monkeypatch, cpus)
+    with within(120):
         forked = gmm.select_k_bic_each(many, k_max=6, seed=3)
     assert len(forks) == cpus - 1
     assert len(forked) == len(alone)
     for fast, slow in zip(forked, alone):
         _assert_identical(fast, slow)
         assert _windows(fast) == _windows(slow)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_worker_fits_equal_the_one_process_fits_on_bench_corpora(monkeypatch, seed):
     series = _bench_series(seed)
-    alone = _in_one_process(monkeypatch, series, 5, seed)
-    forks = _forking(monkeypatch)
-    with _within(120):
+    in_one_process(monkeypatch)
+    alone = gmm.select_k_bic_each(series, k_max=5, seed=seed)
+    forks = forking(monkeypatch)
+    with within(120):
         forked = gmm.select_k_bic_each(series, k_max=5, seed=seed)
     assert len(forks) == 1
     for fast, slow in zip(forked, alone, strict=True):
         _assert_identical(fast, slow)
         assert _windows(fast) == _windows(slow)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_no_worker_without_cpus_groups_cells_or_fork(monkeypatch):
     floor = gmm.FORK_MIN_CELLS
     many = _many_series()
     monkeypatch.setattr(gmm, "EM_CELL_BUDGET", 1)  # 25 groups, 57,600 cells
-    forks = _forking(monkeypatch)
+    forks = forking(monkeypatch)
     gmm.select_k_bic(many[-1], k_max=4, seed=0)  # one group
     monkeypatch.setattr(gmm, "FORK_MIN_CELLS", floor)
     gmm.select_k_bic_each(many, k_max=6, seed=3)  # too few cells
     monkeypatch.setattr(gmm, "FORK_MIN_CELLS", 0)
-    monkeypatch.setattr(gmm, "_cpus", lambda: 1)
+    in_one_process(monkeypatch)
     gmm.select_k_bic_each(many, k_max=6, seed=3)  # one CPU
-    monkeypatch.setattr(gmm, "_cpus", lambda: 2)
-    monkeypatch.delattr(gmm.os, "fork")
+    monkeypatch.setattr(workers, "_cpus", lambda: [0, 1])
+    monkeypatch.delattr(workers.os, "fork")
     gmm.select_k_bic_each(many, k_max=6, seed=3)  # no fork
     assert forks == []
 
 
-def test_shares_deal_the_largest_batches_first_to_the_lightest_share():
-    assert gmm._shares([5, 9, 9, 2, 7], 2) == [[1, 4], [0, 2, 3]]  # 16 and 16 cells
-    assert gmm._shares([5, 9, 9, 2, 7], 1) == [[0, 1, 2, 3, 4]]
-    assert gmm._shares([1, 1, 1], 3) == [[0], [1], [2]]
+def _many_with_a_tie():
+    """`_many_series`, and a copy of its largest series under another name,
+    fitted in the last group: at budget 1 the largest group ties with it and
+    is the first claim, but not the last group."""
+    many = _many_series()
+    last = max(many, key=lambda s: len(s.counts))
+    return many + [TermTimeSeries(term="last-copy", counts=dict(last.counts))]
 
 
 def test_a_fit_error_in_a_worker_reaches_the_caller(monkeypatch):
-    many = _many_series()
+    """The first group fails in a child, while this process holds in the
+    first claim: the caller raises the error the serial loop raises."""
+    many = _many_with_a_tie()
     monkeypatch.setattr(gmm, "EM_CELL_BUDGET", 1)
-    every, own = _first_terms(monkeypatch, many, 6, 3)
-    parent = os.getpid()
-    em = gmm._em
-
-    def failing(batch, *args, **kwargs):
-        if os.getpid() != parent:
-            raise FitError(f"{batch[0][0].term!r}: failed in a worker")
-        return em(batch, *args, **kwargs)
-
-    monkeypatch.setattr(gmm, "_em", failing)
-    _forking(monkeypatch, cpus=3)
-    first = next(t for t in every if t not in own)
-    with _within(120), pytest.raises(FitError) as info:
-        gmm.select_k_bic_each(many, k_max=6, seed=3)
+    order, first_claim = _groups(monkeypatch, many, 6, 3)
+    assert first_claim not in (order[0], order[-1])
+    place = _placed(monkeypatch, failing={order[0]}, held=first_claim, awaited=order[0])
+    try:
+        with within(120), pytest.raises(FitError) as info:
+            gmm.select_k_bic_each(many, k_max=6, seed=3)
+    finally:
+        place.close()
     assert type(info.value) is FitError
-    assert str(info.value) == f"{first!r}: failed in a worker"
-    _assert_no_child_left()
+    assert str(info.value) == f"{order[0]!r}: failed"
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("first_in", ["this process", "a worker"])
 def test_of_two_failing_groups_the_first_in_order_raises(monkeypatch, first_in):
-    many = _many_series()
+    """Two groups fail, the first claim in this process and another in a
+    child, before it (a worker) or after it (this process) in order."""
+    many = _many_with_a_tie()
     monkeypatch.setattr(gmm, "EM_CELL_BUDGET", 1)
-    every, own = _first_terms(monkeypatch, many, 6, 3)
-    theirs = [t for t in every if t not in own]
-    if first_in == "this process":
-        failing_terms = [own[0], next(t for t in theirs if every.index(t) > every.index(own[0]))]
-    else:
-        failing_terms = [theirs[0], next(t for t in own if every.index(t) > every.index(theirs[0]))]
-    em = gmm._em
-
-    def failing(batch, *args, **kwargs):
-        if batch[0][0].term in failing_terms:
-            raise FitError(f"{batch[0][0].term!r}: failed")
-        return em(batch, *args, **kwargs)
-
-    monkeypatch.setattr(gmm, "_em", failing)
-    _forking(monkeypatch, cpus=3)
-    with _within(120), pytest.raises(FitError, match=f"^{failing_terms[0]!r}: failed$"):
-        gmm.select_k_bic_each(many, k_max=6, seed=3)
-    _assert_no_child_left()
+    order, first_claim = _groups(monkeypatch, many, 6, 3)
+    assert first_claim not in (order[0], order[-1])
+    other = order[-1] if first_in == "this process" else order[0]
+    first = first_claim if first_in == "this process" else other
+    place = _placed(monkeypatch, failing={first_claim, other}, held=first_claim, awaited=other)
+    try:
+        with within(120), pytest.raises(FitError, match=f"^{first!r}: failed$"):
+            gmm.select_k_bic_each(many, k_max=6, seed=3)
+    finally:
+        place.close()
+    assert_no_child_left()
 
 
 def test_a_worker_that_dies_without_a_reply_raises(monkeypatch):
-    parent = os.getpid()
     em = gmm._em
+    place = Placement(monkeypatch)
+    held = []
 
     def dying(batch, *args, **kwargs):
-        if os.getpid() != parent:
+        if not place.here():
+            place.ran()
             os.kill(os.getpid(), signal.SIGKILL)
+        if not held:  # this process's first group, held until a child dies in its own
+            held.append(1)
+            place.hold()
         return em(batch, *args, **kwargs)
 
     monkeypatch.setattr(gmm, "EM_CELL_BUDGET", 1)
     monkeypatch.setattr(gmm, "_em", dying)
-    _forking(monkeypatch)
-    with _within(120), pytest.raises(TempopruneError, match=r"ended without a reply \(signal 9\)") as info:
-        gmm.select_k_bic_each(_many_series(), k_max=6, seed=3)
+    try:
+        with within(120), pytest.raises(TempopruneError, match=r"ended without a reply \(signal 9\)") as info:
+            gmm.select_k_bic_each(_many_series(), k_max=6, seed=3)
+    finally:
+        place.close()
     assert type(info.value) is TempopruneError
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_reply_larger_than_a_pipe_arrives_whole(monkeypatch):
-    """Each fit carries 20,000 extra trace entries, so each worker's reply
-    fills the pipe many times over: it is read before the worker is waited
-    for."""
+    """Each fit carries 20,000 extra trace entries, so a child's reply fills
+    the pipe many times over: it is read before the child is waited for.
+    This process holds in its first group until the child has fitted one."""
     em = gmm._em
 
     def padded(batch, *args, **kwargs):
@@ -662,26 +648,44 @@ def test_a_reply_larger_than_a_pipe_arrives_whole(monkeypatch):
 
     many = _many_series()
     monkeypatch.setattr(gmm, "_em", padded)
-    alone = _in_one_process(monkeypatch, many, 6, 3)
-    forks = _forking(monkeypatch)
-    with _within(120):
-        forked = gmm.select_k_bic_each(many, k_max=6, seed=3)
-    assert forks == [1]
+    in_one_process(monkeypatch)
+    alone = gmm.select_k_bic_each(many, k_max=6, seed=3)
+    place = Placement(monkeypatch)
+    held = []
+
+    def placed(batch, *args, **kwargs):
+        if place.here() and not held:
+            held.append(1)
+            place.hold()
+        try:
+            return padded(batch, *args, **kwargs)
+        finally:
+            if not place.here():
+                place.ran()
+
+    monkeypatch.setattr(gmm, "_em", placed)
+    try:
+        with within(120):
+            forked = gmm.select_k_bic_each(many, k_max=6, seed=3)
+    finally:
+        place.close()
+    assert place.forks == [1]
     assert min(len(pickle.dumps(fit)) for fit in forked) > 64 * 1024  # a worker replies with one fit or more
     for fast, slow in zip(forked, alone, strict=True):
         _assert_identical(fast, slow)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_workers_neither_write_nor_flush_the_callers_stdio():
     """Text buffered in this process's stdout before the fork is written
     once, by this process, and the workers write nothing."""
     code = (
-        "from tempoprune import gmm\n"
+        "from tempoprune import gmm, workers\n"
         "from tempoprune.aspects import term_time_series\n"
         "from tempoprune.index import build_index\n"
         "from tempoprune.synth import random_corpus\n"
-        "gmm._cpus = lambda: 3\n"
+        "workers._cpus = lambda: [0, 1, 2]\n"
+        "gmm.FORK_MIN_CELLS = 0\n"
         "index = build_index(random_corpus(n_docs=300, seed=1, vocab_size=50))\n"
         "series = [s for s in (term_time_series(index, t) for t in index.terms()) if s.counts]\n"
         "print('buffered', end='')\n"

@@ -17,6 +17,8 @@ from tempoprune.index import (
     build_index,
     pruning_ratio,
     read_index,
+    _write_uv,
+    _write_uvs,
     subset_index,
     verify_index,
     write_index,
@@ -531,6 +533,34 @@ def test_write_index_matches_oracle_at_varint_boundaries(tmp_path, nums, tfs):
     oracle_write_index(index, tmp_path / "slow.idx")
     assert (tmp_path / "fast.idx").read_bytes() == (tmp_path / "slow.idx").read_bytes()
     assert read_index(tmp_path / "fast.idx").lists == index.lists
+
+
+_BOUNDARIES = [0x7F, 0x80, 0x3FFF, 0x4000, 2**35]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [0], [1, 2, 3, 0x7F], *([v] for v in _BOUNDARIES), _BOUNDARIES, _BOUNDARIES[::-1],
+     [1, 0x80, 2, 0x4000, 3, 2**35, 0x7F, 0x3FFF, 0, 2**63 - 1]],
+)
+def test_a_run_of_varints_is_each_varint_in_turn(values):
+    one_by_one = bytearray(b"head")
+    for v in values:
+        _write_uv(one_by_one, v)
+    run = bytearray(b"head")
+    _write_uvs(run, values)
+    assert run == one_by_one
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_BOUNDARIES), st.integers(0, 2**40))))
+def test_a_random_run_of_varints_is_each_varint_in_turn(values):
+    one_by_one = bytearray()
+    for v in values:
+        _write_uv(one_by_one, v)
+    run = bytearray()
+    _write_uvs(run, values)
+    assert run == one_by_one
 
 
 def test_write_index_rejects_negative_values_as_before(tmp_path, toy5_index):

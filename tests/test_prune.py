@@ -5,6 +5,7 @@ import random
 import pytest
 
 import numpy as np
+from forking import Placement, assert_no_child_left, forking, in_one_process, within
 from oracles import (
     ScanState,
     make_instance,
@@ -308,6 +309,7 @@ def test_one_level_prune_makes_only_the_picks_it_keeps(simple_setup, monkeypatch
 
     index, aspect_sets = simple_setup
     calls = []
+    in_one_process(monkeypatch)  # the picks are counted in this process
 
     def counted(*args):
         calls.append(args[0].term)
@@ -336,6 +338,80 @@ def test_ratio_budget_follows_the_current_list_length(simple_setup):
         k_for(len(once.lists[t].postings), ratio=0.5) != k_for(index.stats.df[t], ratio=0.5)
         for t in twice.lists
     )
+
+
+def _tied_index(seed=0, n_docs=240):
+    """Documents of four tokens from twelve words on twenty days: every list
+    has tied relevance scores, and documents share aspects."""
+    rng = random.Random(seed)
+    return build_index(Corpus(documents=[
+        Document(f"d{i:03d}", [f"w{rng.randrange(12)}" for _ in range(4)],
+                 frozenset({TimeWindow.instant(rng.randrange(0, 400, 20))}))
+        for i in range(n_docs)
+    ]))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("model", ["simple", "sliding"])
+def test_forked_greedy_orders_equal_the_in_process_orders(monkeypatch, cpus, model):
+    index = _tied_index()
+    aspect_sets = build_aspect_sets(index, model)
+    assert all(len(set(relevance_scores(index, t).scores)) < index.stats.df[t] for t in index.terms())
+    for depth in (lambda n: n, lambda n: k_for(n, ratio=0.3)):
+        in_one_process(monkeypatch)
+        alone = posting_order(index, f"div-{model}", aspect_sets, depth)
+        forks = forking(monkeypatch, cpus)
+        with within(60):
+            forked = posting_order(index, f"div-{model}", aspect_sets, depth)
+        assert len(forks) == cpus - 1
+        assert forked == alone
+        assert_no_child_left()
+
+
+def test_a_prune_error_in_a_worker_is_the_one_the_serial_loop_raises_first(monkeypatch):
+    """Every term of the shortest list length asks for one pick too many.
+    This process holds in its first claim until a child has run the first
+    failing term in order."""
+    from tempoprune import prune, workers
+
+    index = _tied_index()
+    aspect_sets = build_aspect_sets(index, "simple")
+    terms = index.terms()
+    sizes = [index.stats.df[t] for t in terms]
+    short = min(sizes)
+
+    def depth(n):
+        return n + 1 if n == short else n
+
+    in_one_process(monkeypatch)
+    with pytest.raises(PruneError) as serial:
+        posting_order(index, "div-simple", aspect_sets, depth)
+    failing = terms[sizes.index(short)]
+    assert f"{failing!r}, got {short + 1}" in str(serial.value)
+    first_claim = workers._claims([n * depth(n) for n in sizes])[0][0]
+    assert sizes[first_claim] != short
+    place = Placement(monkeypatch, cpus=3)
+    held = []
+
+    def placed(rel, aset, k):
+        if place.here() and not held:
+            held.append(1)
+            place.hold()
+        try:
+            return diversify(rel, aset, k)
+        finally:
+            if rel.term == failing and not place.here():
+                place.ran()
+
+    monkeypatch.setattr(prune, "diversify", placed)
+    try:
+        with within(60), pytest.raises(PruneError) as forked:
+            posting_order(index, "div-simple", aspect_sets, depth)
+    finally:
+        place.close()
+    assert type(forked.value) is PruneError
+    assert str(forked.value) == str(serial.value)
+    assert_no_child_left()
 
 
 # --- threshold baselines -----------------------------------------------------
