@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -238,12 +239,24 @@ def term_aspects(
     return smooth(aset, lambda_w)
 
 
-def _dynamic_fits(index: InvertedIndex, k_max: int, seed: int, presence_only: bool) -> dict[str, GmmFit]:
-    """The BIC-selected mixture of every dated term, fitted together.  The
-    series are dropped on return: `build_aspect_sets` builds them again one
-    at a time, so that they are not all held while the aspect sets grow."""
-    dated = [s for term in index.terms() if (s := term_time_series(index, term, presence_only)).counts]
-    return dict(zip((s.term for s in dated), select_k_bic_each(dated, k_max, seed)))
+class _AspectSets(Mapping[str, AspectSet]):
+    """Every indexed term, in `index.terms()` order, to `build(term)`, called
+    on each lookup in whichever process looks the term up."""
+
+    def __init__(self, index: InvertedIndex, build: Callable[[str], AspectSet]) -> None:
+        self._index, self._build = index, build
+
+    def __len__(self) -> int:
+        return len(self._index.lists)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index.terms())
+
+    def __contains__(self, term: object) -> bool:
+        return term in self._index.lists
+
+    def __getitem__(self, term: str) -> AspectSet:
+        return self._build(term)
 
 
 def build_aspect_sets(
@@ -253,19 +266,30 @@ def build_aspect_sets(
     seed: int = 0,
     k_max: int = DEFAULT_K_MAX,
     presence_only: bool = False,
-) -> dict[str, AspectSet]:
-    """Aspect sets for every indexed term.  Terms with no dated documents get
-    a single global aspect so that pruning them degenerates to plain
-    relevance ranking.  Dynamic terms are fitted together by
-    `select_k_bic_each`.  Logs one warning naming the dynamic terms whose
-    BIC-chosen mixture fit stopped at max_iter."""
+) -> Mapping[str, AspectSet]:
+    """Aspect sets for every indexed term: a read-only mapping, in
+    `index.terms()` order, that builds a term's set on each lookup.  Terms
+    with no dated documents get a single global aspect so that pruning them
+    degenerates to plain relevance ranking.  Done here, once: the checks,
+    the hull, and the fits of all dynamic terms by `select_k_bic_each`, with
+    one warning naming those whose BIC-chosen fit stopped at max_iter."""
     if model not in ASPECT_MODELS:
         raise PruneError(f"unknown aspect model {model!r}")
     _check_lambda_w(lambda_w)  # before any term is fitted
     hull = index_time_hull(index)
-    fits = _dynamic_fits(index, k_max, seed, presence_only) if model == "dynamic" else {}
-    sets: dict[str, AspectSet] = {}
-    for term in index.terms():
+    index.doc_days  # derived here, once, rather than in each forked greedy worker
+    fits: dict[str, GmmFit] = {}
+    if model == "dynamic":  # every dated term, fitted together
+        dated = [s for term in index.terms() if (s := term_time_series(index, term, presence_only)).counts]
+        fits = dict(zip((s.term for s in dated), select_k_bic_each(dated, k_max, seed)))
+    capped = [term for term, fit in fits.items() if not fit.converged]
+    if capped:
+        log.warning(
+            "dynamic aspects: %d term(s) whose mixture fit stopped at max_iter=%d without converging: %s%s",
+            len(capped), EM_MAX_ITER, ", ".join(capped[:5]), ", ..." if len(capped) > 5 else "",
+        )
+
+    def build(term: str) -> AspectSet:
         series = term_time_series(index, term, presence_only)
         if term in fits:
             aset = smooth(mixture_windows(series, fits[term]), lambda_w)
@@ -277,14 +301,9 @@ def build_aspect_sets(
                 aspects=[Aspect(window=TimeWindow.certain(*hull), weight=1.0, is_global=True)],
                 span=hull,
             )
-        sets[term] = doc_aspect_map(aset, index, term)
-    capped = [term for term, aset in sets.items() if not aset.converged]
-    if capped:
-        log.warning(
-            "dynamic aspects: %d term(s) whose mixture fit stopped at max_iter=%d without converging: %s%s",
-            len(capped), EM_MAX_ITER, ", ".join(capped[:5]), ", ..." if len(capped) > 5 else "",
-        )
-    return sets
+        return doc_aspect_map(aset, index, term)
+
+    return _AspectSets(index, build)
 
 
 def index_time_hull(index: InvertedIndex) -> tuple[int, int]:

@@ -16,8 +16,8 @@ picks of each term (div-*), or the postings whose statistic is not below
 epsilon (tcp/ipu/2n2p).  `next_best` runs lazy greedy; its slow
 definitions (the criterion from scratch, the full-list scan) live in
 tests/oracles.py.  The greedy terms are the tasks of one
-`workers.fork_map`, each term run whole in one process, so the picks do
-not depend on the number of CPUs.
+`workers.fork_map`, each term run whole in one process, its aspect set
+built there too, so the picks do not depend on the number of CPUs.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import heapq
 import logging
 import math
 from bisect import bisect_left, insort
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, pairwise
 
@@ -337,7 +337,7 @@ def k_for(list_len: int, k: int | None = None, ratio: float | None = None) -> in
 
 
 def posting_order(
-    index: InvertedIndex, method: str, aspect_sets: dict[str, AspectSet] | None,
+    index: InvertedIndex, method: str, aspect_sets: Mapping[str, AspectSet] | None,
     depth: Callable[[int], int], zk: int = TCP_K, lam: float = JM_LAMBDA,
 ) -> dict[str, list] | np.ndarray:
     """What every level of `method` cuts.  div-*: per term, the first
@@ -389,7 +389,7 @@ def cut(
 def prune_index(
     index: InvertedIndex, method: str, *,
     ratio: float | None = None, k: int | None = None, epsilon: float | None = None,
-    aspect_sets: dict[str, AspectSet] | None = None, zk: int = TCP_K, lam: float = JM_LAMBDA,
+    aspect_sets: Mapping[str, AspectSet] | None = None, zk: int = TCP_K, lam: float = JM_LAMBDA,
 ) -> tuple[InvertedIndex, dict]:
     """Prune `index` with one of METHODS at a level `check_prune_args`
     accepts: the `cut` of a `posting_order` only as deep as the level keeps.
@@ -408,7 +408,7 @@ def prune_index(
 # them as cli names.
 
 def diversified_topk_prune(
-    index: InvertedIndex, aspect_sets: dict[str, AspectSet], **level
+    index: InvertedIndex, aspect_sets: Mapping[str, AspectSet], **level
 ) -> InvertedIndex:
     """`prune_index` of a div-* method at `k` or `ratio`; the aspect sets pick the model."""
     return prune_index(index, "div-simple", aspect_sets=aspect_sets, **level)[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import date
+from itertools import accumulate
 
 from .corpus import Corpus, Document
 from .evaluation import Qrels
@@ -35,7 +36,8 @@ def random_corpus(
         start_day = day_number(date(2000, 1, 1))
     rng = random.Random(seed)
     vocab = [f"w{i:03d}" for i in range(vocab_size)]
-    weights = [1.0 / (i + 3) for i in range(vocab_size)]
+    # `choices(weights=w)` sums w on every call; the same sums, once
+    cum_weights = list(accumulate(1.0 / (i + 3) for i in range(vocab_size)))
     burst_centers = (start_day + 200, start_day + 900)
     documents = []
     for i in range(n_docs):
@@ -46,7 +48,7 @@ def random_corpus(
             n_burst = rng.randint(1, 4)
         else:
             n_burst = 1 if rng.random() < 0.02 else 0
-        tokens = rng.choices(vocab, weights=weights, k=max(1, length - n_burst))
+        tokens = rng.choices(vocab, cum_weights=cum_weights, k=max(1, length - n_burst))
         tokens += [burst_term] * n_burst
         u = rng.random()
         if u < 0.10:

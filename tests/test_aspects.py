@@ -1,4 +1,6 @@
 """Time series extraction, FD widths, and the three aspect models."""
+from collections.abc import Mapping, MutableMapping
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -517,6 +519,35 @@ def test_build_aspect_sets_covers_every_term(rand_index):
         for p in rand_index.lists[term].postings:
             assert p.doc_id in aset.doc_map
             assert aset.doc_map[p.doc_id]
+
+
+@pytest.mark.parametrize("model", ASPECT_MODELS)
+def test_build_aspect_sets_is_a_read_only_mapping_built_on_lookup(rand_index, monkeypatch, model):
+    built = []
+    doc_map = aspects_module.doc_aspect_map
+
+    def counted(aset, index, term):
+        built.append(term)
+        return doc_map(aset, index, term)
+
+    monkeypatch.setattr(aspects_module, "doc_aspect_map", counted)
+    sets = build_aspect_sets(rand_index, model, k_max=5)
+    terms = rand_index.terms()
+    assert isinstance(sets, Mapping) and not isinstance(sets, MutableMapping)
+    assert len(sets) == len(terms)
+    assert list(sets) == list(sets.keys()) == terms
+    assert all(term in sets for term in terms)
+    assert "no-such-term" not in sets and 3 not in sets
+    assert built == []  # len, iteration and `in` build nothing
+    with pytest.raises(TermNotFoundError):
+        sets["no-such-term"]
+    assert sets.get("no-such-term") is None
+    assert all(isinstance(aset, AspectSet) for aset in sets.values())
+    assert built == terms
+    # a second lookup builds the set again: an equal, separate object
+    again = sets["disaster"]
+    assert again == sets["disaster"] and again is not sets["disaster"]
+    assert built[len(terms):] == ["disaster"] * 3
 
 
 def test_build_aspect_sets_mapped_docs_intersect_windows(rand_index):

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from tempoprune import gmm
+from tempoprune.aspects import build_aspect_sets
 from tempoprune.cli import build_parser
 from tempoprune.corpus import Corpus, Document
 from tempoprune.index import build_index
@@ -56,6 +57,16 @@ def test_posting_records_the_bench_reads():
     index = build_index(Corpus(documents=[Document("d1", ["a", "b"]), Document("d2", ["a"])]))
     assert [p.doc_id for p in index.lists["a"].postings] == ["d1", "d2"]
     assert len(index.lists["b"].postings) == 1
+
+
+def test_aspect_set_counts_the_tracer_reads():
+    # bench/spans.py records `aspects.build` from `len(out)` and `out.values()`
+    index = build_index(Corpus(documents=[Document("d1", ["a", "b"]), Document("d2", ["a"])]))
+    sets = build_aspect_sets(index, "simple")
+    tracer = spans.Tracer()
+    tracer._record("aspects.build", sets, (index, "simple"), {})
+    assert tracer.counts["aspects.terms"] == 2
+    assert tracer.counts["aspects.count"] == len(sets["a"].aspects) + len(sets["b"].aspects)
 
 
 def test_fit_max_iter_default_the_tracer_reads():

@@ -173,11 +173,14 @@ def test_build_aspect_sets_warns_once_about_unconverged_terms(caplog):
     assert by_hand  # the corpus has terms whose chosen fit stops at max_iter
     with caplog.at_level(logging.WARNING, logger="tempoprune.aspects"):
         sets = build_aspect_sets(index, model="dynamic", k_max=5)
+        # once per call: looking the sets up, twice, warns no more
+        capped = [t for t, aset in sets.items() if not aset.converged]
+        assert dict(sets) == dict(sets)
     records = [r for r in caplog.records if r.name == "tempoprune.aspects"]
     assert len(records) == 1
     assert f"{len(by_hand)} term(s)" in records[0].getMessage()
     assert ", ".join(by_hand[:5]) in records[0].getMessage()
-    assert [t for t, aset in sets.items() if not aset.converged] == by_hand
+    assert capped == by_hand
 
 
 def test_build_aspect_sets_silent_when_every_fit_converges(caplog):

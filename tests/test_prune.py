@@ -23,7 +23,7 @@ from oracles import (
     split_by_term,
     tcp_posting_scores,
 )
-from tempoprune.aspects import Aspect, AspectSet, build_aspect_sets
+from tempoprune.aspects import ASPECT_MODELS, Aspect, AspectSet, build_aspect_sets
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import PruneError, TermNotFoundError
 from tempoprune.index import build_index, pruning_ratio, subset_index, write_index
@@ -366,6 +366,68 @@ def test_forked_greedy_orders_equal_the_in_process_orders(monkeypatch, cpus, mod
         assert len(forks) == cpus - 1
         assert forked == alone
         assert_no_child_left()
+
+
+@pytest.mark.parametrize("model", ASPECT_MODELS)
+def test_a_forked_prune_builds_each_aspect_set_where_its_term_is_pruned(monkeypatch, tmp_path, model):
+    """A forked div-* prune writes the index and manifest of the same prune
+    over aspect sets all built beforehand in this process, while this
+    process builds only its share of the sets.  This process holds in its
+    first task until a child has run one."""
+    from tempoprune import aspects, cli, gmm, prune
+
+    index = _tied_index()
+    write_index(index, str(tmp_path / "idx.bin"))
+    argv = ["prune", "--in", str(tmp_path / "idx.bin"), "--out", "pruned.bin",
+            "--method", f"div-{model}", "--ratio", "0.3", "--k-max", "5"]
+    build = cli.build_aspect_sets
+
+    def built_here(*args):
+        sets = build(*args)
+        return {t: sets[t] for t in sets}
+
+    in_one_process(monkeypatch)
+    monkeypatch.setattr(cli, "build_aspect_sets", built_here)
+    for side in ("alone", "forked"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "alone")
+    assert cli.main(argv) == 0
+
+    monkeypatch.setattr(cli, "build_aspect_sets", build)
+    built = []  # terms whose set this process builds; a child appends to its own copy
+    doc_map = aspects.doc_aspect_map
+
+    def counted(aset, index, term):
+        built.append(term)
+        return doc_map(aset, index, term)
+
+    monkeypatch.setattr(aspects, "doc_aspect_map", counted)
+    place = Placement(monkeypatch)
+    monkeypatch.setattr(gmm, "FORK_MIN_CELLS", math.inf)  # only the greedy forks
+    held = []
+
+    def placed(rel, aset, k):
+        if place.here() and not held:
+            held.append(1)
+            place.hold()
+        try:
+            return diversify(rel, aset, k)
+        finally:
+            if not place.here():
+                place.ran()
+
+    monkeypatch.setattr(prune, "diversify", placed)
+    monkeypatch.chdir(tmp_path / "forked")
+    try:
+        with within(60):
+            assert cli.main(argv) == 0
+    finally:
+        place.close()
+    assert len(place.forks) == 1
+    assert 0 < len(built) < len(index.terms())
+    for name in ("pruned.bin", "pruned.bin.manifest.json"):
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    assert_no_child_left()
 
 
 def test_a_prune_error_in_a_worker_is_the_one_the_serial_loop_raises_first(monkeypatch):
