@@ -66,8 +66,11 @@ class Qrels:
     @classmethod
     def from_lines(cls, lines, path: str = "<qrels>") -> "Qrels":
         """`qid iter doc grade` lines: a non-negative integer grade, each
-        (qid, doc) pair once.  A bad line raises EvalFormatError naming path:line."""
-        grades: dict[tuple[str, str], int] = {}
+        (qid, doc) pair once.  A bad line raises EvalFormatError naming path:line.
+        The lines fill the per-query table; `grades` is built from it once,
+        after the loop, so its key tuples are allocated together."""
+        qrels = cls()
+        by_qid = qrels._by_qid
         for lineno, (qid, _, doc, g) in _split_lines(lines, path, 4):
             try:
                 grade = int(g)
@@ -75,13 +78,14 @@ class Qrels:
                 raise EvalFormatError(f"{path}:{lineno}: grade must be an integer, got {g!r:.60}") from None
             if grade < 0:
                 raise EvalFormatError(f"{path}:{lineno}: grade must be >= 0, got {grade}")
-            key = (qid, doc)
-            if key in grades:
+            docs = by_qid.setdefault(qid, {})
+            if doc in docs:
                 raise EvalFormatError(
                     f"{path}:{lineno}: duplicate judgment for query {qid!r:.60}, doc {doc!r:.60}"
                 )
-            grades[key] = grade
-        return cls(grades)
+            docs[doc] = grade
+        qrels.grades = {(qid, doc): g for qid, docs in by_qid.items() for doc, g in docs.items()}
+        return qrels
 
 
 def _split_lines(lines, path, n_fields: int):
@@ -261,7 +265,7 @@ def all_relevant_qrels(queries: list[Query], index: InvertedIndex) -> Qrels:
         for term in q.terms:
             plist = index.lists.get(term)
             if plist is not None:
-                grades.update(((q.qid, d), 1) for d in plist.doc_ids if d in meeting)
+                grades.update(((q.qid, d), 1) for d in meeting.intersection(plist.doc_ids))
     return Qrels(grades)
 
 

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, islice
 from operator import sub
 from pathlib import Path
 from typing import NamedTuple
@@ -186,8 +187,18 @@ def pruning_ratio(original: InvertedIndex, pruned: InvertedIndex) -> float:
 
 # --- binary format ----------------------------------------------------------
 # MAGIC | u16 version | u8 flags | u64 payload length | payload | sha256(payload)
+#
+# A varint ends at its first byte below 0x80, and each of its bytes carries
+# 7 bits, low first.  A list varint may take 9 bytes (63 bits); one of the
+# document section has no length limit.  A window bound is zigzagged first:
+# 0, -1, 1, -2, ... are written as 0, 1, 2, 3, ...
 
 _HEADER = struct.Struct("<4sHBQ")
+_VARINT_MAX = 9
+_LONG_VARINT = re.compile(rb"[\x80-\xff]{%d}" % _VARINT_MAX)  # only in a varint of more bytes
+_MULTI_BYTE_VARINT = re.compile(rb"([\x80-\xff]+[\x00-\x7f])")
+_WINDOW = re.compile(rb"(?:[\x80-\xff]*[\x00-\x7f]){4}")  # a window's four bounds
+_HIGH_BYTES = bytes(range(0x80, 0x100))
 
 
 def _write_uv(buf: bytearray, value: int) -> None:
@@ -202,12 +213,9 @@ def _write_uv(buf: bytearray, value: int) -> None:
 
 
 def _write_uvs(buf: bytearray, values: list[int]) -> None:
-    """`_write_uv` of each value in turn, in one pass; values all below 0x80 are their own bytes."""
+    """`_write_uv` of each value in turn, in one loop."""
     if values and min(values) < 0:
         raise ValueError("varint must be non-negative")
-    if values and max(values) < 0x80:
-        buf += bytes(values)
-        return
     for value in values:
         while value >= 0x80:
             buf.append(value & 0x7F | 0x80)
@@ -215,8 +223,18 @@ def _write_uvs(buf: bytearray, values: list[int]) -> None:
         buf.append(value)
 
 
-def _zigzag(n: int) -> int:
-    return 2 * n if n >= 0 else -2 * n - 1
+def _write_column(buf: bytearray, values: list[int]) -> None:
+    """`_write_uvs` of a posting list column.  Values all below 0x80, as
+    the tfs and the gaps of a dense list are, are their own bytes."""
+    try:
+        run = bytes(values)
+    except ValueError:  # a value outside 0..255
+        pass
+    else:
+        if run.isascii():
+            buf += run
+            return
+    _write_uvs(buf, values)
 
 
 def _write_str(buf: bytearray, s: str) -> None:
@@ -255,67 +273,108 @@ class _Reader:
             raise IndexFormatError(f"string is not UTF-8: {exc}") from exc
 
 
-# A varint ends at its first byte below 0x80, and each of its bytes carries
-# 7 bits, low first.  A list varint may take 9 bytes (63 bits).
-_VARINT_MAX = 9
-
-
 def _read_columns(r: _Reader, n: int, docs: list[str], term: str) -> tuple[list[str], list[int]]:
     """The doc ids and tfs of one list of `n` postings at `r.pos`: n doc
     number gaps, then n tfs.  A list of no postings is rejected, as no index
     writes one.  A doc number gap of `len(docs)` or more is rejected before
     the gaps are summed, and so is a zero gap after the first: with the
-    document ids ascending, so are a list's."""
+    document ids ascending, so are a list's.  Gaps of one byte each are
+    checked on their bytes: none reaches `len(docs)` above 0x7F documents."""
     if n == 0:
         raise IndexFormatError(f"term {term!r}: empty posting list")
     gaps = _varints(r, n, term)
     tfs = _varints(r, n, term)
-    if max(gaps) >= len(docs):
+    if (type(gaps) is list or len(docs) <= 0x7F) and max(gaps) >= len(docs):
         raise IndexFormatError(f"term {term!r}: doc id gap of at least {len(docs)} documents")
     if 0 in gaps[1:]:
         raise IndexFormatError(f"term {term!r}: doc ids not strictly ascending")
-    nums = list(accumulate(gaps))
-    if nums[-1] >= len(docs):
-        raise IndexFormatError(f"term {term!r}: posting references unknown document")
-    return [docs[i] for i in nums], tfs
+    try:
+        return list(map(docs.__getitem__, accumulate(gaps))), list(tfs)
+    except IndexError:  # a doc number summed past the last document
+        raise IndexFormatError(f"term {term!r}: posting references unknown document") from None
 
 
-def _varints(r: _Reader, count: int, term: str) -> list[int]:
-    """`count` varints from `r.pos`.  When each is one byte, as the tfs
-    and the gaps of a dense list are, the bytes are the values."""
-    data = r.data
-    head = data[r.pos : r.pos + count]
+def _varints(r: _Reader, count: int, term: str) -> bytes | list[int]:
+    """`count` list varints from `r.pos`.  When each is one byte, as the tfs
+    and the gaps of a dense list are, they are returned as their bytes.
+    Otherwise the bytes up to the count-th byte below 0x80 are found first,
+    then only the varints of more than one byte among them are decoded."""
+    data, pos = r.data, r.pos
+    head = data[pos : pos + count]
     if len(head) == count and head.isascii():
-        r.pos += count
-        return list(head)
+        r.pos = pos + count
+        return head
+    end, missing = pos, count
+    while missing:
+        chunk = data[end : end + missing]  # each missing varint takes a byte at least
+        if not chunk:
+            if _LONG_VARINT.search(data, pos):
+                raise IndexFormatError(f"term {term!r}: varint longer than {_VARINT_MAX} bytes")
+            raise IndexFormatError("truncated index payload")
+        end += len(chunk)
+        missing -= len(chunk.translate(None, _HIGH_BYTES))
+    r.pos = end
+    # runs of one-byte varints, and between each two the varint of more bytes
+    parts = _MULTI_BYTE_VARINT.split(data[pos:end])
+    values = list(parts[0])
+    for i in range(1, len(parts), 2):
+        if len(parts[i]) > _VARINT_MAX:
+            raise IndexFormatError(f"term {term!r}: varint longer than {_VARINT_MAX} bytes")
+        value = 0
+        for b in reversed(parts[i]):
+            value = value << 7 | b & 0x7F
+        values.append(value)
+        values += parts[i + 1]
+    return values
+
+
+def _unzigzagged(raw: bytes) -> list[int]:
+    """The zigzag varints, of any length, that make up `raw`, in one loop."""
     values = []
     value = shift = 0
-    for pos in range(r.pos, len(data)):
-        b = data[pos]
+    for b in raw:
         if b < 0x80:
-            values.append(value | b << shift)
-            if len(values) == count:
-                r.pos = pos + 1
-                return values
+            value |= b << shift
+            values.append((value >> 1) ^ -(value & 1))
             value = shift = 0
         else:
             value |= (b & 0x7F) << shift
             shift += 7
-            if shift == 7 * _VARINT_MAX:
-                raise IndexFormatError(f"term {term!r}: varint longer than {_VARINT_MAX} bytes")
-    raise IndexFormatError("truncated index payload")
+    return values
+
+
+def _time_parts(dated: list[tuple[str, int, bytes]]) -> dict[str, frozenset[TimeWindow]]:
+    """Each dated document's windows, from the (doc id, window count,
+    window bytes) of each in file order.  Each distinct run of window bytes
+    is decoded once, at its first document, and documents with the same
+    bytes share one frozenset.  The first window whose bounds disagree
+    names its document."""
+    firsts: dict[bytes, tuple[str, int]] = {}
+    for doc_id, n_win, raw in dated:
+        firsts.setdefault(raw, (doc_id, n_win))
+    bounds = _unzigzagged(b"".join(firsts))
+    windows = map(TimeWindow, bounds[0::4], bounds[1::4], bounds[2::4], bounds[3::4])
+    parts = {}
+    for raw, (doc_id, n_win) in firsts.items():
+        try:
+            parts[raw] = frozenset(islice(windows, n_win))
+        except ValueError as exc:
+            raise IndexFormatError(f"document {doc_id!r}: {exc}") from exc
+    return {doc_id: parts[raw] for doc_id, _, raw in dated}
 
 
 def _read_documents(r: _Reader) -> tuple[list[str], dict[str, int], dict[str, frozenset[TimeWindow]]]:
     """The document section at `r.pos`: each document's id, length and
     windows, in file order.  One-byte varints, as an id's byte count, a
     length and a window count mostly are, are read in place, and others
-    through `r.uv`; a document's window bounds are decoded in one pass,
-    with no bound on a varint's length."""
+    through `r.uv`.  A document's window bytes are found with one match per
+    window, and the bounds are decoded after the section (`_time_parts`); a
+    fault found on the way is raised after the windows before it are
+    checked, so the first fault in the file is the one raised."""
     data = r.data
     docs: list[str] = []
     doc_len: dict[str, int] = {}
-    doc_times: dict[str, frozenset[TimeWindow]] = {}
+    dated: list[tuple[str, int, bytes]] = []
     try:
         for _ in range(r.uv()):
             pos = r.pos
@@ -343,60 +402,62 @@ def _read_documents(r: _Reader) -> tuple[list[str], dict[str, int], dict[str, fr
             docs.append(doc_id)
             doc_len[doc_id] = length
             if n_win:
-                bounds = []  # the 4 * n_win bounds, unzigzagged
-                value = shift = 0
-                need = 4 * n_win
-                while need:
-                    b = data[pos]
-                    pos += 1
-                    if b < 0x80:
-                        value |= b << shift
-                        bounds.append((value >> 1) ^ -(value & 1))
-                        value = shift = 0
-                        need -= 1
-                    else:
-                        value |= (b & 0x7F) << shift
-                        shift += 7
-                try:
-                    doc_times[doc_id] = frozenset(TimeWindow(*bounds[i : i + 4]) for i in range(0, len(bounds), 4))
-                except ValueError as exc:
-                    raise IndexFormatError(f"document {doc_id!r}: {exc}") from exc
+                start = pos
+                for _ in range(n_win):
+                    m = _WINDOW.match(data, pos)
+                    if m is None:
+                        raise IndexFormatError("truncated index payload")
+                    pos = m.end()
+                dated.append((doc_id, n_win, data[start:pos]))
             r.pos = pos
     except IndexError:  # data[pos] past the end
+        _time_parts(dated)
         raise IndexFormatError("truncated index payload") from None
-    return docs, doc_len, doc_times
+    except IndexFormatError:
+        _time_parts(dated)
+        raise
+    return docs, doc_len, _time_parts(dated)
 
 
 def write_index(index: InvertedIndex, path) -> None:
-    """Serialize deterministically: same index -> identical bytes."""
+    """Serialize deterministically: same index -> identical bytes.  A
+    document's window count and zigzagged bounds are encoded in one varint
+    loop, once per distinct frozenset of windows."""
     payload = bytearray()
     docs = sorted(index.stats.doc_len)
+    doc_len, doc_times = index.stats.doc_len, index.doc_times
     doc_ord = {d: i for i, d in enumerate(docs)}
     _write_uv(payload, len(docs))
+    tails: dict[frozenset[TimeWindow], bytes] = {}  # each distinct time part, encoded once
     for doc_id in docs:
         _write_str(payload, doc_id)
-        _write_uv(payload, index.stats.doc_len[doc_id])
-        windows = sorted(index.doc_times.get(doc_id, frozenset()))
-        _write_uv(payload, len(windows))
-        for w in windows:
-            for v in (w.b_lo, w.b_hi, w.e_lo, w.e_hi):
-                _write_uv(payload, _zigzag(v))
+        _write_uv(payload, doc_len[doc_id])
+        part = doc_times.get(doc_id, frozenset())
+        tail = tails.get(part)
+        if tail is None:
+            values = [len(part)]
+            for w in sorted(part):
+                for v in (w.b_lo, w.b_hi, w.e_lo, w.e_hi):
+                    values.append(v << 1 ^ -(v < 0))  # zigzagged
+            buf = bytearray()
+            _write_uvs(buf, values)
+            tail = tails[part] = bytes(buf)
+        payload += tail
     terms = sorted(index.lists)
     _write_uv(payload, len(terms))
     for term in terms:
         pl = index.lists[term]
         _write_str(payload, term)
-        _write_uv(payload, index.stats.df[term])
-        _write_uv(payload, index.stats.ctf[term])
-        _write_uv(payload, len(pl.doc_ids))
+        _write_uvs(payload, [index.stats.df[term], index.stats.ctf[term], len(pl.doc_ids)])
         # the first doc number goes out whole, each later one as a gap
         nums = list(map(doc_ord.__getitem__, pl.doc_ids))
-        for run in (nums[:1], list(map(sub, nums[1:], nums)), pl.tfs):
-            _write_uvs(payload, run)
+        _write_column(payload, list(map(sub, nums, chain((0,), nums))))
+        _write_column(payload, pl.tfs)
     flags = 1 if index.pruned else 0
-    blob = _HEADER.pack(MAGIC, FORMAT_VERSION, flags, len(payload))
-    blob += bytes(payload) + hashlib.sha256(payload).digest()
-    Path(path).write_bytes(blob)
+    with open(path, "wb") as fh:  # no joined copy of the payload
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, flags, len(payload)))
+        fh.write(payload)
+        fh.write(hashlib.sha256(payload).digest())
 
 
 def read_index(path) -> InvertedIndex:

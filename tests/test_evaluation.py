@@ -174,6 +174,19 @@ def test_qrels_trec_lines_roundtrip():
         Qrels.from_lines(["q1 0 a"])
 
 
+def test_qrels_from_lines_fills_the_tables_the_constructor_fills():
+    # 200 distinct (qid, doc) pairs over 7 queries, grades 0-2, in no sorted order
+    lines = [f"q{i % 7} 0 d{i * 37 % 101:03d} {i % 3}" for i in range(200)]
+    read = Qrels.from_lines(lines)
+    built = Qrels({(q, d): int(g) for q, _, d, g in map(str.split, lines)})
+    assert read.grades == built.grades
+    assert read.to_lines() == built.to_lines()
+    for qid in [f"q{i}" for i in range(8)]:
+        assert read.for_query(qid) == built.for_query(qid)
+        assert read.n_relevant(qid) == built.n_relevant(qid)
+        assert read.grade(qid, "d036") == built.grade(qid, "d036")
+
+
 def test_qrels_file_roundtrip(tmp_path):
     qrels = Qrels({("q1", "a"): 2, ("q2", "b"): 1})
     path = tmp_path / "x.qrels"
@@ -430,7 +443,9 @@ def test_all_relevant_qrels_matches_oracle(seed, interval):
               time_constraint=frozenset({TimeWindow.certain(10950, 12000)})),
     ]
     assert queries
-    assert all_relevant_qrels(queries, index).grades == oracle_all_relevant_qrels(queries, index).grades
+    qrels, oracle = all_relevant_qrels(queries, index), oracle_all_relevant_qrels(queries, index)
+    assert qrels.grades == oracle.grades
+    assert qrels.to_lines() == oracle.to_lines()
 
 
 def test_all_relevant_rejects_inclusive():

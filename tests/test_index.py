@@ -284,28 +284,52 @@ def _read_both(path):
 _TFS = (1, 2, 127, 128, 16_383, 16_384, 2**62, 2**63 - 1)  # one to nine varint bytes
 
 
+# Document lengths and window bounds of one to eleven varint bytes: a zigzagged
+# bound of magnitude 2**63 or more, and a length of 2**63 or more, take ten.
+_LENGTHS = (0, 1, 127, 128, 2**63 - 1, 2**63, 2**70)
+_BOUNDS = st.one_of(st.integers(-400, 400), st.sampled_from([-(2**70), -(2**63), -(2**62) - 1, 2**62, 2**63, 2**70]))
+_WINDOWS = st.builds(
+    lambda lo, a, b, c: TimeWindow(lo, lo + a, lo + a + b, lo + a + b + c),
+    _BOUNDS, st.integers(0, 3), st.integers(0, 200), st.integers(0, 3),
+)
+
+
 @st.composite
 def _random_index(draw) -> InvertedIndex:
     """Up to 8 posting lists over up to 300 documents, so that doc number
-    gaps take one or two varint bytes.  Doc ids are arbitrary text (beyond
-    ASCII too) and padding ids "é000"...; tfs come from a few values, so
-    they tie; any list may hold one posting.  Some documents are dated."""
+    gaps take one or two varint bytes, and a list may mix both: its doc
+    numbers come from a run of nearby ones and from anywhere.  Doc ids
+    are arbitrary text (beyond ASCII too) and padding ids "é000"..., and
+    so are terms; tfs come from a few values, so they tie; any list may
+    hold one posting.  Document lengths go up to 2**70.  Two documents in
+    three have one instant, the rest none, and then up to 12 documents get
+    one or two windows, or 130, with bounds of magnitude up to 2**70."""
     names = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
                           min_size=1, max_size=6))
-    doc_ids = sorted(set(names) | {f"é{i:03d}" for i in range(draw(st.integers(0, 300)))})
+    n_pad = draw(st.one_of(st.integers(0, 300), st.integers(200, 300)))
+    doc_ids = sorted(set(names) | {f"é{i:03d}" for i in range(n_pad)})
     lists = {}
     for term in draw(st.lists(st.text(min_size=1, max_size=3), unique=True, min_size=1, max_size=8)):
-        nums = sorted(draw(st.sets(st.integers(0, len(doc_ids) - 1), min_size=1, max_size=40)))
+        near = draw(st.integers(0, len(doc_ids) - 1))
+        run = st.integers(near, min(near + 40, len(doc_ids) - 1))
+        num = st.one_of(run, run, run, st.integers(0, len(doc_ids) - 1))
+        nums = sorted(draw(st.sets(num, min_size=1, max_size=40)))
         tfs = draw(st.lists(st.sampled_from(_TFS), min_size=len(nums), max_size=len(nums)))
         lists[term] = PostingList(term, [doc_ids[i] for i in nums], tfs)
-    days = draw(st.lists(st.integers(-400, 400), max_size=len(doc_ids)))
-    doc_len = {d: 2**63 for d in doc_ids}
+    shift = draw(st.integers(0, len(_LENGTHS) - 1))
+    doc_len = {d: _LENGTHS[(i + shift) % len(_LENGTHS)] for i, d in enumerate(doc_ids)}
     stats = CollectionStats(
         n_docs=len(doc_ids), doc_len=doc_len, total_len=sum(doc_len.values()), avgdl=2.0**63,
         df={t: len(pl.doc_ids) for t, pl in lists.items()},
         ctf={t: sum(pl.tfs) for t, pl in lists.items()},
     )
-    doc_times = {d: frozenset({TimeWindow.instant(day)}) for d, day in zip(doc_ids, days)}
+    doc_times = {d: frozenset({TimeWindow.instant(i % 50)}) for i, d in enumerate(doc_ids) if i % 3}
+    for d in draw(st.lists(st.sampled_from(doc_ids), unique=True, max_size=12)):
+        if draw(st.integers(0, 9)):
+            doc_times[d] = frozenset(draw(st.lists(_WINDOWS, min_size=1, max_size=2)))
+        else:
+            lo = draw(_BOUNDS)
+            doc_times[d] = frozenset(TimeWindow.certain(lo + i, lo + 2 * i) for i in range(130))
     return InvertedIndex(lists, stats, doc_times, pruned=draw(st.booleans()))
 
 
@@ -365,6 +389,84 @@ def test_every_truncation_of_the_document_section_is_a_format_error(tmp_path):
         path.write_bytes(_rehashed(blob, payload[:cut]))
         with pytest.raises(IndexFormatError, match="truncated index payload"):
             read_index(path)
+
+
+def _uv(value: int) -> bytes:
+    buf = bytearray()
+    _write_uv(buf, value)
+    return bytes(buf)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"\x02d1\x04\x01", b"\x02d1\x04" + _uv(2**40)),  # d1's windows
+        (b"\x02d5\x06\x01", b"\x02d5\x06" + _uv(2**70)),  # d5's windows
+        (b"apple\x04\x06\x04", b"apple\x04\x06" + _uv(2**40)),  # apple's postings
+        (b"elderberry\x02\x03\x02", b"elderberry\x02\x03" + _uv(2**70)),  # the last list's
+    ],
+    ids=["d1-windows", "d5-windows", "apple-postings", "last-postings"],
+)
+def test_a_count_beyond_the_bytes_left_is_a_truncation(tmp_path, toy5_blob, old, new):
+    """A window count or list length far above what the payload can hold
+    is read as far as the bytes go, never allocated up front."""
+    payload = _payload(toy5_blob)
+    assert payload.count(old) == 1
+    path = tmp_path / "huge.idx"
+    path.write_bytes(_rehashed(toy5_blob, payload.replace(old, new)))
+    with pytest.raises(IndexFormatError, match="truncated index payload"):
+        read_index(path)
+
+
+@pytest.mark.parametrize(
+    "gaps, message",
+    [
+        (b"\x00\x01\x05\x01", "term 'apple': doc id gap of at least 5 documents"),
+        (b"\x00\x01\x00\x01", "term 'apple': doc ids not strictly ascending"),
+        (b"\x00\x01\x02\x02", "term 'apple': posting references unknown document"),  # d1 d2 d4 d6
+    ],
+    ids=["gap-of-n-docs", "zero-gap", "summed-past-the-end"],
+)
+def test_one_byte_gaps_are_checked_on_their_bytes(tmp_path, toy5_blob, gaps, message):
+    payload = _payload(toy5_blob).replace(_APPLE_GAPS, _APPLE_GAPS[:-4] + gaps)
+    path = tmp_path / "gaps.idx"
+    path.write_bytes(_rehashed(toy5_blob, payload))
+    with pytest.raises(IndexFormatError, match=message):
+        read_index(path)
+
+
+_D1_BAD_WINDOW = (bytes([0xC8, 1] * 4), bytes([0xCA, 1] + [0xC8, 1] * 3))  # b_lo 101 > b_hi 100
+
+
+@pytest.mark.parametrize(
+    "edits, cut, message",
+    [
+        # apple's postings d1 d2 d3 d5 become d1 d1 d2 d4; banana's first gap takes ten bytes
+        ([(_APPLE_GAPS, _APPLE_GAPS[:-4] + b"\x00\x00\x01\x02"),
+          (b"banana\x04\x05\x04\x00", b"banana\x04\x05\x04" + b"\x80" * 9 + b"\x00")],
+         None, "term 'apple': doc ids not strictly ascending"),
+        # d1's window is inconsistent and the payload ends after d3's window count
+        ([_D1_BAD_WINDOW], b"\x02d3\x04\x01", "document 'd1'"),
+        # d1's window is inconsistent and d4's id is not UTF-8
+        ([_D1_BAD_WINDOW, (b"\x02d4", b"\x02\xffd")], None, "document 'd1'"),
+        # d2's window is inconsistent and the document ids do not ascend
+        ([(bytes([0x90, 3] * 4), bytes([0x92, 3] + [0x90, 3] * 3)), (b"\x02d5", b"\x02d0")], None, "document 'd2'"),
+    ],
+    ids=["zero-gap-then-overlong-varint", "bad-window-then-truncation", "bad-window-then-bad-utf8",
+         "bad-window-then-unsorted-ids"],
+)
+def test_two_faults_raise_the_earlier_ones_message(tmp_path, toy5_blob, edits, cut, message):
+    payload = _payload(toy5_blob)
+    for old, new in edits:
+        assert payload.count(old) == 1
+        payload = payload.replace(old, new)
+    if cut:
+        payload = payload[: payload.index(cut) + len(cut)]
+    path = tmp_path / "two.idx"
+    path.write_bytes(_rehashed(toy5_blob, payload))
+    for outcome in _read_both(path):
+        assert isinstance(outcome, IndexFormatError)
+        assert message in str(outcome)
 
 
 def _whole(index, term):
