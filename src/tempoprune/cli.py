@@ -52,7 +52,7 @@ from .prune import JM_LAMBDA, METHODS, TCP_K, check_prune_args, prune_index
 # Unused here: bench/spans.py patches them as cli names.
 from .prune import diversified_topk_prune, threshold_prune, tune_epsilon  # noqa: F401
 from .search import DEFAULT_DEPTH, Query, parse_time_spec, run_query, trec_run_lines
-from .timewindows import day_to_date
+from .timewindows import day_iso
 
 log = logging.getLogger(__name__)
 
@@ -127,7 +127,7 @@ def _cmd_windows(args) -> int:
         with open(args.hist_csv, "w", encoding="utf-8") as fh:
             fh.write("day,date,count\n")
             for day in sorted(series.counts):
-                fh.write(f"{day},{day_to_date(day).isoformat()},{series.counts[day]}\n")
+                fh.write(f"{day},{day_iso(day)},{series.counts[day]}\n")
     return 0
 
 

@@ -6,11 +6,12 @@ import logging
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from functools import lru_cache
 from html import unescape
 from pathlib import Path
 
 from .errors import CorpusFormatError, TempopruneError
-from .timewindows import TimeWindow, day_number
+from .timewindows import TimeWindow, day_iso, day_number, parse_day
 
 log = logging.getLogger(__name__)
 
@@ -21,12 +22,19 @@ STOPWORDS = frozenset(
 )
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Every byte outside [a-z0-9] to a space: on lowercased ASCII text the
+# tokens `_TOKEN_RE` finds are then the words `split` finds.
+_ASCII_SEPARATORS = bytes(b if 0x30 <= b <= 0x39 or 0x61 <= b <= 0x7A else 0x20 for b in range(256))
 
 
 def tokenize(text: str, stop_words: bool = True) -> list[str]:
     """Lowercase Unicode-alphanumeric tokens; digits kept, no stemming."""
-    tokens = _TOKEN_RE.findall(text.lower())
-    if stop_words:
+    text = text.lower()
+    if text.isascii():
+        tokens = text.encode().translate(_ASCII_SEPARATORS).decode().split()
+    else:
+        tokens = _TOKEN_RE.findall(text)
+    if stop_words and not STOPWORDS.isdisjoint(tokens):
         tokens = [t for t in tokens if t not in STOPWORDS]
     return tokens
 
@@ -75,6 +83,10 @@ def parse_corpus(path, fmt: str = "jsonl", stop_words: bool = True) -> Corpus:
     return Corpus(documents=docs, n_malformed=len(skipped))
 
 
+# The encoder of every JSONL record written: compact, keys sorted.
+json_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def json_line(line: str):
     """`json.loads` of one JSONL line.  A line nested too deeply for the
     decoder is a ValueError, as malformed JSON is, not a RecursionError."""
@@ -100,6 +112,7 @@ def _parse_jsonl(text: str, stop_words: bool) -> tuple[list[Document], list[str]
     docs: list[Document] = []
     seen: set[str] = set()
     skipped: list[str] = []
+    day = lru_cache(maxsize=None)(parse_day)  # each distinct date string parsed once
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -113,7 +126,7 @@ def _parse_jsonl(text: str, stop_words: bool) -> tuple[list[Document], list[str]
                 raise ValueError("doc_id and text must be strings")
             if doc_id in seen:
                 raise ValueError(f"duplicate doc id {doc_id!r}")
-            windows = frozenset(TimeWindow.from_iso(w) for w in rec.get("time", []))
+            windows = frozenset(TimeWindow.from_iso(w, day) for w in rec.get("time", []))
         except KeyError as exc:
             skipped.append(f"line {lineno}: missing key {exc}")
             continue
@@ -189,10 +202,11 @@ def _parse_trec_sgml(text: str, stop_words: bool) -> tuple[list[Document], list[
 
 def write_corpus(corpus: Corpus, path) -> None:
     """Canonical JSONL dump; windows re-emitted as ISO dates, tokens as text."""
+    iso = lru_cache(maxsize=None)(day_iso)  # each distinct day formatted once
     lines = []
     for doc in corpus.documents:
         rec: dict = {"id": doc.doc_id, "text": " ".join(doc.tokens)}
         if doc.time_part:
-            rec["time"] = [w.to_iso() for w in sorted(doc.time_part)]
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            rec["time"] = [w.to_iso(iso) for w in sorted(doc.time_part)]
+        lines.append(json_record(rec))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .aspects import DEFAULT_LAMBDA_W, build_aspect_sets
-from .corpus import json_line, read_text, tokenize
+from .corpus import json_line, json_record, read_text, tokenize
 from .errors import EvalFormatError, PruneError, QueryError
 from .gmm import DEFAULT_K_MAX
 from .index import InvertedIndex, pruning_ratio
@@ -118,8 +118,7 @@ def read_qrels(path) -> Qrels:
 
 def write_qrels(qrels: Qrels, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for line in qrels.to_lines():
-            fh.write(line + "\n")
+        fh.write("".join(line + "\n" for line in qrels.to_lines()))
 
 
 def average_precision(result: RankedResult, qrels: Qrels, qid: str | None = None) -> float:
@@ -282,7 +281,7 @@ def write_queries(queries: list[Query], path) -> None:
                     [w.b_lo, w.b_hi, w.e_lo, w.e_hi] for w in (q.time_constraint or frozenset())
                 ),
             }
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(json_record(record) + "\n")
 
 
 def _jsonl_objects(path):

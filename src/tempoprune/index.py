@@ -90,14 +90,18 @@ def build_index(corpus: Corpus) -> InvertedIndex:
     doc_len: dict[str, int] = {}
     doc_times: dict[str, frozenset[TimeWindow]] = {}
     for doc in corpus.documents:
-        if doc.doc_id in doc_len:
-            raise IndexConsistencyError(f"duplicate doc id {doc.doc_id!r}")
-        doc_len[doc.doc_id] = len(doc.tokens)
+        d = doc.doc_id
+        if d in doc_len:
+            raise IndexConsistencyError(f"duplicate doc id {d!r}")
+        doc_len[d] = len(doc.tokens)
         if doc.time_part:
-            doc_times[doc.doc_id] = doc.time_part
+            doc_times[d] = doc.time_part
         for tok in doc.tokens:
-            lists.setdefault(tok, {}).setdefault(doc.doc_id, 0)
-            lists[tok][doc.doc_id] += 1
+            counts = lists.get(tok)
+            if counts is None:
+                lists[tok] = {d: 1}
+            else:
+                counts[d] = counts.get(d, 0) + 1
     plists = {}
     for term, counts in sorted(lists.items()):
         doc_ids = sorted(counts)

@@ -11,9 +11,12 @@ keeps part of it, which is the behavior the end-to-end tests pin down.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from datetime import date
-from itertools import accumulate
+from itertools import accumulate, repeat, starmap
+
+import numpy as np
 
 from .corpus import Corpus, Document
 from .evaluation import Qrels
@@ -36,10 +39,12 @@ def random_corpus(
         start_day = day_number(date(2000, 1, 1))
     rng = random.Random(seed)
     vocab = [f"w{i:03d}" for i in range(vocab_size)]
-    # `choices(weights=w)` sums w on every call; the same sums, once
-    cum_weights = list(accumulate(1.0 / (i + 3) for i in range(vocab_size)))
+    cum_weights = np.fromiter(accumulate(1.0 / (i + 3) for i in range(vocab_size)), float, vocab_size)
     burst_centers = (start_day + 200, start_day + 900)
-    documents = []
+    # Each document's vocabulary draws are the uniforms `rng.choices` would
+    # take, in the same order; they are mapped to words after the loop.
+    draws = array("d")
+    planned = []  # (draw count, burst count, time part) per document
     for i in range(n_docs):
         day = rng.randint(start_day, start_day + span_days - 1)
         length = rng.randint(30, 80)
@@ -48,8 +53,8 @@ def random_corpus(
             n_burst = rng.randint(1, 4)
         else:
             n_burst = 1 if rng.random() < 0.02 else 0
-        tokens = rng.choices(vocab, cum_weights=cum_weights, k=max(1, length - n_burst))
-        tokens += [burst_term] * n_burst
+        k = max(1, length - n_burst)
+        draws.extend(starmap(rng.random, repeat((), k)))
         u = rng.random()
         if u < 0.10:
             time_part: frozenset[TimeWindow] = frozenset()
@@ -59,6 +64,19 @@ def random_corpus(
             time_part = frozenset({TimeWindow(day - before, day, day, day + after)})
         else:
             time_part = frozenset({TimeWindow.instant(day)})
+        planned.append((k, n_burst, time_part))
+    # `choices` bisects `random() * total` in all cumulative weights but the
+    # last, so that no pick lies beyond the last word
+    scaled = np.frombuffer(draws)
+    scaled *= cum_weights[-1]
+    picks = np.searchsorted(cum_weights[:-1], scaled, side="right")
+    del scaled, draws  # freed before the token lists are built
+    documents = []
+    end = 0
+    for i, (k, n_burst, time_part) in enumerate(planned):
+        tokens = list(map(vocab.__getitem__, picks[end:end + k].tolist()))
+        end += k
+        tokens += [burst_term] * n_burst
         documents.append(Document(doc_id=f"d{i:04d}", tokens=tokens, time_part=time_part))
     return Corpus(documents=documents)
 

@@ -8,6 +8,7 @@ expressions such as "in 2013" are modelled.  All day values count from
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -25,9 +26,22 @@ def day_to_date(day: int) -> date:
     return EPOCH + timedelta(days=day)
 
 
+def day_iso(day: int) -> str:
+    """Day number to its `YYYY-MM-DD` string."""
+    return day_to_date(day).isoformat()
+
+
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def parse_day(text: str) -> int:
-    """ISO-8601 date string to day number.  Raises ValueError on bad input."""
-    return day_number(date.fromisoformat(text.strip()))
+    """`YYYY-MM-DD` date string, surrounding whitespace allowed, to day
+    number.  Raises ValueError on any other form, such as the basic
+    `YYYYMMDD` or week dates that some Pythons' `date.fromisoformat` takes."""
+    text = text.strip()
+    if not _ISO_DAY.fullmatch(text):
+        raise ValueError(f"expected a YYYY-MM-DD date, got {text!r}")
+    return day_number(date.fromisoformat(text))
 
 
 @dataclass(frozen=True, order=True)
@@ -60,14 +74,16 @@ class TimeWindow:
         """Representative day: floor midpoint of the hull."""
         return (self.b_lo + self.e_hi) // 2
 
-    def to_iso(self) -> list[str]:
-        return [day_to_date(v).isoformat() for v in (self.b_lo, self.b_hi, self.e_lo, self.e_hi)]
+    def to_iso(self, iso=day_iso) -> list[str]:
+        """The four bounds as ISO dates, each formatted by `iso`."""
+        return [iso(self.b_lo), iso(self.b_hi), iso(self.e_lo), iso(self.e_hi)]
 
     @classmethod
-    def from_iso(cls, parts) -> "TimeWindow":
+    def from_iso(cls, parts, day=parse_day) -> "TimeWindow":
+        """The window of four ISO dates, each read by `day`."""
         if not isinstance(parts, (list, tuple)) or len(parts) != 4:
             raise ValueError(f"expected 4 ISO dates, got {parts!r}")
-        b_lo, b_hi, e_lo, e_hi = (parse_day(str(p)) for p in parts)
+        b_lo, b_hi, e_lo, e_hi = (day(str(p)) for p in parts)
         return cls(b_lo, b_hi, e_lo, e_hi)
 
 

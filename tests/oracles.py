@@ -37,22 +37,30 @@ floats.  `oracle_cut` keeps postings through per-term keep sets, and
 `oracle_pruning_ratio` checks every pruned posting against a doc_id -> tf
 table of its base list.
 
+`oracle_random_corpus`, `oracle_tokenize`, `oracle_write_corpus` and
+`oracle_build_index` are the slow definitions of the set-up path: one
+`rng.choices` call per document, the token regex on every text, one
+`json.dumps` and four date formats per record, and one `Counter` of tokens
+per document.
+
 `time_filtered_qrels` and `corpus_by_id` are qrels plumbing that only the
 tests use; `multi_window_corpus` is a test corpus whose documents carry
 up to two windows.
 """
 import hashlib
+import json
 import math
 import random
+import re
 from collections import Counter
-from datetime import date
+from datetime import date, timedelta
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from tempoprune.aspects import DEFAULT_LAMBDA_W, Aspect, AspectSet, TermTimeSeries, build_aspect_sets
-from tempoprune.corpus import Corpus, Document
+from tempoprune.corpus import STOPWORDS, Corpus, Document
 from tempoprune.errors import FitError, IndexConsistencyError, IndexFormatError, QueryError
 from tempoprune.evaluation import EvalReport, Qrels, SweepRow, evaluate_queries
 from tempoprune.gmm import DEFAULT_K_MAX, VAR_FLOOR, GmmFit
@@ -933,3 +941,88 @@ def oracle_write_index(index: InvertedIndex, path) -> None:
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, 1 if index.pruned else 0, len(payload))
     with open(path, "wb") as fh:
         fh.write(header + bytes(payload) + hashlib.sha256(payload).digest())
+
+
+# --- set-up path -----------------------------------------------------------
+
+def oracle_random_corpus(n_docs: int = 300, seed: int = 0, start_day: int | None = None,
+                         span_days: int = 1461, vocab_size: int = 120,
+                         burst_term: str = "disaster", rng_class=random.Random) -> Corpus:
+    """`synth.random_corpus` with one `rng.choices` call per document."""
+    if start_day is None:
+        start_day = (date(2000, 1, 1) - date(1970, 1, 1)).days
+    rng = rng_class(seed)
+    vocab = [f"w{i:03d}" for i in range(vocab_size)]
+    weights = [1.0 / (i + 3) for i in range(vocab_size)]
+    burst_centers = (start_day + 200, start_day + 900)
+    documents = []
+    for i in range(n_docs):
+        day = rng.randint(start_day, start_day + span_days - 1)
+        length = rng.randint(30, 80)
+        if any(abs(day - c) <= 20 for c in burst_centers):
+            n_burst = rng.randint(1, 4)
+        else:
+            n_burst = 1 if rng.random() < 0.02 else 0
+        tokens = rng.choices(vocab, weights=weights, k=max(1, length - n_burst))
+        tokens += [burst_term] * n_burst
+        u = rng.random()
+        if u < 0.10:
+            time_part = frozenset()
+        elif u < 0.25:
+            before = rng.randint(0, 5)
+            after = rng.randint(0, 5)
+            time_part = frozenset({TimeWindow(day - before, day, day, day + after)})
+        else:
+            time_part = frozenset({TimeWindow(day, day, day, day)})
+        documents.append(Document(doc_id=f"d{i:04d}", tokens=tokens, time_part=time_part))
+    return Corpus(documents=documents)
+
+
+_ORACLE_TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def oracle_tokenize(text: str, stop_words: bool = True) -> list[str]:
+    """`corpus.tokenize` as the token regex on every text."""
+    tokens = _ORACLE_TOKEN_RE.findall(text.lower())
+    if stop_words:
+        tokens = [t for t in tokens if t not in STOPWORDS]
+    return tokens
+
+
+def oracle_write_corpus(corpus: Corpus, path) -> None:
+    """`corpus.write_corpus` with one `json.dumps` per record and every
+    window bound formatted afresh."""
+    def iso(day):
+        return (date(1970, 1, 1) + timedelta(days=day)).isoformat()
+
+    lines = []
+    for doc in corpus.documents:
+        rec = {"id": doc.doc_id, "text": " ".join(doc.tokens)}
+        if doc.time_part:
+            rec["time"] = [[iso(w.b_lo), iso(w.b_hi), iso(w.e_lo), iso(w.e_hi)]
+                           for w in sorted(doc.time_part)]
+        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def oracle_build_index(corpus: Corpus) -> InvertedIndex:
+    """`index.build_index` from one `Counter` of tokens per document."""
+    tfs = {doc.doc_id: Counter(doc.tokens) for doc in corpus.documents}
+    terms = sorted({t for counts in tfs.values() for t in counts})
+    lists = {}
+    for term in terms:
+        doc_ids = sorted(d for d, counts in tfs.items() if term in counts)
+        lists[term] = PostingList(term, doc_ids, [tfs[d][term] for d in doc_ids])
+    doc_len = {doc.doc_id: len(doc.tokens) for doc in corpus.documents}
+    total = sum(doc_len.values())
+    stats = CollectionStats(
+        n_docs=len(doc_len),
+        doc_len=doc_len,
+        total_len=total,
+        avgdl=total / len(doc_len),
+        df={t: sum(1 for counts in tfs.values() if t in counts) for t in terms},
+        ctf={t: sum(counts[t] for counts in tfs.values()) for t in terms},
+    )
+    doc_times = {doc.doc_id: doc.time_part for doc in corpus.documents if doc.time_part}
+    return InvertedIndex(lists=lists, stats=stats, doc_times=doc_times)

@@ -1,15 +1,17 @@
 """Tokenization and corpus parsing (JSONL and TREC SGML)."""
 import json
 import re
+from datetime import date
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import oracle_tokenize, oracle_write_corpus
 
-from tempoprune.corpus import STOPWORDS, parse_corpus, tokenize, write_corpus
+from tempoprune.corpus import STOPWORDS, Corpus, Document, parse_corpus, tokenize, write_corpus
 from tempoprune.errors import CorpusFormatError
-from tempoprune.timewindows import TimeWindow, parse_day
+from tempoprune.timewindows import TimeWindow, day_number, parse_day
 
 
 def test_tokenize_drops_stopwords_and_lowercases():
@@ -229,3 +231,109 @@ def test_parse_corpus_names_the_line_of_bytes_that_are_not_utf8(tmp_path, fmt, d
     path.write_bytes(data)
     with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:{where}: not UTF-8: byte 0x"):
         parse_corpus(path, fmt)
+
+
+# --- fast paths against their definitions -------------------------------------
+
+_SEPARATORS = [" ", "  ", "\t", "\n", ",", ".", "_", "-", "'", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0"]
+_WORDS = st.one_of(
+    st.sampled_from(sorted(STOPWORDS) + ["The", "AND", "It", "Not"]),
+    st.text(alphabet="abcXYZ019_!?;", min_size=1, max_size=8),
+    st.text(alphabet="éßΣİKǅ٣中k", min_size=1, max_size=4),  # Kelvin sign lowercases to "k"
+)
+
+
+@given(st.lists(st.tuples(_WORDS, st.sampled_from(_SEPARATORS)), max_size=30), st.booleans())
+def test_tokenize_matches_regex_definition(parts, stop_words):
+    text = "".join(w + sep for w, sep in parts)
+    assert tokenize(text, stop_words) == oracle_tokenize(text, stop_words)
+
+
+@given(st.text(max_size=200), st.booleans())
+def test_tokenize_matches_regex_definition_on_any_text(text, stop_words):
+    assert tokenize(text, stop_words) == oracle_tokenize(text, stop_words)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("Kelvin", ["kelvin"]),  # ASCII only once lowercased
+    ("İstanbul", ["i", "stanbul"]),  # lowercases to "i" and a combining dot
+    ("snake_case\tTAB\x1fUNIT\xa0nbsp", ["snake", "case", "tab", "unit", "nbsp"]),
+    ("The cat AND the hat", ["cat", "hat"]),
+])
+def test_tokenize_edges(text, tokens):
+    assert tokenize(text) == tokens == oracle_tokenize(text)
+
+
+_DAYS = st.integers(min_value=day_number(date(1, 1, 1)), max_value=day_number(date(9999, 12, 31)))
+
+
+@st.composite
+def _windows(draw):
+    a, b, c, d = sorted(draw(st.lists(_DAYS, min_size=4, max_size=4)))
+    # uncertain ends may overlap the start range: b_lo <= e_lo <= b_hi <= e_hi
+    return TimeWindow(a, c, b, d) if draw(st.booleans()) else TimeWindow(a, b, c, d)
+
+
+_DOCUMENTS = st.lists(
+    st.tuples(
+        st.text(min_size=1, max_size=6),
+        st.lists(st.text(alphabet="ab1é中\"\\", min_size=1, max_size=4), max_size=6),
+        st.frozensets(_windows(), max_size=3),
+    ),
+    max_size=8,
+    unique_by=lambda doc: doc[0],
+)
+
+
+@given(_DOCUMENTS)
+def test_write_corpus_matches_per_record_dumps(tmp_path_factory, docs):
+    corpus = Corpus([Document(i, tokens, windows) for i, tokens, windows in docs])
+    tmp = tmp_path_factory.mktemp("write")
+    write_corpus(corpus, tmp / "got.jsonl")
+    oracle_write_corpus(corpus, tmp / "want.jsonl")
+    assert (tmp / "got.jsonl").read_bytes() == (tmp / "want.jsonl").read_bytes()
+
+
+def test_write_corpus_matches_per_record_dumps_on_dated_edges(tmp_path):
+    corpus = Corpus([
+        Document("ünï-1", ["alpha", "beta"], frozenset({TimeWindow(-800, -790, -10, 5),
+                                                          TimeWindow.instant(-1)})),
+        Document("中文", ["γ"], frozenset({TimeWindow.instant(0), TimeWindow(3, 4, 3, 9),
+                                           TimeWindow.instant(-719162)})),
+        Document("plain", ["x"]),
+    ])
+    write_corpus(corpus, tmp_path / "got.jsonl")
+    oracle_write_corpus(corpus, tmp_path / "want.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    assert '"0001-01-01"' in (tmp_path / "got.jsonl").read_text(encoding="utf-8")
+    assert parse_corpus(tmp_path / "got.jsonl").documents == corpus.documents
+
+
+# --- dates: exactly YYYY-MM-DD ------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", ["20130101", 20130101, "2013-W01-1", "2013W011", "2013-001", " 2013-1-01"])
+def test_parse_jsonl_date_not_yyyy_mm_dd_is_malformed(tmp_path, bad):
+    lines = [
+        json.dumps({"id": "d1", "text": "alpha", "time": [[bad] * 4]}),
+        json.dumps({"id": "d2", "text": "beta", "time": [[" 2013-01-01\t"] * 4]}),
+    ]
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = parse_corpus(path)
+    assert [d.doc_id for d in corpus.documents] == ["d2"]
+    assert corpus.documents[0].time_part == frozenset({TimeWindow.instant(parse_day("2013-01-01"))})
+    assert corpus.n_malformed == 1
+
+
+def test_mixed_fixture_takes_both_tokenizer_paths():
+    path = Path(__file__).parent / "data" / "mixed_corpus.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    corpus = parse_corpus(path)
+    assert corpus.n_malformed == 0
+    assert [d.doc_id for d in corpus.documents] == [r["id"] for r in records]
+    for doc, rec in zip(corpus.documents, records):
+        assert doc.tokens == oracle_tokenize(rec["text"])
+    ascii_path = {rec["text"].lower().isascii() for rec in records}
+    assert ascii_path == {True, False}
+    assert any(not rec["text"].isascii() and rec["text"].lower().isascii() for rec in records)

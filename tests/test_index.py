@@ -4,7 +4,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_pruning_ratio, oracle_read_index, oracle_write_index
+from oracles import oracle_build_index, oracle_pruning_ratio, oracle_read_index, oracle_write_index
 
 from tempoprune.corpus import Corpus, Document
 from tempoprune.errors import CorpusFormatError, IndexConsistencyError, IndexFormatError
@@ -44,6 +44,30 @@ def test_build_index_hand_counts():
     assert idx.stats.df == {"a": 1, "b": 2}
     assert idx.stats.ctf == {"a": 2, "b": 2}
     assert idx.posting_count() == 3
+
+
+@given(st.lists(
+    st.tuples(st.text(alphabet="dx91é", min_size=1, max_size=4),
+              st.lists(st.sampled_from(["a", "b", "c", "é", "the"]), max_size=12),
+              st.booleans()),
+    min_size=1, max_size=12, unique_by=lambda doc: doc[0]))
+def test_build_index_matches_counting_oracle(docs):
+    # ids in any order, repeated tokens, empty and dated documents
+    corpus = Corpus([Document(i, tokens, frozenset({TimeWindow.instant(len(i))}) if dated else frozenset())
+                     for i, tokens, dated in docs])
+    got, want = build_index(corpus), oracle_build_index(corpus)
+    assert got == want
+    assert list(got.lists) == list(want.lists)
+    assert list(got.stats.doc_len) == list(want.stats.doc_len)
+
+
+def test_build_index_matches_counting_oracle_on_unsorted_ids():
+    corpus = Corpus([Document("d3", ["b", "a", "b", "b"]), Document("d10", ["a", "a"]),
+                     Document("d1", ["c", "b"]), Document("d2", [])])
+    index = build_index(corpus)
+    assert index == oracle_build_index(corpus)
+    assert index.lists["b"].doc_ids == ["d1", "d3"] and index.lists["b"].tfs == [1, 3]
+    assert index.lists["a"].doc_ids == ["d10", "d3"] and index.lists["a"].tfs == [2, 1]
 
 
 def test_postings_view_reads_the_columns():

@@ -305,3 +305,9 @@ def test_trec_run_lines():
         "q7 Q0 docA 1 1.250000 run1",
         "q7 Q0 docB 2 0.500000 run1",
     ]
+
+
+@pytest.mark.parametrize("bad", ["20130101", "2013-W01-1", "2013W011", "1,2013-W01-1,3,4"])
+def test_parse_time_spec_rejects_dates_other_than_yyyy_mm_dd(bad):
+    with pytest.raises(QueryError):
+        parse_time_spec(bad)

@@ -184,3 +184,14 @@ def test_stabbing_nested_duplicate_and_touching():
     assert stab.meeting(102, 200) == []
     assert stab.meeting(-5, -1) == []
     assert Stabbing([]).meeting(0, 10) == []
+
+
+@pytest.mark.parametrize("text", ["20130101", "2013-W01-1", "2013W011", "2013-001", "2013-1-1",
+                                  "２０１３-01-01", "2013-01-01T00:00", "+2013-01-01", ""])
+def test_parse_day_takes_only_yyyy_mm_dd(text):
+    with pytest.raises(ValueError):
+        parse_day(text)
+
+
+def test_parse_day_strips_whitespace():
+    assert parse_day(" 1991-01-17\n") == parse_day("1991-01-17") == 7686
