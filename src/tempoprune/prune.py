@@ -13,11 +13,15 @@
 div-* method needs; `check_prune_args` is the one level rule.  Each level
 is a `cut` of one `posting_order` per method: the first `k_for` greedy
 picks of each term (div-*), or the postings whose statistic is not below
-epsilon (tcp/ipu/2n2p).  `next_best` runs lazy greedy; its slow
-definitions (the criterion from scratch, the full-list scan) live in
-tests/oracles.py.  The greedy terms are the tasks of one
-`workers.fork_map`, each term run whole in one process, its aspect set
-built there too, so the picks do not depend on the number of CPUs.
+epsilon (tcp/ipu/2n2p).  `next_best` runs lazy greedy over the first
+unselected doc of each signature group (docs mapped to the same aspects),
+which is exact: within a group the higher doc never gains less.  Rounding
+can still decide exact ties between docs of different signatures.  Its slow
+definitions (the criterion from scratch, the full-list scan, greedy in
+exact arithmetic) live in tests/oracles.py.  The greedy terms are the
+tasks of one `workers.fork_map`, each term run whole in one process, its
+aspect set built there too, so the picks do not depend on the number of
+CPUs.
 """
 from __future__ import annotations
 
@@ -42,8 +46,8 @@ JM_LAMBDA = 0.6
 TCP_K = 10
 RATIO_TOLERANCE = 0.01
 # List length times greedy depth, summed over terms, below which `posting_order`
-# forks no worker: two pinned processes broke even near 40,000 (README, "Forked workers").
-FORK_MIN_PICK_CELLS = 80_000
+# forks no worker: twice where two pinned processes broke even (README, "Forked workers").
+FORK_MIN_PICK_CELLS = 40_000
 
 
 @dataclass(frozen=True)
@@ -105,15 +109,20 @@ class SelectionState:
     """Lazy-greedy bookkeeping for one term.
 
     members[w] holds the selected positions mapped to aspect w, ascending.
-    heap holds (-gain, position, stamp) for every unselected position, the
-    gain computed when `stamp` positions had been selected; it is filled on
-    the first `next_best` call.  disc[j] == discount(j) for every rank the
-    term can reach.
+    A signature group is the positions whose docs map to one `doc_map`
+    tuple; successor[pos] is the next position of pos's group, or -1.  heap
+    holds (-gain, position, stamp) for the first unselected position of
+    every group that has one, the gain computed when `stamp` positions had
+    been selected; stamp counts the picks.  heap and successor are filled
+    on the first `next_best` call.  disc[j] == discount(j) for every rank
+    the term can reach.
     """
 
     n_aspects: int
     members: list[list[int]] = field(init=False)
     heap: list[tuple[float, int, int]] | None = field(default=None, init=False)
+    successor: list[int] = field(default_factory=list, init=False)
+    stamp: int = field(default=0, init=False)
     disc: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
@@ -149,22 +158,47 @@ def next_best(rel: RelevanceList, state: SelectionState, aspects: AspectSet) -> 
     bound on the current one.  The heap top is recomputed until a gain
     computed at the current stamp surfaces; that candidate beats every
     other.  Ties go to the higher-relevance doc, then to the ascending
-    doc_id, which is the list position in the heap key.  Each call pops
-    one position, so at most len(rel) calls have a pick to return.
+    doc_id, which is the list position in the heap key.
+
+    Only the first unselected doc of each signature group has a heap
+    entry.  Of two docs that map to the same aspects, the one higher in the
+    list never gains less: in each of those aspects the scores ranked with
+    it are, rank by rank, at least those ranked with the other, and
+    discounts and weights are not negative.  So under the tie rule the
+    lower doc is never picked while the higher one is unselected.  When a
+    head is picked, the next doc of its group enters the heap with its gain
+    at the new stamp.  Rounding can still decide between docs of different
+    signatures whose exact gains tie.  Each call picks one position, so at
+    most len(rel) calls have a pick to return.
     """
     if state.heap is None:
         state.disc = [math.nan] + [discount(j) for j in range(1, len(rel) + 2)]
-        state.heap = [(-_gain(rel, state, aspects, pos), pos, 0) for pos in range(len(rel))]
+        state.successor = [-1] * len(rel)
+        heads: list[int] = []
+        tails: dict[tuple[int, ...], int] = {}
+        for pos, doc in enumerate(rel.doc_ids):
+            signature = aspects.doc_map[doc]
+            if signature in tails:
+                state.successor[tails[signature]] = pos
+            else:
+                heads.append(pos)
+            tails[signature] = pos
+        state.heap = [(-_gain(rel, state, aspects, pos), pos, 0) for pos in heads]
         heapq.heapify(state.heap)
     heap = state.heap
-    stamp = len(rel) - len(heap)
-    while heap[0][2] != stamp:
+    while heap[0][2] != state.stamp:
         pos = heap[0][1]
-        heapq.heapreplace(heap, (-_gain(rel, state, aspects, pos), pos, stamp))
-    neg_gain, best_pos, _ = heapq.heappop(heap)
+        heapq.heapreplace(heap, (-_gain(rel, state, aspects, pos), pos, state.stamp))
+    neg_gain, best_pos, _ = heap[0]
     chosen = rel.doc_ids[best_pos]
     for w in aspects.doc_map[chosen]:
         insort(state.members[w], best_pos)
+    state.stamp += 1
+    successor = state.successor[best_pos]
+    if successor < 0:
+        heapq.heappop(heap)
+    else:
+        heapq.heapreplace(heap, (-_gain(rel, state, aspects, successor), successor, state.stamp))
     return chosen, -neg_gain
 
 

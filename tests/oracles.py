@@ -7,6 +7,10 @@ incremental or vectorized paths, so agreement is evidence, not tautology.
 
 `ScanState`/`scan_next_best` are the slow definition of the library's lazy
 greedy step: a full bottom-up pass over the relevance list per pick.
+`exact_gains`/`exact_diversify` are the same pass in exact arithmetic, the
+oracle of the tie rule where rounding orders float gains that tie;
+`exact_greedy_faults` names the picks of an order that exact greedy does
+not make.
 
 `oracle_fit_gmm`/`oracle_select_k_bic` are the slow definition of the
 library's batched EM: one K at a time, one (days, K) array per fit.
@@ -55,6 +59,7 @@ import re
 from collections import Counter
 from datetime import date, timedelta
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -223,6 +228,74 @@ def scan_diversify(rel: RelevanceList, aspects: AspectSet, k: int):
         order.append(doc)
         gains.append(gain)
     return order, gains
+
+
+def exact_gains(rel: RelevanceList, aspects: AspectSet, selected) -> dict:
+    """{position: gain} of every unselected position, given the `selected`
+    positions, in exact arithmetic: the scan's insertion-plus-displacement
+    gain over the same float scores, discounts and weights, each taken as
+    the rational number it is (`Fraction`), so no rounding orders two
+    gains."""
+    scores = [Fraction(s) for s in rel.scores]
+    weights = [Fraction(a.weight) for a in aspects.aspects]
+    disc = [None] + [Fraction(discount(j)) for j in range(1, len(rel) + 2)]
+    mapped = [aspects.doc_map[d] for d in rel.doc_ids]
+    counts = [0] * len(weights)
+    for pos in selected:
+        for w in mapped[pos]:
+            counts[w] += 1
+    cursors = [0] * len(weights)
+    displacement = [Fraction(0)] * len(weights)
+    gains = {}
+    for pos in range(len(rel) - 1, -1, -1):
+        if pos in selected:
+            for w in mapped[pos]:
+                cursors[w] += 1
+                rank = counts[w] - cursors[w] + 1
+                displacement[w] += (disc[rank + 1] - disc[rank]) * scores[pos]
+        else:
+            gain = Fraction(0)
+            for w in mapped[pos]:
+                insert_rank = counts[w] - cursors[w] + 1
+                gain += weights[w] * (disc[insert_rank] * scores[pos] + displacement[w])
+            gains[pos] = gain
+    return gains
+
+
+def exact_diversify(rel: RelevanceList, aspects: AspectSet, k: int) -> list:
+    """The first k picks of greedy over `exact_gains`, ties to the lower
+    list position (the higher-relevance doc, then the ascending doc_id):
+    the tie rule's oracle on lists whose exact gains tie."""
+    selected: list[int] = []
+    for _ in range(k):
+        gains = exact_gains(rel, aspects, set(selected))
+        best = max(gains.values())
+        selected.append(min(pos for pos, gain in gains.items() if gain == best))
+    return [rel.doc_ids[pos] for pos in selected]
+
+
+def exact_greedy_faults(rel: RelevanceList, aspects: AspectSet, order) -> list:
+    """The steps of `order` that greedy in exact arithmetic does not take
+    under the tie rule: an unselected doc above the pick maps to the same
+    aspects, or the pick's `exact_gains` value is below the largest by more
+    than 1e-12 of it.  Docs of one signature are held to the tie rule
+    exactly; between docs of different signatures whose exact gains tie, or
+    lie closer than rounding a float gain can resolve, either order
+    passes."""
+    pos = {d: i for i, d in enumerate(rel.doc_ids)}
+    selected: set[int] = set()
+    faults = []
+    for step, doc in enumerate(order):
+        gains = exact_gains(rel, aspects, selected)
+        p = pos[doc]
+        signature = aspects.doc_map[doc]
+        best = max(gains.values())
+        if gains[p] < best - best * Fraction(1e-12) or any(
+            q < p and aspects.doc_map[rel.doc_ids[q]] == signature for q in gains
+        ):
+            faults.append(step)
+        selected.add(p)
+    return faults
 
 
 def oracle_optimum(rel: RelevanceList, aspects: AspectSet, k: int) -> float:

@@ -8,6 +8,8 @@ import numpy as np
 from forking import Placement, assert_no_child_left, forking, in_one_process, within
 from oracles import (
     ScanState,
+    exact_diversify,
+    exact_greedy_faults,
     make_instance,
     make_tied_instance,
     make_tune_instance,
@@ -136,10 +138,13 @@ def test_next_best_matches_oracle():
             assert got_doc == want_doc
             assert got_gain == pytest.approx(want_gain, abs=1e-12)
             selected.add(got_doc)
-            # the heap holds exactly the unselected positions
-            assert sorted(p for _, p, _ in state.heap) == [
-                pos[d] for d in rel.doc_ids if d not in selected
-            ]
+            # the heap holds one entry per signature group with an unselected
+            # doc: the group's first unselected position
+            heads: dict[tuple[int, ...], int] = {}
+            for d in rel.doc_ids:
+                if d not in selected:
+                    heads.setdefault(aset.doc_map[d], pos[d])
+            assert sorted(p for _, p, _ in state.heap) == sorted(heads.values())
 
 
 def test_next_best_tie_prefers_higher_score_then_doc_id():
@@ -192,13 +197,46 @@ def test_diversify_single_global_aspect_is_relevance_topk():
 
 
 def test_lazy_greedy_matches_scan_on_tied_instances():
+    # bit for bit where the orders agree; where rounding flips a pick of the
+    # float scan, greedy in exact arithmetic decides
     rng = random.Random(0)
+    flipped = 0
     for seed in range(2000):
         rel, aset = make_tied_instance(seed)
         k = rng.randint(0, len(rel))
         order, gains = scan_diversify(rel, aset, k)
-        assert diversify(rel, aset, k) == order, seed
-        assert _picks(rel, aset, k) == (order, gains), seed
+        picks = _picks(rel, aset, k)
+        assert diversify(rel, aset, k) == picks[0], seed
+        if picks[0] == order:
+            assert picks[1] == gains, seed
+        else:
+            assert exact_greedy_faults(rel, aset, picks[0]) == [], seed
+            flipped += 1
+    assert flipped
+
+
+def test_exact_oracle_is_the_scan_on_distinct_scores():
+    for seed in range(60):
+        rel, aset = make_instance(seed)
+        order = exact_diversify(rel, aset, len(rel))
+        assert order == scan_diversify(rel, aset, len(rel))[0], seed
+        assert exact_greedy_faults(rel, aset, order) == [], seed
+
+
+def test_exact_greedy_faults_name_each_step_off_the_tie_rule():
+    rel = RelevanceList(term="t", doc_ids=["da", "db", "dc"], scores=[0.5, 0.5, 0.2])
+    aset = global_only_aspects("t", rel.doc_ids)
+    assert exact_diversify(rel, aset, 3) == ["da", "db", "dc"]
+    # the lower doc of one signature first; a smaller gain, then that again
+    assert exact_greedy_faults(rel, aset, ["db", "da", "dc"]) == [0]
+    assert exact_greedy_faults(rel, aset, ["dc", "db", "da"]) == [0, 1]
+    # docs of different signatures whose exact gains tie may come in either order
+    two = AspectSet(
+        term="t",
+        aspects=[Aspect(window=TimeWindow.certain(10 * i, 10 * i + 9), weight=0.5) for i in range(2)],
+        doc_map={"da": (0,), "db": (1,), "dc": (0, 1)},
+    )
+    assert exact_greedy_faults(rel, two, ["db", "da", "dc"]) == []
 
 
 def test_lazy_greedy_and_scan_exhaust_together():
@@ -225,6 +263,11 @@ def test_lazy_prune_matches_scan_on_real_lists(seed, model, tmp_path):
         ks = [k_for(len(rel), ratio=r) for r in ratios]
         # greedy picks do not depend on k: one scan serves both budgets
         order, gains = scan_diversify(rel, aspect_sets[term], max(ks))
+        picks = _picks(rel, aspect_sets[term], max(ks))
+        if picks[0] != order:
+            # rounding flipped a pick of the float scan: exact arithmetic decides
+            assert exact_greedy_faults(rel, aspect_sets[term], picks[0]) == [], term
+            order, gains = picks
         for keep, k in zip(scan_keep, ks):
             assert diversify(rel, aspect_sets[term], k) == order[:k], term
             assert _picks(rel, aspect_sets[term], k) == (order[:k], gains[:k]), term
@@ -238,6 +281,22 @@ def test_lazy_prune_matches_scan_on_real_lists(seed, model, tmp_path):
         write_index(lazy, tmp_path / "lazy.bin")
         write_index(scan, tmp_path / "scan.bin")
         assert (tmp_path / "lazy.bin").read_bytes() == (tmp_path / "scan.bin").read_bytes()
+
+
+@pytest.mark.parametrize(("seed", "ratio", "term"), [(1, 0.3, "w025"), (7, 0.7, "w008")])
+def test_prune_keeps_the_exact_greedy_set_where_rounding_flipped_a_pick(seed, ratio, term):
+    # two docs of one signature with equal scores have equal exact gains but
+    # float gains an ulp apart; the float scan, like the lazy greedy before
+    # signature-group heads, picked the lower one first and kept another set
+    index = build_index(random_corpus(n_docs=300, seed=seed, vocab_size=500))
+    aspect_sets = build_aspect_sets(index, "sliding")
+    rel = relevance_scores(index, term)
+    k = k_for(len(rel), ratio=ratio)
+    exact = exact_diversify(rel, aspect_sets[term], k)
+    assert set(scan_diversify(rel, aspect_sets[term], k)[0]) != set(exact)
+    assert diversify(rel, aspect_sets[term], k) == exact
+    pruned, _ = prune_index(index, "div-sliding", ratio=ratio, aspect_sets=aspect_sets)
+    assert set(pruned.lists[term].doc_ids) == set(exact)
 
 
 # --- budgets, posting orders and cuts ------------------------------------------
