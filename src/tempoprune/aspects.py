@@ -73,19 +73,18 @@ class AspectSet:
         return None
 
 
-def term_time_series(index: InvertedIndex, term: str, presence_only: bool = False) -> TermTimeSeries:
+def term_time_series(index: InvertedIndex, term: str) -> TermTimeSeries:
     """Day histogram of the term: one contribution per document window at the
-    window's representative (midpoint) day, weighted by tf unless
-    `presence_only`.  Documents without time data contribute nothing."""
+    window's representative (midpoint) day, weighted by tf.  Documents
+    without time data contribute nothing."""
     if term not in index.lists:
         raise TermNotFoundError(term)
     doc_days = index.doc_days
     counts: dict[int, int] = {}
     plist = index.lists[term]
     for d, tf in zip(plist.doc_ids, plist.tfs):
-        mass = 1 if presence_only else tf
         for day in doc_days.get(d, ()):
-            counts[day] = counts.get(day, 0) + mass
+            counts[day] = counts.get(day, 0) + tf
     return TermTimeSeries(term=term, counts=counts)
 
 
@@ -265,7 +264,6 @@ def build_aspect_sets(
     lambda_w: float = DEFAULT_LAMBDA_W,
     seed: int = 0,
     k_max: int = DEFAULT_K_MAX,
-    presence_only: bool = False,
 ) -> Mapping[str, AspectSet]:
     """Aspect sets for every indexed term: a read-only mapping, in
     `index.terms()` order, that builds a term's set on each lookup.  Terms
@@ -280,7 +278,7 @@ def build_aspect_sets(
     index.doc_days  # derived here, once, rather than in each forked greedy worker
     fits: dict[str, GmmFit] = {}
     if model == "dynamic":  # every dated term, fitted together
-        dated = [s for term in index.terms() if (s := term_time_series(index, term, presence_only)).counts]
+        dated = [s for term in index.terms() if (s := term_time_series(index, term)).counts]
         fits = dict(zip((s.term for s in dated), select_k_bic_each(dated, k_max, seed)))
     capped = [term for term, fit in fits.items() if not fit.converged]
     if capped:
@@ -290,7 +288,7 @@ def build_aspect_sets(
         )
 
     def build(term: str) -> AspectSet:
-        series = term_time_series(index, term, presence_only)
+        series = term_time_series(index, term)
         if term in fits:
             aset = smooth(mixture_windows(series, fits[term]), lambda_w)
         elif series.counts:

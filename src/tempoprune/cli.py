@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from . import __version__
@@ -64,12 +65,12 @@ def _write_manifest(out_path: str, subcommand: str, args: argparse.Namespace, **
     }
     payload.update(extra)
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _cmd_build(args) -> int:
-    corpus = parse_corpus(args.corpus, fmt=args.format, stop_words=not args.keep_stopwords)
+    corpus = parse_corpus(args.corpus, fmt=args.format)
     index = build_index(corpus)
     verify_index(index)
     write_index(index, args.out)
@@ -93,7 +94,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_windows(args) -> int:
     index = read_index(args.index)
-    series = term_time_series(index, args.term, args.presence_only)
+    series = term_time_series(index, args.term)
     record: dict = {
         "term": args.term,
         "model": args.model,
@@ -137,9 +138,7 @@ def _cmd_prune(args) -> int:
     model = check_prune_args(args.method, **level).aspect_model
     aspect_sets = None
     if model is not None:
-        aspect_sets = build_aspect_sets(
-            index, model, args.lambda_w, args.seed, args.k_max, args.presence_only
-        )
+        aspect_sets = build_aspect_sets(index, model, args.lambda_w, args.seed, args.k_max)
     pruned, extra = prune_index(
         index, args.method, **level, aspect_sets=aspect_sets, zk=args.zk, lam=args.jm_lambda
     )
@@ -153,7 +152,7 @@ def _cmd_prune(args) -> int:
 
 def _cmd_query(args) -> int:
     index = read_index(args.index)
-    terms = tokenize(args.q, stop_words=not args.keep_stopwords)
+    terms = tokenize(args.q)
     constraint = frozenset({parse_time_spec(args.time)}) if args.time else None
     query = Query(qid=args.qid, terms=terms, time_constraint=constraint)
     result = run_query(index, query, args.depth)
@@ -172,8 +171,7 @@ def _cmd_genqueries(args) -> int:
     index = read_index(args.index)
     topics = read_topics(args.topics)
     queries = generate_temporal_queries(
-        topics, args.span or index_time_hull(index), args.interval, args.n, args.seed, index,
-        stop_words=not args.keep_stopwords,
+        topics, args.span or index_time_hull(index), args.interval, args.n, args.seed, index
     )
     write_queries(queries, args.out)
     _write_manifest(args.out, "genqueries", args, n_queries=len(queries))
@@ -213,7 +211,6 @@ def _cmd_sweep(args) -> int:
         index, queries, qrels, methods, ratios,
         lambda_w=args.lambda_w, lam=args.jm_lambda, zk=args.zk, seed=args.seed,
         depth=args.depth, discount=args.discount, k_max=args.k_max,
-        presence_only=args.presence_only,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.to_csv_lines()) + "\n")
@@ -233,20 +230,37 @@ def _day_span(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _finite_float(text: str) -> float:
+    """A float option: a number, and finite, so every manifest is JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> str:
+    """`--ratios`: a comma list of `_finite_float`s, kept as its text."""
+    for part in text.split(","):
+        _finite_float(part)
+    return text
+
+
 def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
 
 
 def _add_aspect_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda-w", type=float, default=DEFAULT_LAMBDA_W, dest="lambda_w")
+    p.add_argument("--lambda-w", type=_finite_float, default=DEFAULT_LAMBDA_W, dest="lambda_w")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
-    p.add_argument("--presence-only", action="store_true")
     _add_seed(p)
 
 
 def _add_method_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zk", type=int, default=TCP_K, help="tcp cutoff depth")
-    p.add_argument("--jm-lambda", type=float, default=JM_LAMBDA, dest="jm_lambda")
+    p.add_argument("--jm-lambda", type=_finite_float, default=JM_LAMBDA, dest="jm_lambda")
     _add_aspect_args(p)
 
 
@@ -263,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("jsonl", "trec"), default="jsonl")
-    p.add_argument("--keep-stopwords", action="store_true")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("verify", help="check index invariants")
@@ -284,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--k", type=int, help="fixed per-term depth (div-*)")
-    p.add_argument("--ratio", type=float, help="target pruning ratio")
-    p.add_argument("--epsilon", type=float, help="direct threshold (tcp/ipu/2n2p)")
+    p.add_argument("--ratio", type=_finite_float, help="target pruning ratio")
+    p.add_argument("--epsilon", type=_finite_float, help="direct threshold (tcp/ipu/2n2p)")
     _add_method_args(p)
     p.set_defaults(func=_cmd_prune)
 
@@ -297,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--qid", default="q1")
     p.add_argument("--tag", default="tempoprune")
-    p.add_argument("--keep-stopwords", action="store_true")
     p.add_argument("--out", help="run file path (default: stdout)")
     p.set_defaults(func=_cmd_query)
 
@@ -310,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--qrels-out", dest="qrels_out",
                    help="also write all-relevant judgments")
-    p.add_argument("--keep-stopwords", action="store_true")
     _add_seed(p)
     p.set_defaults(func=_cmd_genqueries)
 
@@ -329,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--methods", required=True, help=f"comma list from {','.join(METHODS)}")
-    p.add_argument("--ratios", required=True, help="comma list of target ratios")
+    p.add_argument("--ratios", required=True, type=_finite_floats, help="comma list of target ratios")
     p.add_argument("--out", required=True)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--discount", choices=DISCOUNTS, default="ln")

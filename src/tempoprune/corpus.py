@@ -27,14 +27,14 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_SEPARATORS = bytes(b if 0x30 <= b <= 0x39 or 0x61 <= b <= 0x7A else 0x20 for b in range(256))
 
 
-def tokenize(text: str, stop_words: bool = True) -> list[str]:
-    """Lowercase Unicode-alphanumeric tokens; digits kept, no stemming."""
+def tokenize(text: str) -> list[str]:
+    """Lowercase Unicode-alphanumeric tokens, stop words dropped; digits kept, no stemming."""
     text = text.lower()
     if text.isascii():
         tokens = text.encode().translate(_ASCII_SEPARATORS).decode().split()
     else:
         tokens = _TOKEN_RE.findall(text)
-    if stop_words and not STOPWORDS.isdisjoint(tokens):
+    if not STOPWORDS.isdisjoint(tokens):
         tokens = [t for t in tokens if t not in STOPWORDS]
     return tokens
 
@@ -65,14 +65,14 @@ def read_text(path, error: type[TempopruneError], lines=str.splitlines) -> str:
         raise error(f"{path}:{line}: not UTF-8: {bad}") from None
 
 
-def parse_corpus(path, fmt: str = "jsonl", stop_words: bool = True) -> Corpus:
+def parse_corpus(path, fmt: str = "jsonl") -> Corpus:
     """Parse a corpus file.  Malformed records are counted, not dropped silently."""
     path = Path(path)
     text = read_text(path, CorpusFormatError)
     if fmt == "jsonl":
-        docs, skipped = _parse_jsonl(text, stop_words)
+        docs, skipped = _parse_jsonl(text)
     elif fmt == "trec":
-        docs, skipped = _parse_trec_sgml(text, stop_words)
+        docs, skipped = _parse_trec_sgml(text)
     else:
         raise CorpusFormatError(f"unknown corpus format {fmt!r}")
     if not docs:
@@ -107,7 +107,7 @@ def _record_id(rec: dict):
     return ids[0]
 
 
-def _parse_jsonl(text: str, stop_words: bool) -> tuple[list[Document], list[str]]:
+def _parse_jsonl(text: str) -> tuple[list[Document], list[str]]:
     """Documents, and one reason per skipped record, in file order."""
     docs: list[Document] = []
     seen: set[str] = set()
@@ -134,7 +134,7 @@ def _parse_jsonl(text: str, stop_words: bool) -> tuple[list[Document], list[str]
             skipped.append(f"line {lineno}: {exc}")
             continue
         seen.add(doc_id)
-        docs.append(Document(doc_id, tokenize(body, stop_words), windows))
+        docs.append(Document(doc_id, tokenize(body), windows))
     return docs, skipped
 
 
@@ -171,7 +171,7 @@ def _parse_trec_date(raw: str) -> int | None:
     return None
 
 
-def _parse_trec_sgml(text: str, stop_words: bool) -> tuple[list[Document], list[str]]:
+def _parse_trec_sgml(text: str) -> tuple[list[Document], list[str]]:
     """Documents, and one reason per skipped <DOC> block, in file order."""
     docs: list[Document] = []
     seen: set[str] = set()
@@ -187,7 +187,7 @@ def _parse_trec_sgml(text: str, stop_words: bool) -> tuple[list[Document], list[
             skipped.append(f"DOC {n}: empty or duplicate DOCNO {doc_id!r}")
             continue
         raw = unescape(_INNER_TAG_RE.sub(" ", body.group(1)))
-        tokens = tokenize(raw, stop_words)
+        tokens = tokenize(raw)
         windows: frozenset[TimeWindow] = frozenset()
         date_tag = _TAG_RES["DATE"].search(block)
         if date_tag is not None:

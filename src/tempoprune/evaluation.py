@@ -207,7 +207,6 @@ def generate_temporal_queries(
     n_target: int,
     seed: int,
     index: InvertedIndex,
-    stop_words: bool = True,
 ) -> list[Query]:
     """Exclusive queries from topic keywords plus uniformly random certain
     windows of the interval length, keeping only draws whose short (title)
@@ -226,11 +225,11 @@ def generate_temporal_queries(
     rng = random.Random(seed)
     prepared = []
     for topic in topics:
-        title_terms = tokenize(topic.title, stop_words)
+        title_terms = tokenize(topic.title)
         if not title_terms:
             log.warning("topic %s has no usable title terms; skipped", topic.qid)
             continue
-        long_terms = title_terms + tokenize(topic.description, stop_words)
+        long_terms = title_terms + tokenize(topic.description)
         prepared.append((topic.qid, title_terms, long_terms))
     queries: list[Query] = []
     kept = 0
@@ -439,13 +438,14 @@ def sweep(
     depth: int = DEFAULT_DEPTH,
     discount: str = "ln",
     k_max: int = DEFAULT_K_MAX,
-    presence_only: bool = False,
 ) -> EvalReport:
     """MAP/NDCG as a function of pruning level, one row per method x ratio.
 
     Ratio 0 rows evaluate the unpruned index.  The others cut one
     `posting_order` per method, as deep as its smallest positive ratio keeps.
     """
+    if not methods:
+        raise PruneError("no method to sweep")
     for m in methods:
         if m not in METHODS:
             raise PruneError(f"unknown method {m!r}; expected one of {tuple(METHODS)}")
@@ -467,7 +467,7 @@ def sweep(
                 model = METHODS[method].aspect_model
                 aspect_sets = None
                 if model is not None:
-                    aspect_sets = build_aspect_sets(index, model, lambda_w, seed, k_max, presence_only)
+                    aspect_sets = build_aspect_sets(index, model, lambda_w, seed, k_max)
                 order = posting_order(index, method, aspect_sets, lambda n: k_for(n, ratio=ratio), zk, lam)
             pruned, info = cut(index, method, order, ratio=ratio)
             achieved = pruning_ratio(index, pruned)

@@ -378,7 +378,10 @@ def posting_order(
     `depth(list length)` `diversify` picks over the `aspect_sets` of the
     method's model; the next pick depends only on the picks made, so a
     deeper order extends a shallower one.  tcp/ipu/2n2p: the
-    `threshold_values` array (aspect sets and depth unused)."""
+    `threshold_values` array (aspect sets and depth unused).  The
+    Jelinek-Mercer `lam` must be in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:  # before any term is scored
+        raise PruneError(f"jm lambda must be in [0, 1], got {lam}")
     if METHODS[method].aspect_model is None:
         return threshold_values(index, method, zk, lam)
     if aspect_sets is None:

@@ -98,11 +98,7 @@ class TwoBurstSpec:
     term: str
     a_doc_ids: tuple[str, ...]
     b_doc_ids: tuple[str, ...]
-    a_days: tuple[int, ...]
     b_days: tuple[int, ...]
-    n_filler_terms: int
-    postings_per_filler: int
-    n_postings: int
 
 
 def _filler_term(i: int) -> str:
@@ -186,16 +182,7 @@ def two_burst_corpus() -> tuple[Corpus, TwoBurstSpec]:
         )
 
     corpus = Corpus(documents=documents)
-    spec = TwoBurstSpec(
-        term=PROBE_TERM,
-        a_doc_ids=a_ids,
-        b_doc_ids=b_ids,
-        a_days=A_DAYS,
-        b_days=B_DAYS,
-        n_filler_terms=N_FILLER_TERMS,
-        postings_per_filler=sum(_FILLER_TF_COUNTS.values()),
-        n_postings=len(a_ids) + len(b_ids) + N_FILLER_TERMS * sum(_FILLER_TF_COUNTS.values()),
-    )
+    spec = TwoBurstSpec(term=PROBE_TERM, a_doc_ids=a_ids, b_doc_ids=b_ids, b_days=B_DAYS)
     return corpus, spec
 
 

@@ -511,7 +511,7 @@ def oracle_cut(index, values: dict, epsilon: float) -> InvertedIndex:
         keep = {d for d, v in zip(plist.doc_ids, values[term]) if not v < epsilon}
         kept = [(d, tf) for d, tf in zip(plist.doc_ids, plist.tfs) if d in keep]
         if kept:
-            lists[term] = PostingList(term, [d for d, _ in kept], [tf for _, tf in kept])
+            lists[term] = PostingList([d for d, _ in kept], [tf for _, tf in kept])
     return InvertedIndex(lists=lists, stats=index.stats, doc_times=index.doc_times, pruned=True)
 
 
@@ -770,7 +770,7 @@ def oracle_select_k_bic(series: TermTimeSeries, k_max: int = DEFAULT_K_MAX, seed
 
 def oracle_sweep(index, queries, qrels, methods, ratios, lambda_w=DEFAULT_LAMBDA_W,
                  lam=JM_LAMBDA, zk=TCP_K, seed=0, depth=DEFAULT_DEPTH, discount="ln",
-                 k_max=DEFAULT_K_MAX, presence_only=False) -> EvalReport:
+                 k_max=DEFAULT_K_MAX) -> EvalReport:
     """One `prune_index` and one evaluation per (method, ratio)."""
     for m in methods:
         if m not in METHODS:
@@ -790,7 +790,7 @@ def oracle_sweep(index, queries, qrels, methods, ratios, lambda_w=DEFAULT_LAMBDA
                 report.rows.append(SweepRow(method, ratio, map_, ndcg_, n))
                 continue
             if aspect_sets is None and model is not None:
-                aspect_sets = build_aspect_sets(index, model, lambda_w, seed, k_max, presence_only)
+                aspect_sets = build_aspect_sets(index, model, lambda_w, seed, k_max)
             pruned, info = prune_index(
                 index, method, ratio=ratio, aspect_sets=aspect_sets, zk=zk, lam=lam
             )
@@ -877,13 +877,12 @@ def oracle_all_relevant_qrels(queries, index) -> Qrels:
     return Qrels(grades)
 
 
-def oracle_term_time_series(index, term: str, presence_only: bool = False) -> dict[int, int]:
+def oracle_term_time_series(index, term: str) -> dict[int, int]:
     """Day histogram of the term, each window's midpoint read per posting."""
     counts: dict[int, int] = {}
     for p in index.lists[term].postings:
-        mass = 1 if presence_only else p.tf
         for w in index.doc_times.get(p.doc_id, frozenset()):
-            counts[w.midpoint] = counts.get(w.midpoint, 0) + mass
+            counts[w.midpoint] = counts.get(w.midpoint, 0) + p.tf
     return counts
 
 
@@ -949,18 +948,10 @@ def oracle_read_index(path) -> InvertedIndex:
             raise IndexFormatError("posting references unknown document")
         if nums != sorted(set(nums)):
             raise IndexFormatError(f"term {term!r}: doc ids not strictly ascending")
-        lists[term] = PostingList(term, [docs[num] for num in nums], [r.uv() for _ in nums])
+        lists[term] = PostingList([docs[num] for num in nums], [r.uv() for _ in nums])
     if r.pos != len(payload):
         raise IndexFormatError(f"{path}: {len(payload) - r.pos} trailing payload bytes")
-    total = sum(doc_len.values())
-    stats = CollectionStats(
-        n_docs=len(doc_len),
-        doc_len=doc_len,
-        total_len=total,
-        avgdl=total / len(doc_len) if doc_len else 0.0,
-        df=df,
-        ctf=ctf,
-    )
+    stats = CollectionStats(doc_len=doc_len, df=df, ctf=ctf)
     return InvertedIndex(lists=lists, stats=stats, doc_times=doc_times, pruned=bool(flags & 1))
 
 
@@ -1054,12 +1045,9 @@ def oracle_random_corpus(n_docs: int = 300, seed: int = 0, start_day: int | None
 _ORACLE_TOKEN_RE = re.compile(r"[^\W_]+")
 
 
-def oracle_tokenize(text: str, stop_words: bool = True) -> list[str]:
+def oracle_tokenize(text: str) -> list[str]:
     """`corpus.tokenize` as the token regex on every text."""
-    tokens = _ORACLE_TOKEN_RE.findall(text.lower())
-    if stop_words:
-        tokens = [t for t in tokens if t not in STOPWORDS]
-    return tokens
+    return [t for t in _ORACLE_TOKEN_RE.findall(text.lower()) if t not in STOPWORDS]
 
 
 def oracle_write_corpus(corpus: Corpus, path) -> None:
@@ -1086,14 +1074,10 @@ def oracle_build_index(corpus: Corpus) -> InvertedIndex:
     lists = {}
     for term in terms:
         doc_ids = sorted(d for d, counts in tfs.items() if term in counts)
-        lists[term] = PostingList(term, doc_ids, [tfs[d][term] for d in doc_ids])
+        lists[term] = PostingList(doc_ids, [tfs[d][term] for d in doc_ids])
     doc_len = {doc.doc_id: len(doc.tokens) for doc in corpus.documents}
-    total = sum(doc_len.values())
     stats = CollectionStats(
-        n_docs=len(doc_len),
         doc_len=doc_len,
-        total_len=total,
-        avgdl=total / len(doc_len),
         df={t: sum(1 for counts in tfs.values() if t in counts) for t in terms},
         ctf={t: sum(counts[t] for counts in tfs.values()) for t in terms},
     )

@@ -68,7 +68,6 @@ def test_series_sums_same_day():
         Corpus(documents=[_dated("d1", ["x"], 40), _dated("d2", ["x", "x", "y"], 40)])
     )
     assert term_time_series(idx, "x").counts == {40: 3}
-    assert term_time_series(idx, "x", presence_only=True).counts == {40: 2}
 
 
 def test_series_one_contribution_per_window():
@@ -102,9 +101,7 @@ def test_series_matches_per_posting_oracle(seed):
     # undated, uncertain and multi-window documents
     index = build_index(multi_window_corpus(seed))
     for term in index.terms():
-        for presence_only in (False, True):
-            got = term_time_series(index, term, presence_only).counts
-            assert got == oracle_term_time_series(index, term, presence_only)
+        assert term_time_series(index, term).counts == oracle_term_time_series(index, term)
 
 
 def test_series_matches_corpus_recount(rand_corpus, rand_index):

@@ -494,7 +494,7 @@ def test_prune_of_an_index_with_an_empty_list_exits_one(tmp_path, capsys):
     """A list of no postings (df 0) is an index format error, not a
     division by zero in the tcp statistics."""
     index = build_index(Corpus(documents=[Document("d1", ["a", "b", "a"]), Document("d2", ["b"])]))
-    index.lists["c"] = PostingList("c", [], [])
+    index.lists["c"] = PostingList([], [])
     index.stats.df["c"] = index.stats.ctf["c"] = 0
     write_index(index, tmp_path / "idx.bin")
     capsys.readouterr()
@@ -504,3 +504,126 @@ def test_prune_of_an_index_with_an_empty_list_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: term 'c': empty posting list" in err
     assert "Traceback" not in err
+
+
+# --- strict JSON out, and the options that would break it -----------------------
+
+def _no_constant(name):
+    raise AssertionError(f"{name} written to a JSON file")
+
+
+def _gen_queries(cli_dir, out_dir):
+    """Queries and all-relevant qrels of the staged index, in `out_dir`."""
+    queries, qrels = out_dir / "queries.jsonl", out_dir / "qrels.txt"
+    assert main(["genqueries", "--index", str(cli_dir / "idx.bin"), "--topics", str(cli_dir / "topics.jsonl"),
+                 "--interval", "monthly", "--n", "6", "--seed", "5",
+                 "--out", str(queries), "--qrels-out", str(qrels)]) == 0
+    return queries, qrels
+
+
+def test_every_subcommand_writes_strict_json(cli_dir, tmp_path, capsys):
+    idx, pruned = str(tmp_path / "idx.bin"), str(tmp_path / "pruned.bin")
+    assert main(["build", "--corpus", str(cli_dir / "corpus.jsonl"), "--out", idx]) == 0
+    assert main(["verify", idx]) == 0
+    assert main(["windows", "--index", idx, "--term", "disaster", "--model", "dynamic",
+                 "--out", str(tmp_path / "windows.json")]) == 0
+    assert main(["prune", "--in", idx, "--out", pruned, "--method", "tcp", "--ratio", "0.5"]) == 0
+    assert main(["query", "--index", idx, "--q", "disaster", "--out", str(tmp_path / "run.txt")]) == 0
+    queries, qrels = _gen_queries(cli_dir, tmp_path)
+    assert main(["eval", "--index", pruned, "--queries", str(queries), "--qrels", str(qrels),
+                 "--out", str(tmp_path / "eval.json")]) == 0
+    assert main(["sweep", "--index", idx, "--queries", str(queries), "--qrels", str(qrels),
+                 "--methods", "tcp,div-simple", "--ratios", "0.0,0.5", "--out", str(tmp_path / "sweep.csv")]) == 0
+    capsys.readouterr()
+    manifests = {}
+    for path in sorted(tmp_path.iterdir()):
+        if path.suffix == ".jsonl":
+            for line in path.read_text().splitlines():
+                json.loads(line, parse_constant=_no_constant)
+        elif path.suffix == ".json":
+            record = json.loads(path.read_text(), parse_constant=_no_constant)
+            if path.name.endswith(".manifest.json"):
+                manifests[record["subcommand"]] = record["parameters"]
+    assert sorted(manifests) == ["build", "eval", "genqueries", "prune", "query", "sweep", "windows"]
+    assert not any({"keep_stopwords", "presence_only"} & p.keys() for p in manifests.values())
+    assert manifests["sweep"]["ratios"] == "0.0,0.5"  # the list as given
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag",
+    [("build", "--keep-stopwords"), ("query", "--keep-stopwords"), ("genqueries", "--keep-stopwords"),
+     ("windows", "--presence-only"), ("prune", "--presence-only"), ("sweep", "--presence-only")],
+)
+def test_removed_flags_are_usage_errors(cli_dir, tmp_path, capsys, subcommand, flag):
+    idx, out = str(cli_dir / "idx.bin"), str(tmp_path / "out")
+    argv = {
+        "build": ["--corpus", str(cli_dir / "corpus.jsonl"), "--out", out],
+        "query": ["--index", idx, "--q", "disaster", "--out", out],
+        "genqueries": ["--index", idx, "--topics", str(cli_dir / "topics.jsonl"), "--out", out],
+        "windows": ["--index", idx, "--term", "disaster", "--out", out],
+        "prune": ["--in", idx, "--out", out, "--method", "div-simple", "--ratio", "0.5"],
+        "sweep": ["--index", idx, "--queries", "q.jsonl", "--qrels", "qrels.txt",
+                  "--methods", "tcp", "--ratios", "0.5", "--out", out],
+    }[subcommand]
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, *argv, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["prune", "--method", "tcp", "--epsilon", "nan"], "--epsilon", "nan"),
+        (["prune", "--method", "ipu", "--epsilon", "inf"], "--epsilon", "inf"),
+        (["prune", "--method", "tcp", "--ratio", "0.5", "--lambda-w", "nan", "--jm-lambda", "inf"],
+         "--lambda-w", "nan"),
+        (["prune", "--method", "tcp", "--ratio", "0.5", "--jm-lambda", "inf"], "--jm-lambda", "inf"),
+        (["prune", "--method", "div-simple", "--ratio=-inf"], "--ratio", "-inf"),
+        (["prune", "--method", "div-simple", "--ratio", "half"], "--ratio", "half"),
+        (["windows", "--term", "disaster", "--lambda-w", "NaN"], "--lambda-w", "NaN"),
+        (["sweep", "--methods", "ipu", "--ratios", "0.5", "--jm-lambda", "nan"], "--jm-lambda", "nan"),
+        (["sweep", "--methods", "ipu", "--ratios", "abc"], "--ratios", "abc"),
+        (["sweep", "--methods", "ipu", "--ratios", "0.3,inf"], "--ratios", "inf"),
+        (["sweep", "--methods", "ipu", "--ratios", "0.3,"], "--ratios", ""),
+    ],
+)
+def test_non_finite_float_options_are_usage_errors(cli_dir, tmp_path, capsys, argv, flag, value):
+    idx, out = str(cli_dir / "idx.bin"), str(tmp_path / "out")
+    inputs = {
+        "prune": ["--in", idx, "--out", out],
+        "windows": ["--index", idx, "--out", out],
+        "sweep": ["--index", idx, "--queries", "q.jsonl", "--qrels", "qrels.txt", "--out", out],
+    }[argv[0]]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *inputs, *argv[1:]])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite number, got {value!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prune", "--method", "ipu", "--ratio", "0.5", "--jm-lambda", "5"], "jm lambda must be in [0, 1], got 5.0"),
+        (["prune", "--method", "div-simple", "--ratio", "0.5", "--jm-lambda", "-3"],
+         "jm lambda must be in [0, 1], got -3.0"),
+        (["sweep", "--methods", "ipu", "--ratios", "0.0,0.5", "--jm-lambda", "1.5"],
+         "jm lambda must be in [0, 1], got 1.5"),
+        (["sweep", "--methods", "", "--ratios", "0.5"], "no method to sweep"),
+        (["sweep", "--methods", " , ", "--ratios", "0.5"], "no method to sweep"),
+    ],
+)
+def test_out_of_range_prune_options_exit_one(cli_dir, tmp_path, capsys, argv, message):
+    idx, out = str(cli_dir / "idx.bin"), tmp_path / "out"
+    if argv[0] == "prune":
+        inputs = ["--in", idx, "--out", str(out)]
+    else:
+        queries, qrels = _gen_queries(cli_dir, tmp_path)
+        inputs = ["--index", idx, "--queries", str(queries), "--qrels", str(qrels), "--out", str(out)]
+    capsys.readouterr()
+    assert main([argv[0], *inputs, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not list(tmp_path.glob("out*"))

@@ -22,10 +22,6 @@ def test_tokenize_keeps_digit_tokens():
     assert tokenize("earthquake 17 august 1999") == ["earthquake", "17", "august", "1999"]
 
 
-def test_tokenize_without_stopword_removal():
-    assert tokenize("Iraq War in 1991", stop_words=False) == ["iraq", "war", "in", "1991"]
-
-
 def test_tokenize_punctuation_and_unicode():
     assert tokenize("U.S.-led; coalition!") == ["u", "s", "led", "coalition"]
     assert tokenize("Ελλάδα 2004") == ["ελλάδα", "2004"]
@@ -243,15 +239,15 @@ _WORDS = st.one_of(
 )
 
 
-@given(st.lists(st.tuples(_WORDS, st.sampled_from(_SEPARATORS)), max_size=30), st.booleans())
-def test_tokenize_matches_regex_definition(parts, stop_words):
+@given(st.lists(st.tuples(_WORDS, st.sampled_from(_SEPARATORS)), max_size=30))
+def test_tokenize_matches_regex_definition(parts):
     text = "".join(w + sep for w, sep in parts)
-    assert tokenize(text, stop_words) == oracle_tokenize(text, stop_words)
+    assert tokenize(text) == oracle_tokenize(text)
 
 
-@given(st.text(max_size=200), st.booleans())
-def test_tokenize_matches_regex_definition_on_any_text(text, stop_words):
-    assert tokenize(text, stop_words) == oracle_tokenize(text, stop_words)
+@given(st.text(max_size=200))
+def test_tokenize_matches_regex_definition_on_any_text(text):
+    assert tokenize(text) == oracle_tokenize(text)
 
 
 @pytest.mark.parametrize("text, tokens", [

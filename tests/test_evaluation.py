@@ -666,6 +666,8 @@ def test_sweep_validation(sweep_setup, monkeypatch):
     index, queries, qrels = sweep_setup
     with pytest.raises(PruneError, match="unknown method 'pagerank'"):
         sweep(index, queries, qrels, ["pagerank"], [0.5])
+    with pytest.raises(PruneError, match="no method to sweep"):
+        sweep(index, queries, qrels, [], [0.5])
     with pytest.raises(PruneError, match=r"ratio must be in \[0, 1\), got 1.0"):
         sweep(index, queries, qrels, ["tcp"], [1.0])
     with pytest.raises(PruneError, match=r"ratio must be in \[0, 1\), got -0.1"):

@@ -71,7 +71,7 @@ def test_build_index_matches_counting_oracle_on_unsorted_ids():
 
 
 def test_postings_view_reads_the_columns():
-    plist = PostingList("b", ["d1", "d2"], [1, 3])
+    plist = PostingList(["d1", "d2"], [1, 3])
     assert plist.postings == [Posting("d1", 1), Posting("d2", 3)]
     assert plist.postings[1].doc_id == "d2" and plist.postings[1].tf == 3
     plist.postings.clear()  # a fresh list per read: the columns stay
@@ -122,7 +122,7 @@ def test_empty_posting_list_is_rejected(tmp_path):
     lists), so `verify_index` and both readers reject one, naming the term."""
     index = build_index(_mini_corpus())
     assert all(pl.doc_ids for pl in index.lists.values())
-    index.lists["c"] = PostingList("c", [], [])
+    index.lists["c"] = PostingList([], [])
     index.stats.df["c"] = index.stats.ctf["c"] = 0
     with pytest.raises(IndexConsistencyError, match="posting list for 'c' is empty"):
         verify_index(index)
@@ -154,6 +154,28 @@ def test_read_write_roundtrip(tmp_path, rand_index):
     assert back.stats.avgdl == pytest.approx(rand_index.stats.avgdl)
     assert back.doc_times == rand_index.doc_times
     assert back.pruned == rand_index.pruned
+
+
+def test_collection_totals_are_the_base_index_values_after_pruning_and_a_round_trip(tmp_path, rand_corpus):
+    n_docs = len(rand_corpus.documents)
+    total = sum(len(doc.tokens) for doc in rand_corpus.documents)
+    base = build_index(rand_corpus)
+    pruned = subset_index(base, {t: set(pl.doc_ids[:1]) for t, pl in base.lists.items()})
+    write_index(pruned, tmp_path / "p.idx")
+    back = read_index(tmp_path / "p.idx")
+    assert back.posting_count() == len(base.lists) < base.posting_count()
+    for index in (base, pruned, back):
+        assert (index.stats.n_docs, index.stats.total_len, index.stats.avgdl) == (n_docs, total, total / n_docs)
+
+
+def test_an_index_with_no_documents_fails_verification(tmp_path):
+    empty = InvertedIndex({}, CollectionStats(doc_len={}, df={}, ctf={}), {})
+    write_index(empty, tmp_path / "e.idx")
+    back = read_index(tmp_path / "e.idx")
+    assert (back.stats.n_docs, back.stats.total_len, back.stats.avgdl) == (0, 0, 0.0)
+    for index in (empty, back):
+        with pytest.raises(IndexConsistencyError, match="index has no documents"):
+            verify_index(index)
 
 
 def test_time_order_is_neither_written_nor_compared(tmp_path, toy5_corpus):
@@ -339,11 +361,11 @@ def _random_index(draw) -> InvertedIndex:
         num = st.one_of(run, run, run, st.integers(0, len(doc_ids) - 1))
         nums = sorted(draw(st.sets(num, min_size=1, max_size=40)))
         tfs = draw(st.lists(st.sampled_from(_TFS), min_size=len(nums), max_size=len(nums)))
-        lists[term] = PostingList(term, [doc_ids[i] for i in nums], tfs)
+        lists[term] = PostingList([doc_ids[i] for i in nums], tfs)
     shift = draw(st.integers(0, len(_LENGTHS) - 1))
     doc_len = {d: _LENGTHS[(i + shift) % len(_LENGTHS)] for i, d in enumerate(doc_ids)}
     stats = CollectionStats(
-        n_docs=len(doc_ids), doc_len=doc_len, total_len=sum(doc_len.values()), avgdl=2.0**63,
+        doc_len=doc_len,
         df={t: len(pl.doc_ids) for t, pl in lists.items()},
         ctf={t: sum(pl.tfs) for t, pl in lists.items()},
     )
@@ -389,9 +411,8 @@ def _long_varint_index() -> InvertedIndex:
     windows = {TimeWindow.certain(day, day + 1000) for day in range(128)}
     windows |= {TimeWindow(-(2**70), -5, 3, 2**70), TimeWindow(-(2**63), 2**63, 2**63, 2**64)}
     doc_len = {long_id: 2**70, "b": 1}
-    stats = CollectionStats(n_docs=2, doc_len=doc_len, total_len=2**70 + 1, avgdl=(2**70 + 1) / 2,
-                            df={"t": 2}, ctf={"t": 2})
-    lists = {"t": PostingList("t", ["b", long_id], [1, 1])}
+    stats = CollectionStats(doc_len=doc_len, df={"t": 2}, ctf={"t": 2})
+    lists = {"t": PostingList(["b", long_id], [1, 1])}
     return InvertedIndex(lists, stats, {long_id: frozenset(windows), "b": frozenset({TimeWindow.instant(-3)})})
 
 
@@ -568,7 +589,7 @@ def _ratio_outcome(check, original, pruned):
 
 def _with_lists(index, lists: dict) -> InvertedIndex:
     return InvertedIndex(
-        {t: PostingList(t, list(ids), list(tfs)) for t, (ids, tfs) in lists.items()},
+        {t: PostingList(list(ids), list(tfs)) for t, (ids, tfs) in lists.items()},
         index.stats, index.doc_times, pruned=True,
     )
 
@@ -650,9 +671,8 @@ def test_write_index_matches_oracle_on_random_indexes(tmp_path_factory, index):
 def test_write_index_matches_oracle_at_varint_boundaries(tmp_path, nums, tfs):
     docs = [f"d{i:03d}" for i in range(301)]
     index = InvertedIndex(
-        {"t": PostingList("t", [docs[n] for n in nums], tfs)},
-        CollectionStats(n_docs=301, doc_len={d: 2**63 for d in docs}, total_len=301 * 2**63,
-                        avgdl=2.0**63, df={"t": len(nums)}, ctf={"t": sum(tfs)}),
+        {"t": PostingList([docs[n] for n in nums], tfs)},
+        CollectionStats(doc_len={d: 2**63 for d in docs}, df={"t": len(nums)}, ctf={"t": sum(tfs)}),
         {},
     )
     write_index(index, tmp_path / "fast.idx")

@@ -695,6 +695,26 @@ def test_threshold_prune_validation(toy5_index):
     assert pruning_ratio(toy5_index, threshold_prune(toy5_index, "tcp", 0.0)) == 0.0
 
 
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_jm_lambda_is_checked_before_any_term_is_scored(toy5_index, monkeypatch, method):
+    from tempoprune import prune
+
+    model = METHODS[method].aspect_model
+    aspect_sets = build_aspect_sets(toy5_index, model) if model else None
+    level = {"k": 2} if model else {"epsilon": 0.0}
+    for lam in (0.0, 1.0):  # the bounds themselves score
+        prune_index(toy5_index, method, aspect_sets=aspect_sets, lam=lam, **level)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a term scored with an out-of-range lambda")
+
+    monkeypatch.setattr(prune, "relevance_scores", never)
+    monkeypatch.setattr(prune, "threshold_values", never)
+    for lam in (-3.0, 1.5, 5.0):
+        with pytest.raises(PruneError, match=rf"jm lambda must be in \[0, 1\], got {lam}"):
+            prune_index(toy5_index, method, aspect_sets=aspect_sets, lam=lam, **level)
+
+
 # --- exact epsilon tuning ------------------------------------------------------
 
 
