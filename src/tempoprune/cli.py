@@ -49,7 +49,7 @@ from .index import (
     verify_index,
     write_index,
 )
-from .prune import JM_LAMBDA, METHODS, TCP_K, check_prune_args, prune_index
+from .prune import JM_LAMBDA, METHODS, TCP_K, check_jm_lambda, check_prune_args, prune_index
 # Unused here: bench/spans.py patches them as cli names.
 from .prune import diversified_topk_prune, threshold_prune, tune_epsilon  # noqa: F401
 from .search import DEFAULT_DEPTH, Query, parse_time_spec, run_query, trec_run_lines
@@ -136,6 +136,7 @@ def _cmd_prune(args) -> int:
     index = read_index(args.infile)
     level = {"ratio": args.ratio, "k": args.k, "epsilon": args.epsilon}
     model = check_prune_args(args.method, **level).aspect_model
+    check_jm_lambda(args.jm_lambda)  # before any aspect set is built
     aspect_sets = None
     if model is not None:
         aspect_sets = build_aspect_sets(index, model, args.lambda_w, args.seed, args.k_max)

@@ -23,7 +23,7 @@ from .corpus import json_line, json_record, read_text, tokenize
 from .errors import EvalFormatError, PruneError, QueryError
 from .gmm import DEFAULT_K_MAX
 from .index import InvertedIndex, pruning_ratio
-from .prune import JM_LAMBDA, METHODS, TCP_K, cut, discount, k_for, posting_order
+from .prune import JM_LAMBDA, METHODS, TCP_K, check_jm_lambda, cut, discount, k_for, posting_order
 # Unused here: bench/spans.py patches it as an evaluation name.
 from .prune import threshold_values  # noqa: F401
 from .search import DEFAULT_DEPTH, Query, RankedResult, run_query
@@ -452,6 +452,7 @@ def sweep(
     for ratio in ratios:
         if not 0.0 <= ratio < 1.0:
             raise PruneError(f"ratio must be in [0, 1), got {ratio}")
+    check_jm_lambda(lam)
     baseline: tuple[float, float, int] | None = None
     report = EvalReport()
     for method in sorted(set(methods)):

@@ -5,25 +5,29 @@ selection.  The floor keeps single-day spikes well-posed; because the
 M-step maximizes the expected complete likelihood over the floored
 parameter space, the log-likelihood trace stays non-decreasing.
 
-The fits of many series run as one batch: the components of every fit
-of every series are the rows of one (components, days) array.  A series'
-days fill the first columns of its rows; the rest repeat its last day
-with zero weight.  The fits are ordered by K, so each fit's max and sum
-over its components are reductions over the middle axis of a
-(fits, K, days) block, and each series' log-likelihoods are the product
-of its own rows and day weights, unpadded.  A fit leaves the
-batch once it converges, so every fit keeps its own tolerance test,
-iteration count and decrease check.
+Every sum runs in one order, whatever is fitted beside it: a sum over
+days adds the days left to right in day order, and a sum over a fit's
+components adds them left to right in seeded order.  So a fit gets the
+same floats alone (`fit_gmm`, `select_k_bic`) as in a group of
+`select_k_bic_each` of any size, order or neighbours.  A left-to-right
+sum of n terms is within (n - 1) * 2**-53 * sum(|x|) of the exact sum:
+about 1.13e-13 * sum(|x|) at 1,016 days.
 
-`fit_gmm` (one K) and `select_k_bic` (K = 1..k_max) fit one series, a
-batch with no padding.  `select_k_bic_each` sorts many series by their
-number of distinct days and fits them in groups of at most
-`EM_CELL_BUDGET` padded cells (or as many as its largest series needs),
-every group in one shared workspace.  Padding reorders numpy's pairwise
-sums over days, so a series fitted among others can differ from its own
-`select_k_bic` in the last digits.  The groups are the tasks of one
-`workers.fork_map`, each fitted whole in one process, so the fits do not
-depend on the number of CPUs.
+The fits of many series run as one batch.  The E-step and each fit's
+log-sum-exp run on (components, days) arrays, a series' days in the
+first columns of its rows and its last day repeated, with zero weight,
+in the rest.  Each sum over days reduces the first axis of a days-major
+(days, components) or (days, fits) array, which numpy adds row after
+row, so the padding adds exact zeros.  A fit leaves the batch once it
+converges, so every fit keeps its own tolerance test, iteration count
+and decrease check.
+
+`fit_gmm` (one K) and `select_k_bic` (K = 1..k_max) fit one series.
+`select_k_bic_each` sorts many series by their number of distinct days
+and fits them in groups of at most `EM_CELL_BUDGET` padded cells (or as
+many as its largest series needs), every group in one shared workspace.
+The groups are the tasks of one `workers.fork_map`, each fitted whole in
+one process.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ EM_MAX_ITER = 200
 EM_TOL = 1e-6
 # Padded component-day cells per batch of series: large enough that numpy's
 # per-call overhead is shared by many series, small enough that the shared
-# workspace stays about 1.1 MiB (see `_regions`).  On the em-dynamic
+# workspace stays about 1.5 MiB (see `_regions`).  On the em-dynamic
 # benchmark corpora, 16,384 cells took about 1.15x the EM time of 32,768,
 # and 65,536 took no less, with 1.65x the traced peak.
 EM_CELL_BUDGET = 32768
@@ -105,34 +109,14 @@ def _seed_means(days: np.ndarray, wts: np.ndarray, ks: Iterable[int],
     return seeded
 
 
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 1 in the association of numpy's pairwise summation
-    (blocks of eight running sums up to 128 terms, halves beyond), which
-    numpy applies along the axis of a reduction."""
-    n = x.shape[1]
-    if n < 8:
-        return np.add.reduce(x, axis=1)  # a sum over a middle axis runs term by term
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(x[:, :half]) + _pairwise_sum(x[:, half:])
-    full = n - n % 8
-    r = np.add.reduce(x[:, :full].reshape(x.shape[0], full // 8, 8, *x.shape[2:]), axis=1)
-    r = r[:, 0::2] + r[:, 1::2]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    r = r[:, 0::2] + r[:, 1::2]
-    total = r[:, 0] + r[:, 1]
-    for i in range(full, n):
-        total += x[:, i]
-    return total
-
-
 def _regions(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], max_iter: int) -> list[int]:
     """The sizes, in floats, of the workspace regions `_em` carves for
-    `batch`: three (rows, days) arrays, two (fits, days) arrays and the
-    (max_iter, fits) trace."""
+    `batch` and its spare fit: four (components, days) arrays, four
+    (fits, days) arrays and the (max_iter, fits) trace."""
     width = max(len(series.counts) for series, _ in batch)
-    rows = sum(sum(ks) for _, ks in batch)
-    fits = sum(len(ks) for _, ks in batch)
-    return [rows * width] * 3 + [fits * width] * 2 + [max_iter * fits]
+    comps = sum(sum(ks) for _, ks in batch) + min(min(ks) for _, ks in batch)
+    fits = sum(len(ks) for _, ks in batch) + 1
+    return [width * comps] * 4 + [width * fits] * 4 + [max_iter * fits]
 
 
 def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, max_iter: int,
@@ -146,16 +130,18 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
     floats, so that many batches can share one; None allocates it.
 
     Every series is checked before any is fitted.  Every K seeds as if from
-    a fresh `default_rng(seed)`, so a fit depends neither on the other Ks
-    nor on the other series of the batch, except for the last digits of the
-    day sums when the batch pads.  A fit that converges keeps the parameters
+    a fresh `default_rng(seed)`, and every sum runs in the one order of the
+    module docstring, so a fit depends neither on the other Ks nor on the
+    other series of the batch.  A fit that converges keeps the parameters
     of its last M-step and leaves the batch.
 
-    The fits are ordered by K, so the rows of the fits of one K form a
-    (fits, K, days) block, and each fit's max and sum over its rows are
-    reductions over the middle axis of its block.  The sum takes the
-    association of `np.add.reduceat`: the first row plus the pairwise sum
-    of the others."""
+    The fits are ordered by K and their components by slot: slot k holds
+    component k of every fit with more than k components, which are the
+    last fits, so a sum over each fit's components adds slot after slot.
+    Fit 0 is a spare copy of the first fit; it never ends and is never
+    returned.  It keeps every array at two fits and two components or more
+    while a fit runs: numpy sums a single column over the days pairwise,
+    not in day order."""
     for series, ks in batch:
         if min(ks) < 1:
             raise PruneError(f"{series.term!r}: k must be >= 1, got {min(ks)}")
@@ -165,7 +151,6 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
     width = max(len(series.counts) for series, _ in batch)
     days = np.empty((len(batch), width))
     wts = np.zeros((len(batch), width))
-    cols: list[np.ndarray] = []  # each series' day weights, unpadded
     n = np.empty(len(batch))
     seeded: dict[tuple[int, int], np.ndarray] = {}
     global_var = np.empty(len(batch))
@@ -174,66 +159,57 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
         d = np.array([d for d, _ in day_items], dtype=float)
         w = np.array([c for _, c in day_items], dtype=float)
         days[i, :len(d)], days[i, len(d):], wts[i, :len(d)] = d, d[-1], w
-        cols.append(w)
         n[i] = w.sum()
         global_var[i] = max(var_floor, float(np.average((d - np.average(d, weights=w)) ** 2, weights=w)))
         seeded.update(zip(((i, k) for k in ks), _seed_means(d, w, ks, np.random.default_rng(seed))))
     order = sorted(seeded, key=lambda ik: (ik[1], ik[0]))  # the fits, by K then series
+    order.insert(0, order[0])  # the spare
     fit_series = np.array([i for i, _ in order])
-    fit_k = [k for _, k in order]
-    means = np.concatenate([seeded[ik] for ik in order])
-    variances = np.repeat(global_var[fit_series], fit_k)
-    weights = np.concatenate([np.full(k, 1.0 / k) for k in fit_k])
-    # The (rows, days) and (fits, days) arrays are views of regions of
-    # `work`; a view shrinks as fits leave, so the loop allocates no array
-    # that grows with the days.
+    fit_k = np.array([k for _, k in order])
+    # The arrays are views of regions of `work`; a view shrinks as fits
+    # leave, so the loop allocates no array that grows with the days.
     regions = _regions(batch, max_iter)
     if work is None:
         work = np.empty(sum(regions))
     *bufs, trace = np.split(work[:sum(regions)], np.cumsum(regions)[:-1])
-    bufs, fit_bufs, trace = bufs[:3], bufs[3:], trace.reshape(max_iter, len(fit_k))
+    comp_bufs, fit_bufs, trace = bufs[:4], bufs[4:], trace.reshape(max_iter, len(order))
 
-    live = np.arange(len(fit_k))  # the batch's fits, in row order
-    sizes = np.array(fit_k)
-    prev, prev_scale = np.full(len(fit_k), -math.inf), np.full(len(fit_k), math.inf)
-    fits: list[GmmFit] = [None] * len(fit_k)  # type: ignore[list-item]
-    iters = [0] * len(fit_k)  # each fit's length of `trace`, set when it ends
+    live = np.arange(len(order))  # the batch's fits, by K
+    fits: list[GmmFit] = [None] * len(order)  # type: ignore[list-item]
+    iters = [0] * len(order)  # each fit's length of `trace`, set when it ends
 
     def layout():
-        """The live fits' row starts and owners; the (rows, days) views; each
-        row's series mass; each K's blocks of rows with its outputs (the
-        fits' max and sum over their rows); the order that puts each
-        series' fits together, and each series' run in it with its unpadded
-        day count and weights."""
-        starts = np.cumsum(sizes) - sizes
-        owner = np.repeat(np.arange(len(live)), sizes)
-        row_series = fit_series[live][owner]
-        views = [buf[:len(owner) * width].reshape(len(owner), width) for buf in bufs]
+        """The live fits' slots, as (first component, number of fits); each
+        component's fit and series; the (components, days) views, the days
+        by component as (days, components), the (fits, days) views, and
+        (days, components) views of `ex` and `log_joint` and a (days, fits)
+        view of `top`, for the sums over days once those are free."""
+        sizes = fit_k[live]
+        counts = [len(live) - int(np.searchsorted(sizes, k, side="right")) for k in range(sizes[-1])]
+        owner = np.concatenate([np.arange(len(live) - c, len(live)) for c in counts])
+        comp_series = fit_series[live][owner]
+        nc, nf = len(owner), len(live)
+        comp_days, log_joint, ex = (buf[:width * nc].reshape(nc, width) for buf in comp_bufs[:3])
+        moment, weighted, day_comps = (buf[:width * nc].reshape(width, nc) for buf in comp_bufs[1:])
+        fit_wts, top, log_norm, share = (buf[:width * nf].reshape(nf, width) for buf in fit_bufs)
         # every take has its indices in range; mode="clip" writes to `out`
         # directly, where the default mode would fill a temporary copy first
-        days.take(row_series, axis=0, out=views[0], mode="clip")
-        seg_max, log_norm = (buf[:len(live) * width].reshape(len(live), width) for buf in fit_bufs)
-        blocks = []
-        edges = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(live)]
-        for a, b in zip(edges, edges[1:]):
-            rows = slice(starts[a], starts[a] + (b - a) * sizes[a])
-            joint, expd = (v[rows].reshape(b - a, sizes[a], width) for v in views[1:])
-            blocks.append((joint, expd[:, 0], expd[:, 1:], seg_max[a:b], log_norm[a:b]))
-        by_series = np.argsort(fit_series[live], kind="stable")
-        ser = fit_series[live][by_series]
-        bounds = [0, *(np.flatnonzero(ser[1:] != ser[:-1]) + 1).tolist(), len(live)]
-        runs = [(a, b, len(cols[ser[a]]), cols[ser[a]]) for a, b in zip(bounds, bounds[1:])]
-        return starts, owner, row_series, *views, n[row_series], blocks, seg_max, log_norm, by_series, runs
+        days.take(comp_series, axis=0, out=comp_days, mode="clip")
+        np.copyto(day_comps, comp_days.T)
+        wts.take(fit_series[live], axis=0, out=fit_wts, mode="clip")
+        slots = list(zip(np.cumsum([0, *counts[:-1]]).tolist(), counts))
+        return (slots, owner, comp_series, comp_days, log_joint, ex, day_comps, moment, weighted,
+                fit_wts, top, log_norm, share, fit_bufs[1][:width * nf].reshape(width, nf))
 
     def finish(j: int, it: int, converged: bool) -> None:
         f = live[j]
         k = fit_k[f]
-        rows = slice(starts[j], starts[j] + k)
+        rows = [a + c - (len(live) - j) for a, c in slots[:k]]  # its component in each of its slots
         by_mean = np.argsort(means[rows], kind="stable")
         ll = float(trace[it, f])
         iters[f] = it + 1
         fits[f] = GmmFit(
-            k=k,
+            k=int(k),
             weights=weights[rows][by_mean],
             means=means[rows][by_mean],
             variances=variances[rows][by_mean],
@@ -243,30 +219,34 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
             converged=converged,
         )
 
-    starts, owner, row_series, row_days, log_joint, tmp, row_n, blocks, seg_max, log_norm, by_series, runs = layout()
+    (slots, owner, comp_series, comp_days, log_joint, ex, day_comps, moment, weighted,
+     fit_wts, top, log_norm, share, day_fits) = layout()
+    means = np.array([seeded[order[f]][k] for k, (_, c) in enumerate(slots)
+                      for f in range(len(order) - c, len(order))])
+    variances = global_var[fit_series[owner]]
+    weights = 1.0 / fit_k[owner]
+    prev, prev_scale = np.full(len(order), -math.inf), np.full(len(order), math.inf)
     for it in range(max_iter):
-        # E-step: log_joint = log N(day | mean, var) + log weight, per row
-        np.square(np.subtract(row_days, means[:, None], out=log_joint), out=log_joint)
+        nf = len(live)
+        # E-step: log_joint = log N(day | mean, var) + log weight, per component
+        np.square(np.subtract(comp_days, means[:, None], out=log_joint), out=log_joint)
         np.divide(log_joint, (2.0 * variances)[:, None], out=log_joint)
-        np.subtract((-0.5 * np.log(2.0 * math.pi * variances))[:, None], log_joint, out=log_joint)
-        np.add(log_joint, np.log(np.maximum(weights, 1e-300))[:, None], out=log_joint)
-        # log_norm = each fit's log-sum-exp over its rows
-        for joint, _, _, top, _ in blocks:
-            np.maximum.reduce(joint, axis=1, out=top)
-        np.subtract(log_joint, seg_max.take(owner, axis=0, out=tmp, mode="clip"), out=tmp)
-        np.exp(tmp, out=tmp)
-        for _, first, rest, _, total in blocks:
-            np.add(first, _pairwise_sum(rest), out=total)
-        np.add(seg_max, np.log(log_norm, out=log_norm), out=log_norm)
-        # each series' log-likelihoods: its rows, unpadded, times its day
-        # weights; its rows are gathered in seg_max, which is free until the
-        # next E-step
-        grouped = log_norm.take(by_series, axis=0, out=seg_max, mode="clip")
-        series_lls = np.empty(len(live))
-        for a, b, nd, col in runs:
-            np.matmul(grouped[a:b, :nd], col, out=series_lls[a:b])
-        lls = np.empty(len(live))
-        lls[by_series] = series_lls
+        log_c = np.log(np.maximum(weights, 1e-300)) - 0.5 * np.log(2.0 * math.pi * variances)
+        np.subtract(log_c[:, None], log_joint, out=log_joint)
+        # log_norm = each fit's log-sum-exp over its components, slot by
+        # slot; share = the day's weight over the fit's sum of exps
+        np.copyto(top, log_joint[:nf])
+        for a, c in slots[1:]:
+            np.maximum(top[nf - c:], log_joint[a:a + c], out=top[nf - c:])
+        np.exp(np.subtract(log_joint, top.take(owner, axis=0, out=ex, mode="clip"), out=ex), out=ex)
+        np.copyto(log_norm, ex[:nf])
+        for a, c in slots[1:]:
+            np.add(log_norm[nf - c:], ex[a:a + c], out=log_norm[nf - c:])
+        np.divide(fit_wts, log_norm, out=share)
+        np.add(top, np.log(log_norm, out=log_norm), out=log_norm)
+        # Every sum over days is a reduce over the first axis of a days-major
+        # array of two columns or more, which adds the days in order.
+        lls = np.add.reduce(np.multiply(log_norm.T, fit_wts.T, out=day_fits), axis=0)
         trace[it, live] = lls
         # each fit's decrease check and tolerance test; prev starts at -inf,
         # which passes the first and fails the second
@@ -279,33 +259,38 @@ def _em(batch: Sequence[tuple["TermTimeSeries", Sequence[int]]], seed: int, *, m
                            f"EM log-likelihood decreased: {prev[j]} -> {lls[j]}")
         done = np.flatnonzero(lls - prev <= tol * scale)
         prev, prev_scale = lls, scale
+        prev[0] = -math.inf  # the spare never converges
         for j in done:
             finish(j, it, converged=True)
-        if len(done) == len(live):
+        if len(done) == len(live) - 1:
             break
-        # M-step, in place: log_joint -> responsibilities -> weighted
-        # responsibilities.  It also runs on the rows of fits that just
-        # converged, whose results are then dropped: rows are independent.
-        np.subtract(log_joint, log_norm.take(owner, axis=0, out=tmp, mode="clip"), out=log_joint)
-        np.exp(log_joint, out=log_joint)
-        weighted = np.multiply(wts.take(row_series, axis=0, out=tmp, mode="clip"), log_joint, out=log_joint)
-        soft = np.maximum(weighted.sum(axis=1), 1e-12)
-        weights = soft / row_n
-        weights = weights / np.add.reduceat(weights, starts)[owner]
-        means = np.multiply(weighted, row_days, out=tmp).sum(axis=1) / soft
-        np.square(np.subtract(row_days, means[:, None], out=tmp), out=tmp)
-        variances = np.maximum(np.multiply(weighted, tmp, out=tmp).sum(axis=1) / soft, var_floor)
+        # M-step.  Each component's responsibility times the day's weight is
+        # its share of its fit's sum.  It also runs on the components of
+        # fits that just converged, whose results are then dropped:
+        # components are independent.
+        np.multiply(ex, share.take(owner, axis=0, out=log_joint, mode="clip"), out=log_joint)
+        np.copyto(weighted, log_joint.T)
+        soft = np.maximum(np.add.reduce(weighted, axis=0), 1e-12)
+        weights = soft / n[comp_series]
+        norm = weights[:nf].copy()
+        for a, c in slots[1:]:
+            norm[nf - c:] += weights[a:a + c]
+        weights = weights / norm[owner]
+        means = np.add.reduce(np.multiply(weighted, day_comps, out=moment), axis=0) / soft
+        np.square(np.subtract(day_comps, means, out=moment), out=moment)
+        variances = np.maximum(np.add.reduce(np.multiply(weighted, moment, out=moment), axis=0) / soft, var_floor)
         if len(done):
             stay = np.ones(len(live), dtype=bool)
             stay[done] = False
             keep = stay[owner]
             means, variances, weights = means[keep], variances[keep], weights[keep]
-            live, prev, prev_scale, sizes = live[stay], prev[stay], prev_scale[stay], sizes[stay]
-            starts, owner, row_series, row_days, log_joint, tmp, row_n, blocks, seg_max, log_norm, by_series, runs = layout()
+            live, prev, prev_scale = live[stay], prev[stay], prev_scale[stay]
+            (slots, owner, comp_series, comp_days, log_joint, ex, day_comps, moment, weighted,
+             fit_wts, top, log_norm, share, day_fits) = layout()
     else:
-        for j in range(len(live)):
+        for j in range(1, len(live)):
             finish(j, max_iter - 1, converged=False)
-    index = {ik: f for f, ik in enumerate(order)}
+    index = {ik: f for f, ik in enumerate(order) if f}
     picked = [[index[i, k] for k in ks] for i, (_, ks) in enumerate(batch)]
     if best:
         picked = [[min(fs, key=lambda f: fits[f].bic)] for fs in picked]

@@ -362,6 +362,12 @@ def check_prune_args(
     return spec
 
 
+def check_jm_lambda(lam: float) -> None:
+    """Raise PruneError unless the Jelinek-Mercer `lam` is in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise PruneError(f"jm lambda must be in [0, 1], got {lam}")
+
+
 def k_for(list_len: int, k: int | None = None, ratio: float | None = None) -> int:
     """A div-* term's budget: `k`, at most the list length, or what removing
     a `ratio` of the list leaves, at least one posting."""
@@ -380,8 +386,7 @@ def posting_order(
     deeper order extends a shallower one.  tcp/ipu/2n2p: the
     `threshold_values` array (aspect sets and depth unused).  The
     Jelinek-Mercer `lam` must be in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:  # before any term is scored
-        raise PruneError(f"jm lambda must be in [0, 1], got {lam}")
+    check_jm_lambda(lam)  # before any term is scored
     if METHODS[method].aspect_model is None:
         return threshold_values(index, method, zk, lam)
     if aspect_sets is None:

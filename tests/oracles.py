@@ -12,10 +12,11 @@ oracle of the tie rule where rounding orders float gains that tie;
 `exact_greedy_faults` names the picks of an order that exact greedy does
 not make.
 
-`oracle_fit_gmm`/`oracle_select_k_bic` are the slow definition of the
-library's batched EM: one K at a time, one (days, K) array per fit.
-`oracle_em` is the batch of one series' Ks that the library ran before it
-batched many series; a batch of one series must reproduce it bit for bit.
+`oracle_em`/`oracle_select_k_bic` are the slow definition of the
+library's batched EM: one series, one K and one component at a time, in
+explicit loops, each sum over days added day by day in day order and
+each sum over components added in seeded order.  A fit in any batch of the
+library must reproduce it bit for bit.
 
 `oracle_doc_aspect_map` and `oracle_tile_starts` are the slow definitions
 of the library's bisect document map and tiling: every aspect tested
@@ -587,7 +588,7 @@ def make_tune_instance(seed: int):
     return values, method, target
 
 
-# --- per-K and per-series EM (the slow definitions of gmm._em) --------------
+# --- per-K EM (the slow definition of gmm._em) -------------------------------
 
 def _oracle_weighted_choice(rng: np.random.Generator, values: np.ndarray, probs: np.ndarray) -> float:
     return float(values[rng.choice(len(values), p=probs)])
@@ -616,69 +617,21 @@ def oracle_seed_means(days: np.ndarray, wts: np.ndarray, k: int, rng: np.random.
     return means
 
 
-def oracle_fit_gmm(series: TermTimeSeries, k: int, seed: int, *, max_iter: int = 200,
-                   tol: float = 1e-6, var_floor: float = VAR_FLOOR) -> GmmFit:
-    """Fit a K-component mixture to the series; deterministic for a given seed."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    day_items = sorted(series.counts.items())
-    days = np.array([d for d, _ in day_items], dtype=float)
-    wts = np.array([c for _, c in day_items], dtype=float)
-    n = float(wts.sum())
-    if k > n:
-        raise ValueError(f"k={k} exceeds the {int(n)} points in the series")
-    rng = np.random.default_rng(seed)
-    means = oracle_seed_means(days, wts, k, rng)
-    global_var = max(var_floor, float(np.average((days - np.average(days, weights=wts)) ** 2, weights=wts)))
-    variances = np.full(k, global_var)
-    weights = np.full(k, 1.0 / k)
-
-    trace: list[float] = []
-    prev_ll = -math.inf
-    converged = False
-    for _ in range(max_iter):
-        log_pdf = -0.5 * np.log(2.0 * math.pi * variances)[None, :] \
-            - (days[:, None] - means[None, :]) ** 2 / (2.0 * variances[None, :])
-        log_joint = log_pdf + np.log(np.maximum(weights, 1e-300))[None, :]
-        row_max = log_joint.max(axis=1, keepdims=True)
-        log_norm = row_max[:, 0] + np.log(np.exp(log_joint - row_max).sum(axis=1))
-        ll = float(np.dot(wts, log_norm))
-        trace.append(ll)
-        if ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll)):
-            raise FitError(f"{series.term!r}: EM log-likelihood decreased: {prev_ll} -> {ll}")
-        if prev_ll > -math.inf and ll - prev_ll <= tol * max(1.0, abs(ll)):
-            converged = True
-            break
-        prev_ll = ll
-        resp = np.exp(log_joint - log_norm[:, None])
-        soft = np.maximum((wts[:, None] * resp).sum(axis=0), 1e-12)
-        weights = soft / n
-        weights = weights / weights.sum()
-        means = (wts[:, None] * resp * days[:, None]).sum(axis=0) / soft
-        variances = (wts[:, None] * resp * (days[:, None] - means[None, :]) ** 2).sum(axis=0) / soft
-        variances = np.maximum(variances, var_floor)
-
-    order = np.argsort(means, kind="stable")
-    ll_final = trace[-1]
-    bic = -2.0 * ll_final + (3 * k - 1) * math.log(n)
-    return GmmFit(
-        k=k,
-        weights=weights[order],
-        means=means[order],
-        variances=variances[order],
-        log_likelihood=ll_final,
-        bic=bic,
-        ll_trace=trace,
-        converged=converged,
-    )
+def _running_sum(values: np.ndarray) -> float:
+    """values[0] + values[1] + ..., added in that order."""
+    first, *rest = values.tolist()
+    for x in rest:
+        first += x
+    return first
 
 
 def oracle_em(series: TermTimeSeries, ks, seed: int, *, max_iter: int = 200, tol: float = 1e-6,
               var_floor: float = VAR_FLOOR) -> list[GmmFit]:
-    """The fits of every K in `ks` of one series as one batch, as the library
-    ran them before it batched many series: each K seeds from a fresh
-    `default_rng(seed)` and leaves the batch once it converges.  A batch of
-    one series in `gmm._em` must give these floats exactly."""
+    """The fit of every K in `ks` of one series, one K at a time, one
+    component at a time: each K seeds from a fresh `default_rng(seed)`,
+    each sum over days adds the days in order, and each sum over the
+    components adds them in seeded order.  The library must give these
+    floats exactly, whatever the batch a fit is run in."""
     ks = list(ks)
     if min(ks) < 1:
         raise ValueError(f"k must be >= 1, got {min(ks)}")
@@ -690,69 +643,55 @@ def oracle_em(series: TermTimeSeries, ks, seed: int, *, max_iter: int = 200, tol
         raise ValueError(f"k={max(ks)} exceeds the {int(n)} points in the series")
     global_var = max(var_floor, float(np.average((days - np.average(days, weights=wts)) ** 2, weights=wts)))
 
-    sizes = np.array(ks)
-    means = np.concatenate([oracle_seed_means(days, wts, k, np.random.default_rng(seed)) for k in ks])
-    variances = np.full(len(means), global_var)
-    weights = np.repeat(1.0 / sizes, sizes)
-    live = list(range(len(ks)))  # the batch's fits, in row order
-    prev = [-math.inf] * len(ks)
-    traces: list[list[float]] = [[] for _ in ks]
-    fits: list[GmmFit] = [None] * len(ks)  # type: ignore[list-item]
-
-    def finish(f: int, rows: slice, converged: bool) -> None:
-        k = ks[f]
-        order = np.argsort(means[rows], kind="stable")
-        ll = traces[f][-1]
-        fits[f] = GmmFit(
-            k=k,
-            weights=weights[rows][order],
-            means=means[rows][order],
-            variances=variances[rows][order],
-            log_likelihood=ll,
-            bic=-2.0 * ll + (3 * k - 1) * math.log(n),
-            ll_trace=traces[f],
-            converged=converged,
-        )
-
-    starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(ks)), sizes)
-    for _ in range(max_iter):
-        log_pdf = -0.5 * np.log(2.0 * math.pi * variances)[:, None] \
-            - (days[None, :] - means[:, None]) ** 2 / (2.0 * variances[:, None])
-        log_joint = log_pdf + np.log(np.maximum(weights, 1e-300))[:, None]
-        seg_max = np.maximum.reduceat(log_joint, starts)
-        log_norm = seg_max + np.log(np.add.reduceat(np.exp(log_joint - seg_max[owner]), starts))
-        lls = (log_norm @ wts).tolist()
-        done = []
-        for i, (f, ll, prev_ll) in enumerate(zip(live, lls, prev)):
-            traces[f].append(ll)
-            if ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll)):
-                raise FitError(f"{series.term!r}, K={ks[f]}: EM log-likelihood decreased: {prev_ll} -> {ll}")
-            if prev_ll > -math.inf and ll - prev_ll <= tol * max(1.0, abs(ll)):
-                finish(f, slice(starts[i], starts[i] + sizes[i]), converged=True)
-                done.append(i)
-        prev = lls
-        if done:
-            stay = np.ones(len(live), dtype=bool)
-            stay[done] = False
-            if not stay.any():
+    fits = []
+    for k in ks:
+        means = list(oracle_seed_means(days, wts, k, np.random.default_rng(seed)))
+        variances = [global_var] * k
+        weights = [1.0 / k] * k
+        trace: list[float] = []
+        converged = False
+        for _ in range(max_iter):
+            log_joint = [
+                (np.log(max(w, 1e-300)) - 0.5 * np.log(2.0 * math.pi * v)) - (days - m) ** 2 / (2.0 * v)
+                for m, v, w in zip(means, variances, weights)
+            ]
+            top = log_joint[0]
+            for lj in log_joint[1:]:
+                top = np.maximum(top, lj)
+            shifted = [np.exp(lj - top) for lj in log_joint]
+            total = shifted[0]
+            for e in shifted[1:]:
+                total = total + e
+            log_norm = top + np.log(total)
+            ll = _running_sum(log_norm * wts)
+            if trace and ll < trace[-1] - 1e-9 * max(1.0, abs(trace[-1])):
+                raise FitError(f"{series.term!r}, K={k}: EM log-likelihood decreased: {trace[-1]} -> {ll}")
+            trace.append(ll)
+            if len(trace) > 1 and ll - trace[-2] <= tol * max(1.0, abs(ll)):
+                converged = True
                 break
-            log_joint, log_norm = log_joint[stay[owner]], log_norm[stay]
-            live = [f for f, s in zip(live, stay) if s]
-            prev = [p for p, s in zip(prev, stay) if s]
-            sizes = sizes[stay]
-            starts = np.cumsum(sizes) - sizes
-            owner = np.repeat(np.arange(len(live)), sizes)
-        resp = np.exp(log_joint - log_norm[owner])
-        weighted = wts * resp
-        soft = np.maximum(weighted.sum(axis=1), 1e-12)
-        weights = soft / n
-        weights = weights / np.add.reduceat(weights, starts)[owner]
-        means = (weighted * days).sum(axis=1) / soft
-        variances = np.maximum((weighted * (days - means[:, None]) ** 2).sum(axis=1) / soft, var_floor)
-    else:
-        for f, start, size in zip(live, starts, sizes):
-            finish(f, slice(start, start + size), converged=False)
+            share = wts / total
+            weighted = [e * share for e in shifted]  # responsibility times weight, per day
+            soft = [max(_running_sum(r), 1e-12) for r in weighted]
+            weights = [s / n for s in soft]
+            norm = weights[0]
+            for w in weights[1:]:
+                norm = norm + w
+            weights = [w / norm for w in weights]
+            means = [_running_sum(r * days) / s for r, s in zip(weighted, soft)]
+            variances = [max(_running_sum(r * (days - m) ** 2) / s, var_floor)
+                         for r, m, s in zip(weighted, means, soft)]
+        order = np.argsort(means, kind="stable")
+        fits.append(GmmFit(
+            k=k,
+            weights=np.array(weights)[order],
+            means=np.array(means)[order],
+            variances=np.array(variances)[order],
+            log_likelihood=trace[-1],
+            bic=-2.0 * trace[-1] + (3 * k - 1) * math.log(n),
+            ll_trace=trace,
+            converged=converged,
+        ))
     return fits
 
 
@@ -762,8 +701,7 @@ def oracle_select_k_bic(series: TermTimeSeries, k_max: int = DEFAULT_K_MAX, seed
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if not series.counts:
         raise ValueError(f"series for {series.term!r} is empty")
-    fits = (oracle_fit_gmm(series, k, seed) for k in range(1, min(k_max, len(series.counts)) + 1))
-    return min(fits, key=lambda fit: fit.bic)
+    return min(oracle_em(series, range(1, min(k_max, len(series.counts)) + 1), seed), key=lambda fit: fit.bic)
 
 
 # --- per-ratio sweep (the slow definition of evaluation.sweep) ---------------

@@ -580,6 +580,22 @@ def test_build_aspect_sets_dynamic_undated_terms_go_global():
     assert [(a.is_global, a.weight) for a in undated["y"].aspects] == [(True, 1.0)]
 
 
+@pytest.mark.parametrize("n_docs, vocab, seed, k_max", [(500, 60, 0, 10), (300, 50, 1, 5)],
+                         ids=["pipeline", "em-dynamic-seed1"])
+def test_windows_aspects_equal_the_aspects_prune_uses(n_docs, vocab, seed, k_max):
+    """`tempoprune windows` fits one term alone (`term_aspects`); prune fits
+    every term in a group (`build_aspect_sets`).  On the pipeline's index and
+    the em-dynamic benchmark's seed-1 index, every dated term gets the same
+    windows, weights and centres from both."""
+    index = build_index(random_corpus(n_docs=n_docs, seed=seed, vocab_size=vocab))
+    sets = build_aspect_sets(index, "dynamic", seed=seed, k_max=k_max)
+    dated = [s for s in (term_time_series(index, t) for t in index.terms()) if s.counts]
+    assert len(dated) > 40
+    for series in dated:
+        alone = term_aspects(series, "dynamic", seed=seed, k_max=k_max)
+        assert alone.aspects == sets[series.term].aspects, series.term
+
+
 def test_build_aspect_sets_checks_lambda_w_before_fitting(rand_index, monkeypatch):
     monkeypatch.setattr(aspects_module, "select_k_bic_each", lambda *a, **k: pytest.fail("fitted"))
     with pytest.raises(PruneError, match=r"lambda_w must be in \[0, 1\), got 1.5"):

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from forking import assert_no_child_left, forking, in_one_process
-from tempoprune import gmm
+from tempoprune import aspects, gmm
 from tempoprune.cli import main
 from tempoprune.corpus import Corpus, Document, write_corpus
 from tempoprune.index import PostingList, build_index, read_index, verify_index, write_index
@@ -626,4 +626,20 @@ def test_out_of_range_prune_options_exit_one(cli_dir, tmp_path, capsys, argv, me
     assert main([argv[0], *inputs, *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["prune", "sweep"])
+def test_out_of_range_jm_lambda_exits_before_any_fit(cli_dir, tmp_path, capsys, monkeypatch, command):
+    idx, out = str(cli_dir / "idx.bin"), str(tmp_path / "out")
+    if command == "prune":
+        argv = ["prune", "--in", idx, "--out", out, "--method", "div-dynamic", "--ratio", "0.5"]
+    else:
+        queries, qrels = _gen_queries(cli_dir, tmp_path)
+        argv = ["sweep", "--index", idx, "--queries", str(queries), "--qrels", str(qrels), "--out", out,
+                "--methods", "div-dynamic", "--ratios", "0.0,0.5"]
+    monkeypatch.setattr(aspects, "select_k_bic_each", lambda *a, **k: pytest.fail("fitted"))
+    capsys.readouterr()
+    assert main([*argv, "--jm-lambda", "5"]) == 1
+    assert capsys.readouterr().err == "error: jm lambda must be in [0, 1], got 5.0\n"
     assert not list(tmp_path.glob("out*"))

@@ -1,4 +1,5 @@
 """Weighted EM mixture fitting and BIC model selection."""
+import functools
 import logging
 import math
 import os
@@ -14,11 +15,11 @@ import numpy as np
 import pytest
 
 from forking import Placement, assert_no_child_left, forking, in_one_process, within
-from oracles import oracle_em, oracle_fit_gmm, oracle_seed_means, oracle_select_k_bic
+from oracles import oracle_em, oracle_seed_means, oracle_select_k_bic
 from tempoprune import aspects, gmm, workers
-from tempoprune.aspects import TermTimeSeries, build_aspect_sets, component_window, term_time_series
+from tempoprune.aspects import TermTimeSeries, build_aspect_sets, component_window, mixture_windows, term_time_series
 from tempoprune.errors import FitError, PruneError, TempopruneError
-from tempoprune.gmm import VAR_FLOOR, fit_gmm, select_k_bic
+from tempoprune.gmm import VAR_FLOOR, GmmFit, fit_gmm, select_k_bic
 from tempoprune.index import build_index
 from tempoprune.synth import random_corpus
 
@@ -197,22 +198,14 @@ def _windows(fit):
     return [component_window(m, math.sqrt(v)) for m, v in zip(fit.means, fit.variances)]
 
 
-def _components(fit, ordered: bool):
-    """(mean, weight, variance) per component.  Unordered, components that
-    share a day (tied means) pair up by weight, whatever their last bits."""
-    triples = list(zip(fit.means, fit.weights, fit.variances))
-    return triples if ordered else sorted(triples, key=lambda c: (round(c[0], 6), c[1]))
-
-
-def _assert_same_fit(fast, slow, ordered=True):
+def _assert_same_fit(fast, slow):
     assert fast.k == slow.k
     assert fast.converged == slow.converged
-    assert len(fast.ll_trace) == len(slow.ll_trace)
-    assert fast.ll_trace == pytest.approx(slow.ll_trace, rel=1e-9)
-    assert fast.log_likelihood == pytest.approx(slow.log_likelihood, rel=1e-9)
-    assert fast.bic == pytest.approx(slow.bic, rel=1e-9)
-    for a, b in zip(_components(fast, ordered), _components(slow, ordered)):
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+    assert fast.ll_trace == slow.ll_trace
+    assert fast.log_likelihood == slow.log_likelihood
+    assert fast.bic == slow.bic
+    for field in ("weights", "means", "variances"):
+        assert np.array_equal(getattr(fast, field), getattr(slow, field))
 
 
 def _differential_series(seed: int) -> TermTimeSeries:
@@ -247,13 +240,15 @@ def test_batched_select_k_bic_matches_per_k_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_batched_fit_gmm_matches_per_k_oracle(seed):
-    """Every K the selection fits.  Windows are compared on chosen fits
-    only: a component collapsed on one day sits at the variance floor, so
-    its window bounds are mean -/+ 0.5, on round_half_up's .5 boundary, and
-    the last bit of the mean picks the side."""
+    """Every K the selection fits, windows included: a component collapsed
+    on one day sits at the variance floor, where its window bounds are
+    mean -/+ 0.5 on round_half_up's .5 boundary, so they hold only because
+    the means are equal to the last bit."""
     series = _differential_series(seed)
     for k in range(1, min(10, len(series.counts)) + 1):
-        _assert_same_fit(fit_gmm(series, k, seed), oracle_fit_gmm(series, k, seed), ordered=False)
+        fast, [slow] = fit_gmm(series, k, seed), oracle_em(series, [k], seed)
+        _assert_same_fit(fast, slow)
+        assert _windows(fast) == _windows(slow)
 
 
 class _DriftingLog:
@@ -292,16 +287,6 @@ def test_forced_decrease_raises_fit_error_naming_term_and_k(monkeypatch):
 # --- many series in one batch ------------------------------------------------
 
 
-def _assert_identical(fast, slow):
-    assert fast.k == slow.k
-    assert fast.converged == slow.converged
-    assert fast.ll_trace == slow.ll_trace
-    assert fast.log_likelihood == slow.log_likelihood
-    assert fast.bic == slow.bic
-    for field in ("weights", "means", "variances"):
-        assert np.array_equal(getattr(fast, field), getattr(slow, field))
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_batch_of_one_series_equals_per_series_oracle_exactly(seed):
     series = _differential_series(seed)
@@ -310,9 +295,9 @@ def test_batch_of_one_series_equals_per_series_oracle_exactly(seed):
     slow = oracle_em(series, ks, seed)
     assert len(fits) == len(slow)
     for fast, ref in zip(fits, slow):
-        _assert_identical(fast, ref)
-    _assert_identical(select_k_bic(series, k_max=1 + seed % 10, seed=seed), min(slow, key=lambda f: f.bic))
-    _assert_identical(fit_gmm(series, ks[-1], seed), oracle_em(series, [ks[-1]], seed)[0])
+        _assert_same_fit(fast, ref)
+    _assert_same_fit(select_k_bic(series, k_max=1 + seed % 10, seed=seed), min(slow, key=lambda f: f.bic))
+    _assert_same_fit(fit_gmm(series, ks[-1], seed), oracle_em(series, [ks[-1]], seed)[0])
 
 
 def _many_series() -> list[TermTimeSeries]:
@@ -354,28 +339,54 @@ def _grouped(monkeypatch, budget):
 ONE_BATCH = 2**40  # a budget that holds every series of `_many_series` at once
 
 
-@pytest.mark.parametrize("budget", [gmm.EM_CELL_BUDGET, 1, ONE_BATCH])
-def test_select_k_bic_each_matches_per_series_oracle(monkeypatch, budget):
-    """Budget 1 leaves groups as large as the largest series."""
+@functools.cache
+def _many_alone(k_max: int) -> list[tuple[GmmFit, GmmFit]]:
+    """The oracle's chosen fit of each of `_many_series`, and `select_k_bic`'s."""
+    return [(oracle_select_k_bic(s, k_max=k_max, seed=3), select_k_bic(s, k_max=k_max, seed=3)) for s in _many_series()]
+
+
+def _each_equals_alone(monkeypatch, budget, k_max):
+    """select_k_bic_each of `_many_series`, in order and shuffled, equals the
+    oracle's and `select_k_bic`'s fit of each series alone; returns the
+    size of each batch it ran, in order."""
     many = _many_series()
+    alone = _many_alone(k_max)
     batches = _grouped(monkeypatch, budget)
-    k_max = 6
     fast = gmm.select_k_bic_each(many, k_max=k_max, seed=3)
-    assert sum(batches) == len(many)
-    if budget == ONE_BATCH:
-        assert batches == [len(many)]
-    else:
-        assert len([b for b in batches if b > 1]) >= 3
+    ran = list(batches)
+    shuffled = list(range(len(many)))
+    random.Random(budget + k_max).shuffle(shuffled)
+    again = gmm.select_k_bic_each([many[i] for i in shuffled], k_max=k_max, seed=3)
+    for fit, i in zip(again, shuffled):
+        _assert_same_fit(fit, fast[i])
     collapsed = 0
-    for series, fit in zip(many, fast):
-        slow = oracle_select_k_bic(series, k_max=k_max, seed=3)
-        assert fit.k == slow.k, series.term
-        assert _windows(fit) == _windows(slow), series.term
-        assert len(fit.ll_trace) == len(slow.ll_trace), series.term
-        assert fit.ll_trace == pytest.approx(slow.ll_trace, rel=1e-9)
-        assert fit.converged == slow.converged
+    for fit, (slow, single) in zip(fast, alone):
+        _assert_same_fit(fit, slow)
+        _assert_same_fit(fit, single)
         collapsed += int((fit.variances == VAR_FLOOR).sum())
     assert collapsed  # some chosen components sit at the variance floor
+    assert sum(ran) == len(many)
+    return ran
+
+
+@pytest.mark.parametrize("budget", [gmm.EM_CELL_BUDGET, 1, ONE_BATCH])
+def test_select_k_bic_each_matches_per_series_oracle(monkeypatch, budget):
+    """Budget 1 leaves groups as large as the largest series.  Shuffled, the
+    series meet other neighbours in their groups."""
+    batches = _each_equals_alone(monkeypatch, budget, k_max=6)
+    if budget == ONE_BATCH:
+        assert batches == [len(_many_series())]
+    else:
+        assert len([b for b in batches if b > 1]) >= 3
+
+
+@pytest.mark.parametrize("budget", [gmm.EM_CELL_BUDGET, 1])
+def test_select_k_bic_each_of_single_components_matches_per_series_oracle(monkeypatch, budget):
+    """At k_max 1 every fit is one component; at budget 1 some series are a
+    group of their own, whose one fit is the last one left: a single column,
+    which numpy would sum over the days pairwise."""
+    batches = _each_equals_alone(monkeypatch, budget, k_max=1)
+    assert (1 in batches) == (budget == 1)
 
 
 def test_select_k_bic_each_of_no_series_is_empty():
@@ -404,17 +415,16 @@ def test_build_aspect_sets_dynamic_uses_the_per_series_fits():
         if not series.counts:
             continue
         slow = oracle_select_k_bic(series, k_max=4, seed=2)
-        kept = [i for i, w in enumerate(slow.weights) if w > 1e-12]
-        assert [a.window for a in aset.aspects] == [_windows(slow)[i] for i in kept], term
-        assert [a.center for a in aset.aspects] == pytest.approx(slow.means[kept], rel=1e-9)
+        assert aset.aspects == mixture_windows(series, slow).aspects, term  # windows, weights and centres
         assert aset.converged == slow.converged
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_bench_shaped_dynamic_aspects_equal_each_term_fitted_alone(monkeypatch, seed):
     """On the em-dynamic benchmark's corpora (300 documents, 50 terms,
-    k_max 5, EM seed = corpus seed), fitting the terms in batches keeps
-    every term's K and windows those of the term fitted alone."""
+    k_max 5, EM seed = corpus seed), every term fitted in its group gets
+    the fit, and so the windows, weights and centres, of the term fitted
+    alone."""
     index = build_index(random_corpus(n_docs=300, seed=seed, vocab_size=50))
     chosen = {}
     each = gmm.select_k_bic_each
@@ -428,21 +438,10 @@ def test_bench_shaped_dynamic_aspects_equal_each_term_fitted_alone(monkeypatch, 
     sets = build_aspect_sets(index, model="dynamic", k_max=5, seed=seed, lambda_w=0.0)
     assert len(chosen) > 40
     for term, fit in chosen.items():
-        alone = select_k_bic(term_time_series(index, term), k_max=5, seed=seed)
-        assert fit.k == alone.k, term
-        kept = [i for i, w in enumerate(alone.weights) if w > 1e-12]
-        assert [a.window for a in sets[term].aspects] == [_windows(alone)[i] for i in kept], term
-
-
-@pytest.mark.parametrize("k", [1, 2, 8, 9, 10, 16, 17, 25, 129, 130, 131, 300])
-def test_block_sums_take_the_association_of_reduceat(k):
-    """A fit's sum over its rows, taken over the middle axis of its K block,
-    equals np.add.reduceat over the rows bit for bit."""
-    rng = np.random.default_rng(k)
-    rows = rng.random((3 * k, 5)) * np.exp(rng.normal(0.0, 8.0, (3 * k, 5)))
-    block = rows.reshape(3, k, 5)
-    want = np.add.reduceat(rows, np.arange(3) * k)
-    assert np.array_equal(block[:, 0] + gmm._pairwise_sum(block[:, 1:]), want)
+        series = term_time_series(index, term)
+        alone = select_k_bic(series, k_max=5, seed=seed)
+        _assert_same_fit(fit, alone)
+        assert sets[term].aspects == mixture_windows(series, alone).aspects, term
 
 
 # --- prefix-shared seeding ---------------------------------------------------
@@ -529,7 +528,7 @@ def test_worker_fits_equal_the_one_process_fits(monkeypatch, budget, cpus):
     assert len(forks) == cpus - 1
     assert len(forked) == len(alone)
     for fast, slow in zip(forked, alone):
-        _assert_identical(fast, slow)
+        _assert_same_fit(fast, slow)
         assert _windows(fast) == _windows(slow)
     assert_no_child_left()
 
@@ -544,7 +543,7 @@ def test_worker_fits_equal_the_one_process_fits_on_bench_corpora(monkeypatch, se
         forked = gmm.select_k_bic_each(series, k_max=5, seed=seed)
     assert len(forks) == 1
     for fast, slow in zip(forked, alone, strict=True):
-        _assert_identical(fast, slow)
+        _assert_same_fit(fast, slow)
         assert _windows(fast) == _windows(slow)
     assert_no_child_left()
 
@@ -675,7 +674,7 @@ def test_a_reply_larger_than_a_pipe_arrives_whole(monkeypatch):
     assert place.forks == [1]
     assert min(len(pickle.dumps(fit)) for fit in forked) > 64 * 1024  # a worker replies with one fit or more
     for fast, slow in zip(forked, alone, strict=True):
-        _assert_identical(fast, slow)
+        _assert_same_fit(fast, slow)
     assert_no_child_left()
 
 
