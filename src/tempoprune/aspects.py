@@ -4,6 +4,13 @@ An aspect is a weighted time window; a term's aspect set plays the role
 of result diversity categories when pruning its posting list.  Window
 widths come from the Freedman-Diaconis rule on the term's day histogram;
 dynamic aspects come from a BIC-selected Gaussian mixture.
+
+A tiling keeps the tiles that hold a day, found from the days: tile j
+starts at lo + j*step and holds day d exactly when d - gamma < start <= d.
+`doc_aspect_map` maps a document by its window hulls: one bisected index
+range in a tiling, a `Stabbing` lookup in any other set, and, where no
+mixture window meets, one flat `min` over (distance, index) pairs of its
+days and the centres.
 """
 from __future__ import annotations
 
@@ -11,8 +18,8 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 
 from .errors import PruneError, TermNotFoundError
 from .gmm import DEFAULT_K_MAX, EM_MAX_ITER, GmmFit, select_k_bic, select_k_bic_each
@@ -118,14 +125,20 @@ def _tiled_aspects(series: TermTimeSeries, gamma: int, step: int) -> AspectSet:
     if gamma < 1:
         raise PruneError(f"gamma must be >= 1, got {gamma}")
     lo, hi = series.span
+    # Tile j starts at lo + j*step and holds day d exactly when
+    # d - gamma < start <= d.  Each step bisects for the first day at or
+    # past the start: a tile ending after it is kept, otherwise the walk
+    # jumps to the first start that holds that day.  So the steps are the
+    # kept tiles and the gaps between them, not the span.
     days = sorted(series.counts)
-    starts = []
-    start = lo
-    while start <= hi:
-        i = bisect_left(days, start)
-        if i < len(days) and days[i] < start + gamma:
+    starts: list[int] = []
+    start, i = lo, 0
+    while (i := bisect_left(days, start, i)) < len(days):
+        if days[i] < start + gamma:
             starts.append(start)
-        start += step
+            start += step
+        else:
+            start = lo + ((days[i] - lo - gamma) // step + 1) * step
     aspects = [Aspect(window=TimeWindow.certain(s, s + gamma - 1), weight=1.0 / len(starts)) for s in starts]
     return AspectSet(term=series.term, aspects=aspects, span=(lo, hi))
 
@@ -180,41 +193,55 @@ def smooth(aspects: AspectSet, lambda_w: float) -> AspectSet:
         return aspects
     if aspects.span is None:
         raise ValueError(f"aspect set for {aspects.term!r} has no span to anchor a global aspect")
-    scaled = [replace(a, weight=a.weight * (1.0 - lambda_w)) for a in aspects.aspects]
+    scaled = [Aspect(a.window, a.weight * (1.0 - lambda_w), False, a.center) for a in aspects.aspects]
     scaled.append(Aspect(window=TimeWindow.certain(*aspects.span), weight=lambda_w, is_global=True))
     g = len(scaled) - 1
     doc_map = {d: tuple(sorted(set(m) | {g})) for d, m in aspects.doc_map.items()}
-    return replace(aspects, aspects=scaled, doc_map=doc_map)
+    return AspectSet(aspects.term, scaled, doc_map, aspects.span, aspects.converged)
 
 
 def doc_aspect_map(aspects: AspectSet, index: InvertedIndex, term: str) -> AspectSet:
     """Map every document of the term to the aspects whose windows intersect
     its time part; the global aspect (when present) maps everything.
     In a set with mixture centres (dynamic windows) an uncovered dated
-    document falls back to the component with the nearest mean.  The
-    aspects a document window meets come from one `Stabbing` lookup over
-    the non-global aspect windows."""
+    document falls back to the component with the nearest mean, ties to the
+    lower index.  A document window meets an aspect exactly when their hulls
+    (`index.doc_hulls`) overlap.  In a tiling (non-global windows of one
+    length in ascending start order) the windows meeting a hull [lo, hi]
+    are those starting in [lo - length, hi], one index range of two
+    bisections; any other set takes a `Stabbing` lookup."""
     if term not in index.lists:
         raise TermNotFoundError(term)
+    items = aspects.aspects
     gi = aspects.global_index
-    local = Stabbing(
-        (a.window.b_lo, a.window.e_hi, i) for i, a in enumerate(aspects.aspects) if not a.is_global
-    )
-    centers = [
-        (i, a.center) for i, a in enumerate(aspects.aspects)
-        if not a.is_global and a.center is not None
-    ]
+    tail = () if gi is None else (gi,)
+    last = gi is None or gi == len(items) - 1  # then appending gi keeps the order
+    local = [i for i, a in enumerate(items) if not a.is_global]
+    starts = [items[i].window.b_lo for i in local]
+    lengths = {items[i].window.e_hi - b for i, b in zip(local, starts)}
+    if len(lengths) <= 1 and all(a <= b for a, b in pairwise(starts)):
+        length = max(lengths, default=0)
+
+        def meeting(lo: int, hi: int) -> list[int]:
+            return local[bisect_left(starts, lo - length):bisect_right(starts, hi)]
+    else:
+        stabbing = Stabbing((items[i].window.b_lo, items[i].window.e_hi, i) for i in local)
+
+        def meeting(lo: int, hi: int) -> list[int]:
+            return sorted(stabbing.meeting(lo, hi))
+    centers = [(i, items[i].center) for i in local if items[i].center is not None]
+    doc_hulls, doc_days = index.doc_hulls, index.doc_days
     doc_map: dict[str, tuple[int, ...]] = {}
     for doc_id in index.lists[term].doc_ids:
-        windows = index.doc_times.get(doc_id, frozenset())
-        mapped = {i for w in windows for i in local.meeting(w.b_lo, w.e_hi)}
-        if not mapped and windows and centers:
-            rep_days = index.doc_days[doc_id]
-            mapped = {min(centers, key=lambda ic: (min(abs(d - ic[1]) for d in rep_days), ic[0]))[0]}
-        if gi is not None:
-            mapped.add(gi)
-        doc_map[doc_id] = tuple(sorted(mapped))
-    return replace(aspects, doc_map=doc_map)
+        hulls = doc_hulls.get(doc_id, ())
+        if len(hulls) == 1:
+            mapped = meeting(*hulls[0])
+        else:
+            mapped = sorted({i for lo, hi in hulls for i in meeting(lo, hi)})
+        if not mapped and hulls and centers:
+            mapped = (min((abs(d - c), i) for i, c in centers for d in doc_days[doc_id])[1],)
+        doc_map[doc_id] = (*mapped, *tail) if last else tuple(sorted((*mapped, *tail)))
+    return AspectSet(aspects.term, items, doc_map, aspects.span, aspects.converged)
 
 
 def term_aspects(
@@ -275,7 +302,7 @@ def build_aspect_sets(
         raise PruneError(f"unknown aspect model {model!r}")
     _check_lambda_w(lambda_w)  # before any term is fitted
     hull = index_time_hull(index)
-    index.doc_days  # derived here, once, rather than in each forked greedy worker
+    index.doc_days, index.doc_hulls  # derived here, once, rather than in each forked greedy worker
     fits: dict[str, GmmFit] = {}
     if model == "dynamic":  # every dated term, fitted together
         dated = [s for term in index.terms() if (s := term_time_series(index, term)).counts]

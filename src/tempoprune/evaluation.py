@@ -362,9 +362,9 @@ def read_topics(path) -> list[Topic]:
 
 def read_run(path) -> list[RankedResult]:
     """TREC run file (`qid Q0 doc rank score tag`, a finite score) ->
-    per-qid results, rank order restored from scores.  A bad line raises
-    EvalFormatError naming path:line."""
-    by_qid: dict[str, list[tuple[str, float]]] = {}
+    per-qid results, rank order restored from scores.  A bad line, or a
+    second hit of one (qid, doc) pair, raises EvalFormatError naming path:line."""
+    by_qid: dict[str, dict[str, float]] = {}
     for lineno, (qid, _, doc, _, s, _) in _split_lines(_text_lines(path, EvalFormatError), path, 6):
         try:
             score = float(s)
@@ -372,10 +372,13 @@ def read_run(path) -> list[RankedResult]:
             raise EvalFormatError(f"{path}:{lineno}: score must be a number, got {s!r:.60}") from None
         if not math.isfinite(score):
             raise EvalFormatError(f"{path}:{lineno}: score must be finite, got {s!r:.60}")
-        by_qid.setdefault(qid, []).append((doc, score))
+        hits = by_qid.setdefault(qid, {})
+        if doc in hits:
+            raise EvalFormatError(f"{path}:{lineno}: duplicate hit for query {qid!r:.60}, doc {doc!r:.60}")
+        hits[doc] = score
     results = []
     for qid in sorted(by_qid):
-        hits = sorted(by_qid[qid], key=lambda e: (-e[1], e[0]))
+        hits = sorted(by_qid[qid].items(), key=lambda e: (-e[1], e[0]))
         results.append(RankedResult(qid=qid, hits=hits))
     return results
 

@@ -72,7 +72,7 @@ class InvertedIndex:
     def terms(self) -> list[str]:
         return sorted(self.lists)
 
-    # Derived from doc_times on first use, once per index object; neither is
+    # Derived from doc_times on first use, once per index object; none is
     # serialized or compared.
 
     @cached_property
@@ -84,6 +84,11 @@ class InvertedIndex:
     def doc_days(self) -> dict[str, tuple[int, ...]]:
         """Each dated document's representative days, one midpoint per window."""
         return {d: tuple(w.midpoint for w in ws) for d, ws in self.doc_times.items()}
+
+    @cached_property
+    def doc_hulls(self) -> dict[str, tuple[tuple[int, int], ...]]:
+        """Each dated document's window hulls (b_lo, e_hi), one per window."""
+        return {d: tuple((w.b_lo, w.e_hi) for w in ws) for d, ws in self.doc_times.items()}
 
     def docs_meeting(self, windows) -> set[str]:
         """Documents whose time part meets one of `windows`, that is with

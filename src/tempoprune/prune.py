@@ -18,10 +18,12 @@ unselected doc of each signature group (docs mapped to the same aspects),
 which is exact: within a group the higher doc never gains less.  Rounding
 can still decide exact ties between docs of different signatures.  Its slow
 definitions (the criterion from scratch, the full-list scan, greedy in
-exact arithmetic) live in tests/oracles.py.  The greedy terms are the
-tasks of one `workers.fork_map`, each term run whole in one process, its
-aspect set built there too, so the picks do not depend on the number of
-CPUs.
+exact arithmetic) live in tests/oracles.py.  A term's relevance order is
+one stable sort on the score (posting lists ascend by doc_id, so ties keep
+doc_id order), and gains read one process-wide table of `discount(j)`,
+grown on demand.  The greedy terms are the tasks of one `workers.fork_map`,
+each term run whole in one process, its aspect set built there too, so the
+picks do not depend on the number of CPUs.
 """
 from __future__ import annotations
 
@@ -96,12 +98,21 @@ def relevance_scores(index: InvertedIndex, term: str, lam: float = JM_LAMBDA) ->
         raise TermNotFoundError(term)
     stats = index.stats
     background = lam * stats.ctf[term] / stats.total_len
-    plist = index.lists[term]
-    entries = sorted(
-        (((1.0 - lam) * tf / stats.doc_len[d] + background, d) for d, tf in zip(plist.doc_ids, plist.tfs)),
-        key=lambda e: (-e[0], e[1]),
-    )
-    return RelevanceList(term, [d for _, d in entries], [s for s, _ in entries])
+    plist, doc_len, fg = index.lists[term], stats.doc_len, 1.0 - lam
+    scores = [fg * tf / doc_len[d] + background for d, tf in zip(plist.doc_ids, plist.tfs)]
+    # a stable sort keeps equal scores in posting order, doc_id ascending
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    return RelevanceList(term, [plist.doc_ids[i] for i in order], [scores[i] for i in order])
+
+
+_DISCOUNTS = [math.nan]  # _DISCOUNTS[j] == discount(j), grown by `_discounts`
+
+
+def _discounts(n: int) -> list[float]:
+    """The process-wide discount table, grown to hold ranks up to n."""
+    if len(_DISCOUNTS) <= n:
+        _DISCOUNTS.extend(discount(j) for j in range(len(_DISCOUNTS), n + 1))
+    return _DISCOUNTS
 
 
 @dataclass
@@ -109,44 +120,44 @@ class SelectionState:
     """Lazy-greedy bookkeeping for one term.
 
     members[w] holds the selected positions mapped to aspect w, ascending.
-    A signature group is the positions whose docs map to one `doc_map`
-    tuple; successor[pos] is the next position of pos's group, or -1.  heap
-    holds (-gain, position, stamp) for the first unselected position of
+    signatures[pos] is the `doc_map` tuple of the doc at pos and weights[w]
+    the weight of aspect w.  A signature group is the positions of one
+    signature; successor[pos] is the next position of pos's group, or -1.
+    heap holds (-gain, position, stamp) for the first unselected position of
     every group that has one, the gain computed when `stamp` positions had
-    been selected; stamp counts the picks.  heap and successor are filled
-    on the first `next_best` call.  disc[j] == discount(j) for every rank
-    the term can reach.
+    been selected; stamp counts the picks.  All but members are filled on
+    the first `next_best` call.
     """
 
     n_aspects: int
     members: list[list[int]] = field(init=False)
     heap: list[tuple[float, int, int]] | None = field(default=None, init=False)
+    signatures: list[tuple[int, ...]] = field(default_factory=list, init=False)
+    weights: list[float] = field(default_factory=list, init=False)
     successor: list[int] = field(default_factory=list, init=False)
     stamp: int = field(default=0, init=False)
-    disc: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         self.members = [[] for _ in range(self.n_aspects)]
 
 
-def _gain(rel: RelevanceList, state: SelectionState, aspects: AspectSet, pos: int) -> float:
+def _gain(scores: list[float], state: SelectionState, pos: int) -> float:
     """Criterion increase from selecting `pos`.
 
-    Per mapped aspect, in doc_map order: the insertion term at the aspect
+    Per mapped aspect, in signature order: the insertion term at the aspect
     rank plus the displacement of the selected docs below, each sliding
     from aspect rank j+1 to j+2, summed from the bottom up.  This is the
     accumulation order of the full-list scan, so gains match it bit for bit.
     """
-    scores = rel.scores
-    disc = state.disc
+    disc = _DISCOUNTS
     gain = 0.0
-    for w in aspects.doc_map[rel.doc_ids[pos]]:
+    for w in state.signatures[pos]:
         members = state.members[w]
         above = bisect_left(members, pos)
         displacement = 0.0
         for j in range(len(members) - 1, above - 1, -1):
             displacement += (disc[j + 2] - disc[j + 1]) * scores[members[j]]
-        gain += aspects.aspects[w].weight * (disc[above + 1] * scores[pos] + displacement)
+        gain += state.weights[w] * (disc[above + 1] * scores[pos] + displacement)
     return gain
 
 
@@ -171,35 +182,36 @@ def next_best(rel: RelevanceList, state: SelectionState, aspects: AspectSet) -> 
     signatures whose exact gains tie.  Each call picks one position, so at
     most len(rel) calls have a pick to return.
     """
+    scores = rel.scores
     if state.heap is None:
-        state.disc = [math.nan] + [discount(j) for j in range(1, len(rel) + 2)]
+        _discounts(len(rel) + 1)
+        state.signatures = [aspects.doc_map[doc] for doc in rel.doc_ids]
+        state.weights = [a.weight for a in aspects.aspects]
         state.successor = [-1] * len(rel)
         heads: list[int] = []
         tails: dict[tuple[int, ...], int] = {}
-        for pos, doc in enumerate(rel.doc_ids):
-            signature = aspects.doc_map[doc]
+        for pos, signature in enumerate(state.signatures):
             if signature in tails:
                 state.successor[tails[signature]] = pos
             else:
                 heads.append(pos)
             tails[signature] = pos
-        state.heap = [(-_gain(rel, state, aspects, pos), pos, 0) for pos in heads]
+        state.heap = [(-_gain(scores, state, pos), pos, 0) for pos in heads]
         heapq.heapify(state.heap)
     heap = state.heap
     while heap[0][2] != state.stamp:
         pos = heap[0][1]
-        heapq.heapreplace(heap, (-_gain(rel, state, aspects, pos), pos, state.stamp))
+        heapq.heapreplace(heap, (-_gain(scores, state, pos), pos, state.stamp))
     neg_gain, best_pos, _ = heap[0]
-    chosen = rel.doc_ids[best_pos]
-    for w in aspects.doc_map[chosen]:
+    for w in state.signatures[best_pos]:
         insort(state.members[w], best_pos)
     state.stamp += 1
     successor = state.successor[best_pos]
     if successor < 0:
         heapq.heappop(heap)
     else:
-        heapq.heapreplace(heap, (-_gain(rel, state, aspects, successor), successor, state.stamp))
-    return chosen, -neg_gain
+        heapq.heapreplace(heap, (-_gain(scores, state, successor), successor, state.stamp))
+    return rel.doc_ids[best_pos], -neg_gain
 
 
 def diversify(rel: RelevanceList, aspects: AspectSet, k: int) -> list[str]:

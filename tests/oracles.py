@@ -21,6 +21,10 @@ library must reproduce it bit for bit.
 `oracle_doc_aspect_map` and `oracle_tile_starts` are the slow definitions
 of the library's bisect document map and tiling: every aspect tested
 against every document window, every tile tested against every day.
+`span_walk_tile_starts` is the tiling's earlier walk over every step of
+the span, one bisection each, the reference on series far too wide for
+the scan.  `oracle_relevance_order` ranks a term's postings by the
+(-score, doc_id) tuple sort.
 
 `oracle_sweep` is the slow definition of the library's sweep: greedy and
 the threshold statistics run again through `prune_index` at every ratio.
@@ -57,6 +61,7 @@ import json
 import math
 import random
 import re
+from bisect import bisect_left
 from collections import Counter
 from datetime import date, timedelta
 from dataclasses import dataclass, field
@@ -343,6 +348,21 @@ def oracle_tile_starts(series: TermTimeSeries, gamma: int, step: int) -> list[in
     return starts
 
 
+def span_walk_tile_starts(series: TermTimeSeries, gamma: int, step: int) -> list[int]:
+    """Starts lo, lo + step, ... up to hi whose tile [start, start + gamma)
+    holds a day: every step of the span, one bisection over the days each."""
+    lo, hi = series.span
+    days = sorted(series.counts)
+    starts = []
+    start = lo
+    while start <= hi:
+        i = bisect_left(days, start)
+        if i < len(days) and days[i] < start + gamma:
+            starts.append(start)
+        start += step
+    return starts
+
+
 def oracle_doc_aspect_map(aspects: AspectSet, index, term: str) -> dict[str, tuple[int, ...]]:
     """Document map by testing every non-global aspect against every window
     of the document; the global aspect maps everything, and a set with
@@ -450,6 +470,14 @@ def oracle_jm_scores(index, term: str, lam: float = JM_LAMBDA) -> list[float]:
     return [
         (1.0 - lam) * tf / stats.doc_len[d] + background for d, tf in zip(plist.doc_ids, plist.tfs)
     ]
+
+
+def oracle_relevance_order(index, term: str, lam: float = JM_LAMBDA) -> RelevanceList:
+    """The term's postings by descending `oracle_jm_scores`, ties to the
+    smaller doc_id, as one sort of (-score, doc_id) tuples."""
+    plist = index.lists[term]
+    entries = sorted(zip(oracle_jm_scores(index, term, lam), plist.doc_ids), key=lambda e: (-e[0], e[1]))
+    return RelevanceList(term, [d for _, d in entries], [s for s, _ in entries])
 
 
 def ipu_values(index, term: str, lam: float = JM_LAMBDA) -> list[float]:

@@ -1,4 +1,5 @@
 """Time series extraction, FD widths, and the three aspect models."""
+import random
 from collections.abc import Mapping, MutableMapping
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     oracle_fd_width,
     oracle_term_time_series,
     oracle_tile_starts,
+    span_walk_tile_starts,
 )
 from tempoprune.aspects import (
     ASPECT_MODELS,
@@ -258,6 +260,53 @@ def test_tile_starts_match_scan_oracle(counts, gamma):
         series, gamma, max(1, gamma // 2))
 
 
+def _random_series(rng: random.Random) -> TermTimeSeries:
+    """Days drawn with repeats, some of them next to a drawn day, around a
+    base that may lie before the epoch; counts are the draws per day."""
+    base = rng.choice([-400, -3, 0, 77])
+    width = rng.choice([1, 6, 60, 700])
+    days = [base + rng.randint(0, width) for _ in range(rng.randint(1, 12))]
+    days += rng.choices(days, k=rng.randint(0, 4)) + [d + 1 for d in rng.choices(days, k=rng.randint(0, 4))]
+    counts: dict[int, int] = {}
+    for d in days:
+        counts[d] = counts.get(d, 0) + 1
+    return TermTimeSeries(term="t", counts=counts)
+
+
+def test_tiles_match_the_span_walk_on_random_series():
+    rng = random.Random(24)
+    for _ in range(5000):
+        series = _random_series(rng)
+        gamma = rng.choice([1, 2, 3, rng.randint(4, 80), fd_window_size(series)])
+        for tiling, step in ((simple_windows, gamma), (sliding_windows, max(1, gamma // 2))):
+            aset = tiling(series, gamma)
+            starts = span_walk_tile_starts(series, gamma, step)
+            assert [a.window for a in aset.aspects] == [TimeWindow.certain(b, b + gamma - 1) for b in starts]
+            assert [a.weight for a in aset.aspects] == [1.0 / len(starts)] * len(starts)
+
+
+@pytest.mark.parametrize("gamma, simple, sliding", [
+    (1, [(-719162, -719162), (2932896, 2932896)], [(-719162, -719162), (2932896, 2932896)]),
+    (1000, [(-719162, -718163), (2932838, 2933837)],
+     [(-719162, -718163), (2932338, 2933337), (2932838, 2933837)]),
+    (5797281, [(-719162, 5078118)], [(-719162, 5078118), (2179478, 7976758)]),
+])
+def test_tiles_at_the_iso_range_ends(gamma, simple, sliding):
+    # 0001-01-01 and 9999-12-31: one or two kept tiles, 3.65 million steps apart
+    series = TermTimeSeries(term="t", counts={-719162: 1, 2932896: 1})
+    assert fd_window_size(series) == 5797281
+    for tiling, want in ((simple_windows, simple), (sliding_windows, sliding)):
+        assert [a.window for a in tiling(series, gamma).aspects] == [TimeWindow.certain(*w) for w in want]
+
+
+def test_far_dated_days_keep_one_tile_each():
+    series = TermTimeSeries(term="t", counts={-700000: 1, 0: 1, 1: 1, 2: 1, 3: 1, 700000: 1})
+    for tiling in (simple_windows, sliding_windows):
+        assert [a.window for a in tiling(series, 1).aspects] == [
+            TimeWindow.instant(d) for d in sorted(series.counts)]
+    assert [a.window.b_lo for a in simple_windows(series, 4).aspects] == [-700000, 0, 700000]
+
+
 def test_tiled_windows_reject_bad_gamma():
     series = TermTimeSeries(term="t", counts={0: 1})
     with pytest.raises(PruneError, match="gamma must be >= 1, got 0"):
@@ -443,6 +492,41 @@ def test_doc_map_matches_scan_oracle(aset, doc_windows):
     docs = [Document(f"d{i}", ["x"], frozenset(ws)) for i, ws in enumerate(doc_windows)]
     idx = build_index(Corpus(documents=docs))
     assert doc_aspect_map(aset, idx, "x").doc_map == oracle_doc_aspect_map(aset, idx, "x")
+
+
+@given(
+    st.dictionaries(st.integers(-40, 60), st.integers(1, 3), min_size=1, max_size=12),
+    st.integers(1, 15),
+    st.sampled_from([simple_windows, sliding_windows]),
+    st.sampled_from([0.0, 0.3]),
+    st.data(),
+)
+def test_tiled_doc_map_matches_scan_oracle(counts, gamma, tiling, lam, data):
+    # pre-epoch days; documents with several, uncertain or no windows; and
+    # window bounds drawn from the tile edges, so hulls end on them
+    aset = smooth(tiling(TermTimeSeries(term="x", counts=counts), gamma), lam)
+    edges = sorted({e + k for a in aset.aspects for e in (a.window.b_lo, a.window.e_hi) for k in (-1, 0, 1)})
+    day = st.sampled_from(edges) | st.integers(-60, 80)
+    window = (st.tuples(day, day).map(sorted).map(lambda b: TimeWindow.certain(*b))
+              | st.tuples(day, day, day, day).map(sorted).map(lambda b: TimeWindow(*b))
+              | _windows(-60, 80))
+    doc_windows = data.draw(st.lists(st.lists(window, max_size=3), min_size=1, max_size=8))
+    docs = [Document(f"d{i}", ["x"], frozenset(ws)) for i, ws in enumerate(doc_windows)]
+    idx = build_index(Corpus(documents=docs))
+    assert doc_aspect_map(aset, idx, "x").doc_map == oracle_doc_aspect_map(aset, idx, "x")
+
+
+def test_doc_map_takes_the_range_for_tilings_and_stabbing_otherwise(monkeypatch):
+    stabbed = []
+    real = aspects_module.Stabbing
+    monkeypatch.setattr(aspects_module, "Stabbing", lambda intervals: stabbed.append(1) or real(intervals))
+    idx = build_index(multi_window_corpus(3))
+    for model in ASPECT_MODELS:
+        stabbed.clear()
+        sets = build_aspect_sets(idx, model, seed=3, k_max=3)
+        for term, aset in sets.items():
+            assert aset.doc_map == oracle_doc_aspect_map(aset, idx, term)
+        assert bool(stabbed) == (model == "dynamic")
 
 
 def test_doc_map_touching_and_uncertain_windows():

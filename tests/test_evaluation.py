@@ -15,6 +15,7 @@ from oracles import (
     time_filtered_qrels,
 )
 from tempoprune.aspects import build_aspect_sets, index_time_hull
+from tempoprune.cli import main as cli_main
 from tempoprune.errors import EvalFormatError, PruneError, QueryError, TempopruneError
 from tempoprune.evaluation import (
     EvalReport,
@@ -231,6 +232,7 @@ def test_read_qrels_rejects_malformed_lines(tmp_path, line, reason):
         ("q1 Q0 d1 1 notanumber tag", "score must be a number, got 'notanumber'"),
         ("q1 Q0 d1 1 nan tag", "score must be finite, got 'nan'"),
         ("q1 Q0 d1 1 -inf tag", "score must be finite, got '-inf'"),
+        ("q1 Q0 d0 2 1.0 tag", "duplicate hit for query 'q1', doc 'd0'"),
     ],
 )
 def test_read_run_rejects_malformed_lines(tmp_path, line, reason):
@@ -238,6 +240,15 @@ def test_read_run_rejects_malformed_lines(tmp_path, line, reason):
     path.write_text(f"q1 Q0 d0 1 3.0 tag\n{line}\n", encoding="utf-8")
     with pytest.raises(EvalFormatError, match=re.escape(f"{path}:2: {reason}")):
         read_run(path)
+
+
+def test_eval_rejects_a_run_that_repeats_a_hit(tmp_path, capsys):
+    # counted once per line, three hits of d1 against qrels {d1, d2} scored map 1.5
+    run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+    run.write_text("".join(f"q1 Q0 d1 {r} {4 - r}.0 t\n" for r in (1, 2, 3)), encoding="utf-8")
+    qrels.write_text("q1 0 d1 1\nq1 0 d2 1\n", encoding="utf-8")
+    assert cli_main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 1
+    assert f"{run}:2: duplicate hit for query 'q1', doc 'd1'" in capsys.readouterr().err
 
 
 # --- query generation ----------------------------------------------------

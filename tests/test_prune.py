@@ -18,6 +18,7 @@ from oracles import (
     oracle_next_best,
     oracle_optimum,
     oracle_pruning_ratio,
+    oracle_relevance_order,
     oracle_threshold_values,
     oracle_tune,
     scan_diversify,
@@ -46,6 +47,7 @@ from tempoprune.prune import (
     threshold_prune,
     threshold_values,
     tune_epsilon,
+    _discounts,
     _tune,
 )
 from tempoprune.synth import random_corpus
@@ -101,6 +103,35 @@ def test_relevance_sorted_with_doc_id_tiebreak():
     rel = relevance_scores(build_index(Corpus(documents=docs)), "t")
     assert rel.doc_ids == ["dc", "da", "db"]
     assert rel.scores[0] > rel.scores[1] == rel.scores[2]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
+def test_relevance_order_matches_the_tuple_sort_on_ties(lam):
+    # equal tf/|d| in docs of lengths 2, 4 and 6, and doc ids whose string
+    # order is not their numeric order; at lam = 1 every score ties
+    docs = [Document(f"d{i}", ["t"] * (i % 3 + 1) + ["u"] * (i % 3 + 1)) for i in range(12)]
+    docs += [Document("e1", ["t", "t", "t", "v"]), Document("e0", ["t", "v", "v", "v"])]
+    idx = build_index(Corpus(documents=docs))
+    want = oracle_relevance_order(idx, "t", lam)
+    got = relevance_scores(idx, "t", lam)
+    assert (got.doc_ids, got.scores) == (want.doc_ids, want.scores)
+    assert len(set(got.scores)) < len(got) - 4
+
+
+def test_relevance_order_matches_the_tuple_sort_on_random_corpora(rand_index):
+    for lam in (0.6, 1.0):
+        for term in rand_index.terms():
+            want = oracle_relevance_order(rand_index, term, lam)
+            got = relevance_scores(rand_index, term, lam)
+            assert (got.doc_ids, got.scores) == (want.doc_ids, want.scores)
+
+
+def test_shared_discount_table_is_discount_bit_for_bit():
+    small = list(_discounts(5))
+    table = _discounts(3000)
+    assert table is _discounts(10) and len(table) > 3000 and math.isnan(table[0])
+    assert table[:len(small)][1:] == small[1:]
+    assert [x.hex() for x in table[1:3001]] == [discount(j).hex() for j in range(1, 3001)]
 
 
 def test_relevance_unknown_term(toy5_index):
